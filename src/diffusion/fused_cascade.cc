@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 namespace imbench {
 namespace {
@@ -90,29 +91,25 @@ uint64_t LaneMask(uint32_t lanes) {
 
 FusedCascadeContext::FusedCascadeContext(const GraphView& graph)
     : graph_(graph),
-      p_fix_(FixedPointProbs(graph.weights())),
       active_word_(graph.num_nodes(), 0),
-      pending_word_(graph.num_nodes(), 0),
-      mask_stamp_(graph.num_nodes(), 0),
-      edge_mask_(graph.num_edges(), 0),
-      lt_stamp_(graph.num_nodes(), 0),
-      lt_slot_(graph.num_nodes(), 0) {}
+      pending_word_(graph.num_nodes(), 0) {}
 
 uint64_t FusedCascadeContext::BlockSeed(uint64_t seed, uint64_t block) {
   uint64_t sm = seed ^ (kBlockMix * (block + 1));
   return SplitMix64(sm);
 }
 
-void FusedCascadeContext::RunBlock(DiffusionKind kind,
-                                   std::span<const NodeId> seeds,
-                                   uint64_t seed, uint64_t block,
-                                   uint32_t lanes, NodeId* gamma) {
+uint64_t FusedCascadeContext::RunBlock(DiffusionKind kind,
+                                       std::span<const NodeId> seeds,
+                                       uint64_t seed, uint64_t block,
+                                       uint32_t lanes, NodeId* gamma) {
   ++epoch_;
   queue_.clear();
   touched_.clear();
   lt_slots_used_ = 0;
   const uint64_t block_seed = BlockSeed(seed, block);
   const uint64_t lane_mask = LaneMask(lanes);
+  PrepareScratch(kind);
   if (kind == DiffusionKind::kIndependentCascade) {
     RunBlockIc(seeds, block_seed, lane_mask);
   } else {
@@ -132,6 +129,8 @@ void FusedCascadeContext::RunBlock(DiffusionKind kind,
       word &= word - 1;
     }
   }
+  return std::exchange(out_scratch_.blocks_decoded, 0) +
+         std::exchange(in_scratch_.blocks_decoded, 0);
 }
 
 void FusedCascadeContext::Activate(NodeId v, uint64_t bits) {
@@ -191,34 +190,71 @@ void FusedCascadeContext::RunBlockLt(std::span<const NodeId> seeds,
   for (const NodeId s : seeds) {
     if (active_word_[s] == 0) Activate(s, lane_mask);
   }
-  for (size_t head = 0; head < queue_.size(); ++head) {
-    const NodeId u = queue_[head];
-    const uint64_t frontier = pending_word_[u];
-    pending_word_[u] = 0;
-    for (const NodeId v : graph_.OutTargets(u, out_scratch_)) {
-      uint64_t contact = frontier & ~active_word_[v];
-      if (contact == 0) continue;
+  double sum[kFusedLanes];
+  size_t level_begin = 0;
+  while (level_begin < queue_.size()) {
+    // Push: fold the level's frontiers into one contact word per
+    // out-neighbor, listing each newly contacted node once. Nothing
+    // activates during the push, so `~active_word_[v]` is stable here.
+    const size_t level_end = queue_.size();
+    for (size_t head = level_begin; head < level_end; ++head) {
+      const NodeId u = queue_[head];
+      const uint64_t frontier = pending_word_[u];
+      pending_word_[u] = 0;
+      for (const NodeId v : graph_.OutTargets(u, out_scratch_)) {
+        const uint64_t contact = frontier & ~active_word_[v];
+        if (contact == 0) continue;
+        if (contact_word_[v] == 0) contacted_.push_back(v);
+        contact_word_[v] |= contact;
+      }
+    }
+    level_begin = level_end;
+    // Pull: one in-edge sweep per contacted node serves all its contacted
+    // lanes. Each lane's sum still adds its active in-weights in in-edge
+    // order, so it equals the replay's per-contact recompute bit for bit.
+    // Activations land in the next level (and are visible to later pulls
+    // of this one, which is harmless: see the header).
+    for (const NodeId v : contacted_) {
+      const uint64_t contact = contact_word_[v];
+      contact_word_[v] = 0;
       const double* thresholds = LtThresholds(v, block_seed);
       const auto [sources, in_weights] = graph_.In(v, in_scratch_);
-      uint64_t newly = 0;
-      uint64_t remaining = contact;
-      while (remaining != 0) {
-        const int j = std::countr_zero(remaining);
-        remaining &= remaining - 1;
-        // The sum is recomputed over the full in-edge list in a fixed
-        // order, so the comparison is independent of activation order
-        // (floating-point sums are monotone under inserting nonnegative
-        // terms) and replays exactly.
-        double sum = 0;
-        for (size_t e = 0; e < sources.size(); ++e) {
-          if (((active_word_[sources[e]] >> j) & 1) != 0) {
-            sum += in_weights[e];
-          }
+      for (uint64_t rest = contact; rest != 0; rest &= rest - 1) {
+        sum[std::countr_zero(rest)] = 0;
+      }
+      for (size_t e = 0; e < sources.size(); ++e) {
+        for (uint64_t bits = active_word_[sources[e]] & contact; bits != 0;
+             bits &= bits - 1) {
+          sum[std::countr_zero(bits)] += in_weights[e];
         }
-        if (sum >= thresholds[j]) newly |= uint64_t{1} << j;
+      }
+      uint64_t newly = 0;
+      for (uint64_t rest = contact; rest != 0; rest &= rest - 1) {
+        const int j = std::countr_zero(rest);
+        if (sum[j] >= thresholds[j]) newly |= uint64_t{1} << j;
       }
       if (newly != 0) Activate(v, newly);
     }
+    contacted_.clear();
+  }
+}
+
+// Per-kind scratch is allocated on the kind's first block: an LT context
+// never holds IC's per-edge mask lanes (12 B per edge), nor an IC context
+// LT's per-node stamps and contact words. Kept out of the kernels so that
+// inlining it cannot perturb their hot loops' code generation.
+void FusedCascadeContext::PrepareScratch(DiffusionKind kind) {
+  const size_t n = graph_.num_nodes();
+  if (kind == DiffusionKind::kIndependentCascade) {
+    if (mask_stamp_.size() == n) return;
+    p_fix_ = FixedPointProbs(graph_.weights());
+    mask_stamp_.assign(n, 0);
+    edge_mask_.assign(graph_.num_edges(), 0);
+  } else {
+    if (lt_stamp_.size() == n) return;
+    lt_stamp_.assign(n, 0);
+    lt_slot_.assign(n, 0);
+    contact_word_.assign(n, 0);
   }
 }
 

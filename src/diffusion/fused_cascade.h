@@ -20,10 +20,19 @@
 //     over blocks yields bit-identical results, and FusedScalarReplay can
 //     re-derive any single simulation's cascade exactly.
 //   * LT: node v's 64 thresholds are drawn from ForStream(block_seed, v)
-//     on first contact. Activation recomputes the active in-weight sum in
-//     in-edge order on every contact (instead of accumulating), which
-//     makes the floating-point comparison independent of activation order:
-//     fused and replayed cascades agree bit for bit.
+//     on first contact. The block runs in push/pull levels. The push
+//     drains the current level, ORs each frontier into a per-node contact
+//     word and lists every newly contacted node once. The pull sweeps
+//     each listed node's in-edges once for all its contacted lanes,
+//     summing every lane's active in-weights in in-edge order, and
+//     activates the lanes whose sum reaches the threshold into the next
+//     level. Why this matches a per-contact recompute bit for bit: a
+//     fixed-order sum of nonnegative terms only grows when a term is
+//     added (FP rounding is monotone), so every schedule that re-checks a
+//     node after each activation of an in-neighbor, and activates only on
+//     a sum computed from already-active lanes, ends at the same least
+//     fixed point. FusedScalarReplay's naive per-contact recompute in BFS
+//     order is one such schedule, so Γ agrees lane for lane.
 //
 // The same trick runs reverse-reachable set sampling under IC
 // (FusedRrContext): RR set i lives in lane i%64 of block i/64, its root is
@@ -64,10 +73,12 @@ class FusedCascadeContext {
 
   // Runs simulations [block*64, block*64 + lanes) of the ensemble keyed by
   // `seed` and writes Γ(S) of simulation block*64+j to gamma[j] for
-  // j < lanes (a partial tail block uses lanes < 64). Deterministic in
-  // (seed, block, seeds) alone.
-  void RunBlock(DiffusionKind kind, std::span<const NodeId> seeds,
-                uint64_t seed, uint64_t block, uint32_t lanes, NodeId* gamma);
+  // j < lanes (a partial tail block uses lanes < 64). Returns the
+  // compressed neighbor blocks decoded on the compact backend (0 on the
+  // heap one). Both are deterministic in (seed, block, lanes, seeds) alone.
+  uint64_t RunBlock(DiffusionKind kind, std::span<const NodeId> seeds,
+                    uint64_t seed, uint64_t block, uint32_t lanes,
+                    NodeId* gamma);
 
   // The per-block key all in-block streams derive from.
   static uint64_t BlockSeed(uint64_t seed, uint64_t block);
@@ -77,13 +88,15 @@ class FusedCascadeContext {
                   uint64_t lane_mask);
   void RunBlockLt(std::span<const NodeId> seeds, uint64_t block_seed,
                   uint64_t lane_mask);
+  void PrepareScratch(DiffusionKind kind);
   void Activate(NodeId v, uint64_t bits);
   const double* LtThresholds(NodeId v, uint64_t block_seed);
 
   GraphView graph_;
+  // IC-only and LT-only scratch is sized by PrepareScratch.
   std::vector<uint32_t> p_fix_;  // per forward edge id, kCoinBits fixed point
-  // Decode buffers for the compact backend. LT holds u's out-adjacency
-  // while scanning each contacted v's in-adjacency, hence two scratches.
+  // Decode buffers for the compact backend: out-adjacency for IC and the
+  // LT push, in-adjacency for the LT pull.
   AdjScratch out_scratch_;
   AdjScratch in_scratch_;
 
@@ -101,6 +114,9 @@ class FusedCascadeContext {
   uint32_t lt_slots_used_ = 0;
   std::vector<NodeId> queue_;
   std::vector<NodeId> touched_;
+  // Lanes contacted in the current LT level; zero outside a level's pull.
+  std::vector<uint64_t> contact_word_;
+  std::vector<NodeId> contacted_;  // nodes with a nonzero contact word
 };
 
 // Replays one simulation of the fused ensemble with a plain sequential

@@ -118,6 +118,8 @@ uint32_t BlockLanes(uint64_t block, uint32_t simulations) {
 // The fused engine's unit of work is one 64-simulation block: the guard is
 // polled once per block, and a trip truncates the sample prefix on the
 // block boundary — identically for the sequential and parallel schedules.
+// A block's decode count is a function of (seed, block) too, so both
+// schedules trace the sum over the same completed prefix.
 SpreadEstimate EstimateFusedSequential(const GraphView& graph, DiffusionKind kind,
                                        std::span<const NodeId> seeds,
                                        const SpreadOptions& options,
@@ -129,13 +131,15 @@ SpreadEstimate EstimateFusedSequential(const GraphView& graph, DiffusionKind kin
   std::vector<NodeId> samples;
   samples.reserve(options.simulations);
   NodeId gamma[kFusedLanes];
+  uint64_t decoded = 0;
   for (uint64_t block = 0; block < blocks; ++block) {
     if (GuardShouldStop(options.guard)) break;
     const uint32_t lanes = BlockLanes(block, options.simulations);
-    context.RunBlock(kind, seeds, options.seed, block, lanes, gamma);
+    decoded += context.RunBlock(kind, seeds, options.seed, block, lanes, gamma);
     samples.insert(samples.end(), gamma, gamma + lanes);
     ++*completed_blocks;
   }
+  TraceAdd(options.trace, TraceCounter::kNeighborBlocksDecoded, decoded);
   return Aggregate(samples);
 }
 
@@ -153,6 +157,7 @@ SpreadEstimate EstimateFusedParallel(const GraphView& graph, DiffusionKind kind,
 
   std::vector<NodeId> gammas(options.simulations);
   std::vector<uint8_t> block_done(blocks, 0);
+  std::vector<uint64_t> block_decoded(blocks, 0);
   pool.ParallelFor(blocks, lanes, [&](uint64_t block, uint32_t lane) {
     if (stop_state.aborted()) return;
     RunGuard& guard = lane_guards[lane];
@@ -163,9 +168,9 @@ SpreadEstimate EstimateFusedParallel(const GraphView& graph, DiffusionKind kind,
     if (contexts[lane] == nullptr) {
       contexts[lane] = std::make_unique<FusedCascadeContext>(graph);
     }
-    contexts[lane]->RunBlock(kind, seeds, options.seed, block,
-                             BlockLanes(block, options.simulations),
-                             &gammas[block * kFusedLanes]);
+    block_decoded[block] = contexts[lane]->RunBlock(
+        kind, seeds, options.seed, block,
+        BlockLanes(block, options.simulations), &gammas[block * kFusedLanes]);
     block_done[block] = 1;
   });
   stop_state.Propagate();
@@ -175,13 +180,16 @@ SpreadEstimate EstimateFusedParallel(const GraphView& graph, DiffusionKind kind,
   // count, and block-aligned on a trip just like its early break.
   std::vector<NodeId> prefix;
   prefix.reserve(options.simulations);
+  uint64_t decoded = 0;
   for (uint64_t block = 0; block < blocks; ++block) {
     if (block_done[block] == 0) break;
     const uint32_t block_lanes = BlockLanes(block, options.simulations);
     const NodeId* begin = &gammas[block * kFusedLanes];
     prefix.insert(prefix.end(), begin, begin + block_lanes);
+    decoded += block_decoded[block];
     ++*completed_blocks;
   }
+  TraceAdd(options.trace, TraceCounter::kNeighborBlocksDecoded, decoded);
   return Aggregate(prefix);
 }
 

@@ -56,9 +56,11 @@ enum class TraceCounter : uint8_t {
   kBnbPruned,           // B&B subtrees pruned by the submodular bound
   kGraphBytesMapped,    // bytes of .imgrf files mapped (CompactGraph::Open)
   kNeighborBlocksDecoded,  // compressed 64-neighbor blocks decoded, counted
-                           // at sequential/coordinating sites only (parallel
-                           // lanes drop their counts to keep traces
-                           // thread-count invariant; see graph_view.h)
+                           // only where the count is thread-count invariant:
+                           // at sequential/coordinating sites, and for fused
+                           // MC as per-block counts summed over the completed
+                           // block prefix. Parallel RR and scalar parallel
+                           // MC lanes drop theirs.
 };
 inline constexpr int kNumTraceCounters = 16;
 

@@ -5,12 +5,16 @@
 // the exact coin masks / thresholds of one fused lane. Every lane of every
 // block must match it bit for bit, across all six weight models — that
 // pins the AND/OR coin-mask ladder, the block-seed derivation, and the
-// LT threshold/recompute scheme all at once.
+// LT thresholds and push/pull levels all at once. The replay recomputes
+// each LT sum per contact, an independent algorithm from the kernel's.
 #include "diffusion/fused_cascade.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +27,10 @@
 #include "framework/registry.h"
 #include "framework/run_guard.h"
 #include "framework/trace.h"
+#include "graph/compact_graph.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/graph_file.h"
 #include "graph/weights.h"
 #include "tests/oracle_util.h"
 #include "tests/test_util.h"
@@ -77,6 +84,58 @@ TEST(FusedKernelTest, BlockGammaMatchesScalarReplayAcrossModels) {
   }
 }
 
+// Preferential attachment with both arc directions: hubs carry in-degrees
+// in the hundreds, so one hub is contacted by many active in-neighbors per
+// level, and LT cascades from the hubs run many levels deep.
+Graph HubHeavyGraph(WeightModel model) {
+  Rng rng(0xba);
+  EdgeList list = BarabasiAlbert(3000, 5, rng);
+  const size_t forward = list.arcs.size();
+  for (size_t i = 0; i < forward; ++i) {
+    list.arcs.push_back(Arc{list.arcs[i].target, list.arcs[i].source});
+  }
+  Graph graph = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+  Rng wrng(0x1f);
+  AssignWeights(graph, model, 0.1, wrng);
+  return graph;
+}
+
+const std::vector<NodeId> kHubSeeds = {0, 1, 2, 3, 4, 5};
+
+TEST(FusedKernelTest, LtHubGraphMatchesScalarReplay) {
+  for (const WeightModel model : {WeightModel::kLtUniform,
+                                  WeightModel::kLtRandom,
+                                  WeightModel::kLtParallel}) {
+    const Graph graph = HubHeavyGraph(model);
+    uint32_t max_in = 0;
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      max_in = std::max(max_in, graph.InDegree(v));
+    }
+    ASSERT_GE(max_in, 200u);
+    FusedCascadeContext context(graph);
+    NodeId gamma[kFusedLanes];
+    uint64_t reached = 0;
+    for (const auto& [block, lanes] :
+         {std::pair<uint64_t, uint32_t>{0, kFusedLanes}, {5, kFusedLanes},
+          {5, 23}}) {
+      context.RunBlock(DiffusionKind::kLinearThreshold, kHubSeeds, 42, block,
+                       lanes, gamma);
+      for (uint32_t lane = 0; lane < lanes; ++lane) {
+        ASSERT_EQ(gamma[lane],
+                  FusedScalarReplay(graph, DiffusionKind::kLinearThreshold,
+                                    kHubSeeds, 42, block * 64 + lane))
+            << "model=" << WeightModelName(model) << " block=" << block
+            << " lanes=" << lanes << " lane=" << lane;
+        reached += gamma[lane];
+      }
+    }
+    // The cascades must spread well past the seeds (about 800 of 3000
+    // nodes per lane) to exercise the hubs.
+    EXPECT_GT(reached, 400u * (2 * kFusedLanes + 23))
+        << "model=" << WeightModelName(model);
+  }
+}
+
 TEST(FusedKernelTest, PartialLaneTailMatchesFullBlockPrefix) {
   Graph graph = DiverseGraph();
   AssignWeightedCascade(graph);
@@ -94,25 +153,79 @@ TEST(FusedKernelTest, PartialLaneTailMatchesFullBlockPrefix) {
 }
 
 TEST(FusedKernelTest, EstimateBitIdenticalAcrossThreadCounts) {
-  Graph graph = DiverseGraph();
-  AssignWeightedCascade(graph);
-  const std::vector<NodeId> seeds = {0, 9};
+  for (const WeightModel model : {WeightModel::kWc, WeightModel::kLtUniform}) {
+    Graph graph = DiverseGraph();
+    Rng wrng(0x5eed);
+    AssignWeights(graph, model, 0.1, wrng);
+    const DiffusionKind kind = DiffusionKindFor(model);
+    const std::vector<NodeId> seeds = {0, 9};
 
-  SpreadOptions sequential = testutil::SpreadOpts(512, 11);
-  sequential.engine = McEngine::kFused64;
-  const SpreadEstimate base = EstimateSpread(
-      graph, DiffusionKind::kIndependentCascade, seeds, sequential);
-  EXPECT_EQ(base.simulations, 512u);
+    SpreadOptions sequential = testutil::SpreadOpts(512, 11);
+    sequential.engine = McEngine::kFused64;
+    const SpreadEstimate base = EstimateSpread(graph, kind, seeds, sequential);
+    EXPECT_EQ(base.simulations, 512u);
 
-  for (const uint32_t threads : {2u, 3u, 8u}) {
-    ThreadPool pool(threads - 1);
-    SpreadOptions parallel = testutil::SpreadOpts(512, 11, threads, &pool);
-    parallel.engine = McEngine::kFused64;
-    const SpreadEstimate est = EstimateSpread(
-        graph, DiffusionKind::kIndependentCascade, seeds, parallel);
-    EXPECT_DOUBLE_EQ(est.mean, base.mean) << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(est.stddev, base.stddev) << "threads=" << threads;
-    EXPECT_EQ(est.simulations, base.simulations) << "threads=" << threads;
+    for (const uint32_t threads : {2u, 3u, 8u}) {
+      ThreadPool pool(threads - 1);
+      SpreadOptions parallel = testutil::SpreadOpts(512, 11, threads, &pool);
+      parallel.engine = McEngine::kFused64;
+      const SpreadEstimate est = EstimateSpread(graph, kind, seeds, parallel);
+      EXPECT_DOUBLE_EQ(est.mean, base.mean)
+          << WeightModelName(model) << " threads=" << threads;
+      EXPECT_DOUBLE_EQ(est.stddev, base.stddev)
+          << WeightModelName(model) << " threads=" << threads;
+      EXPECT_EQ(est.simulations, base.simulations)
+          << WeightModelName(model) << " threads=" << threads;
+    }
+  }
+}
+
+// The fused LT kernel on the mmap'd backend must reproduce the heap
+// estimate bit for bit, and trace the same decode count for every thread
+// count (the heap backend decodes nothing).
+TEST(FusedKernelTest, LtEstimateIdenticalAcrossBackends) {
+  for (const WeightModel model :
+       {WeightModel::kLtUniform, WeightModel::kLtRandom}) {
+    const Graph graph = HubHeavyGraph(model);
+    const std::string path = ::testing::TempDir() + "/fused_lt.imgrf";
+    std::string error;
+    ASSERT_TRUE(WriteGraphFile(graph, model, path, &error)) << error;
+    CompactGraph compact;
+    ASSERT_EQ(CompactGraph::Open(path, &compact, &error),
+              GraphFileStatus::kOk)
+        << error;
+
+    Trace heap_trace;
+    SpreadOptions heap_options = testutil::SpreadOpts(200, 17);
+    heap_options.engine = McEngine::kFused64;
+    heap_options.trace = &heap_trace;
+    const SpreadEstimate heap = EstimateSpread(
+        graph, DiffusionKind::kLinearThreshold, kHubSeeds, heap_options);
+    EXPECT_EQ(heap_trace.Total(TraceCounter::kNeighborBlocksDecoded), 0u);
+
+    uint64_t decoded = 0;
+    for (const uint32_t threads : {1u, 2u, 3u, 8u}) {
+      ThreadPool pool(threads - 1);
+      Trace trace;
+      SpreadOptions options = testutil::SpreadOpts(
+          200, 17, threads, threads > 1 ? &pool : nullptr);
+      options.engine = McEngine::kFused64;
+      options.trace = &trace;
+      const SpreadEstimate est = EstimateSpread(
+          GraphView(compact), DiffusionKind::kLinearThreshold, kHubSeeds,
+          options);
+      EXPECT_DOUBLE_EQ(est.mean, heap.mean)
+          << WeightModelName(model) << " threads=" << threads;
+      EXPECT_DOUBLE_EQ(est.stddev, heap.stddev)
+          << WeightModelName(model) << " threads=" << threads;
+      const uint64_t count =
+          trace.Total(TraceCounter::kNeighborBlocksDecoded);
+      if (threads == 1) decoded = count;
+      EXPECT_GT(count, 0u) << WeightModelName(model);
+      EXPECT_EQ(count, decoded)
+          << WeightModelName(model) << " threads=" << threads;
+    }
+    std::remove(path.c_str());
   }
 }
 
