@@ -1,6 +1,7 @@
 #include "diffusion/parallel_rr.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -43,7 +44,15 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
   }
 
   uint64_t generated_total = 0;
-  uint64_t edges_examined = 0;  // merged-prefix sets only (deterministic)
+  // Per-set counters of merged-prefix sets only, summed in index order, so
+  // the totals equal the sequential engine's for any lane count.
+  uint64_t edges_examined = 0;
+  uint64_t blocks_decoded = 0;
+  auto flush_counters = [&] {
+    TraceAdd(options_.trace, TraceCounter::kRrEdgesExamined, edges_examined);
+    TraceAdd(options_.trace, TraceCounter::kNeighborBlocksDecoded,
+             blocks_decoded);
+  };
   bool draining = false;
   while (generated_total < count && !draining) {
     const uint64_t remaining = count - generated_total;
@@ -60,15 +69,13 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
     // after the first wave no allocation happens on the generation path.
     if (batches_.size() < num_batches) batches_.resize(num_batches);
     for (uint64_t b = 0; b < num_batches; ++b) {
-      batches_[b].members.clear();
-      batches_[b].sizes.clear();
-      batches_[b].widths.clear();
+      batches_[b].sets.Clear();
       batches_[b].complete = false;
     }
     pool_->ParallelFor(
         num_batches, lanes_, [&](uint64_t b, uint32_t lane) {
           LaneState& ls = *lane_states_[lane];
-          Batch& batch = batches_[b];
+          RrBatch& sets = batches_[b].sets;
           const uint64_t first = wave_base + b * kBatchSets;
           const uint64_t n = std::min<uint64_t>(kBatchSets, index_end - first);
           if (use_fused_) {
@@ -92,68 +99,48 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
               ls.fused = std::make_unique<FusedRrContext>(graph_);
             }
             ls.fused->GenerateRange(seed, first, static_cast<uint32_t>(n),
-                                    batch.members, batch.sizes,
-                                    &batch.widths);
-            batch.complete = true;
+                                    sets.members, sets.sizes, &sets.widths);
+            sets.blocks.assign(sets.size(), 0);  // the kernel keeps no count
+            batches_[b].complete = true;
             return;
           }
-          for (uint64_t j = 0; j < n; ++j) {
-            if (stop_state.aborted()) return;
-            if (ls.guard.ShouldStop()) {
-              stop_state.Trip(ls.guard.reason());
-              return;
-            }
-            // Fault site: this lane dies before drawing its next set. The
-            // wave drains through the shared abort flag and the merge
-            // keeps the deterministic prefix; Propagate() withholds
-            // transient reasons from the parent guard so a retry can
-            // resume from the same stream index.
-            StopReason injected = StopReason::kNone;
-            if (FaultFire(faultsite::kSamplerLane, &injected)) {
-              stop_state.Trip(injected);
-              return;
-            }
-            const size_t base = batch.members.size();
-            const uint64_t width =
-                ls.sampler.GenerateStreamInto(seed, first + j, batch.members);
-            // A trip mid-set (own guard or a sibling's abort) leaves a
-            // truncated tail in the buffer; roll it back rather than
-            // publish a non-deterministic member list.
-            if (ls.guard.stopped()) {
-              batch.members.resize(base);
-              stop_state.Trip(ls.guard.reason());
-              return;
-            }
-            if (stop_state.aborted()) {
-              batch.members.resize(base);
-              return;
-            }
-            batch.sizes.push_back(
-                static_cast<uint32_t>(batch.members.size() - base));
-            batch.widths.push_back(width);
+          // The same range producer as the sequential engine, with this
+          // lane's fault site: the lane dies before drawing its next set.
+          // A trip (own guard, sibling abort or fault) leaves a prefix of
+          // the batch; Propagate() withholds transient reasons from the
+          // parent guard so a retry can resume from the same stream index.
+          // Lanes carry no entry cap (the merge resolves it) and never
+          // flush early: the whole batch is buffered until the merge.
+          const ProduceResult produced = ls.sampler.Produce(
+              seed, first, n, faultsite::kSamplerLane, 0,
+              std::numeric_limits<uint64_t>::max(), sets);
+          batches_[b].complete = produced.stop == ProduceResult::Stop::kNone;
+          if (produced.stop == ProduceResult::Stop::kGuard) {
+            stop_state.Trip(ls.guard.reason());
+          } else if (produced.stop == ProduceResult::Stop::kFault) {
+            stop_state.Trip(produced.injected);
           }
-          batch.complete = true;
         });
 
     // Merge in index order; every set spliced here has the same contents
     // the sequential engine would have produced for its index. Each batch
     // lands as one block splice (bulk arena copy + size-many offsets).
     for (uint64_t b = 0; b < num_batches; ++b) {
-      Batch& batch = batches_[b];
+      const RrBatch& sets = batches_[b].sets;
+      const bool complete = batches_[b].complete;
       // Fault site: the arena append of this merged batch fails (simulated
       // OOM). The merge is single-threaded, so the failing batch index is
       // deterministic; nothing from it is appended and the stream cursor
       // stays put, so a retry resumes at exactly the dropped batch.
       StopReason injected = StopReason::kNone;
-      if (batch.sizes.empty() && !batch.complete) {
+      if (sets.size() == 0 && !complete) {
         // Nothing to append; fall through to the incomplete-batch check.
       } else if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
         result.stop = injected;
         if (!IsTransientStop(injected) && options_.guard != nullptr) {
           options_.guard->Trip(injected);
         }
-        TraceAdd(options_.trace, TraceCounter::kRrEdgesExamined,
-                 edges_examined);
+        flush_counters();
         return result;
       }
       // Entry cap: the sampler's own safety valve. Resolved here in the
@@ -162,13 +149,13 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
       // sequential engine's add-then-check), the rest of the batch is not.
       // Like the sequential engine, it does not trip the caller's
       // run-wide guard.
-      size_t keep = batch.sizes.size();
-      uint64_t keep_entries = batch.members.size();
+      size_t keep = sets.size();
+      uint64_t keep_entries = sets.members.size();
       bool cap_hit = false;
       if (options_.max_total_entries != 0) {
         uint64_t running = out.TotalEntries();
-        for (size_t i = 0; i < batch.sizes.size(); ++i) {
-          running += batch.sizes[i];
+        for (size_t i = 0; i < sets.size(); ++i) {
+          running += sets.sizes[i];
           if (running > options_.max_total_entries) {
             keep = i + 1;
             keep_entries = running - out.TotalEntries();
@@ -178,22 +165,22 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
         }
       }
       out.AppendBatch(
-          std::span<const NodeId>(batch.members.data(), keep_entries),
-          std::span<const uint32_t>(batch.sizes.data(), keep));
+          std::span<const NodeId>(sets.members.data(), keep_entries),
+          std::span<const uint32_t>(sets.sizes.data(), keep));
       for (size_t i = 0; i < keep; ++i) {
-        if (widths != nullptr) widths->push_back(batch.widths[i]);
-        edges_examined += batch.widths[i];
+        if (widths != nullptr) widths->push_back(sets.widths[i]);
+        edges_examined += sets.widths[i];
+        blocks_decoded += sets.blocks[i];
       }
       next_index_ += keep;
       generated_total += keep;
       result.generated += keep;
       if (cap_hit) {
         result.stop = StopReason::kMemory;
-        TraceAdd(options_.trace, TraceCounter::kRrEdgesExamined,
-                 edges_examined);
+        flush_counters();
         return result;
       }
-      if (!batch.complete) {
+      if (!complete) {
         draining = true;
         break;
       }
@@ -203,7 +190,7 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
 
   stop_state.Propagate();
   result.stop = stop_state.reason();
-  TraceAdd(options_.trace, TraceCounter::kRrEdgesExamined, edges_examined);
+  flush_counters();
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "diffusion/rr_sets.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -21,6 +22,16 @@ namespace {
 // Both variants produce identical seeds, so the threshold is purely a
 // performance knob (and deterministic: size() never depends on threads).
 constexpr size_t kDegreeBucketThreshold = 4096;
+
+// Batched Generate splices its batch into the collection once the batch
+// holds this many members: the buffer stays a few pages however large
+// single sets get (supercritical IC), so it adds nothing measurable to
+// peak heap, and one ring restart per flush costs nothing measurable.
+constexpr uint64_t kFlushEntries = uint64_t{1} << 12;
+
+// Stage-2 distance: a pending set's adjacency is prefetched this many sets
+// before it is sampled, half a ring after its offsets were.
+constexpr uint32_t kStage2Distance = RrSampler::kLookahead / 2;
 
 }  // namespace
 
@@ -49,14 +60,8 @@ uint64_t RrSampler::GenerateFromRoot(NodeId root, Rng& rng,
                                      std::vector<NodeId>& out) {
   out.clear();
   EnsureStamps();
-  ++epoch_;
-  switch (kind_) {
-    case DiffusionKind::kIndependentCascade:
-      return GenerateIc(root, rng, out, 0);
-    case DiffusionKind::kLinearThreshold:
-      return GenerateLt(root, rng, out, 0);
-  }
-  return 0;
+  return graph_.Visit(
+      [&](const auto& graph) { return Sample(graph, root, rng, out); });
 }
 
 uint64_t RrSampler::GenerateStream(uint64_t seed, uint64_t index,
@@ -65,78 +70,147 @@ uint64_t RrSampler::GenerateStream(uint64_t seed, uint64_t index,
   return Generate(rng, out);
 }
 
-uint64_t RrSampler::GenerateStreamInto(uint64_t seed, uint64_t index,
-                                       std::vector<NodeId>& buffer) {
-  Rng rng = Rng::ForStream(seed, index);
-  const NodeId root = rng.NextU32(graph_.num_nodes());
-  const size_t base = buffer.size();
+ProduceResult RrSampler::Produce(uint64_t seed, uint64_t first, uint64_t count,
+                                 std::string_view fault_site,
+                                 uint64_t entries_before,
+                                 uint64_t flush_entries, RrBatch& batch) {
   EnsureStamps();
-  ++epoch_;
-  switch (kind_) {
-    case DiffusionKind::kIndependentCascade:
-      return GenerateIc(root, rng, buffer, base);
-    case DiffusionKind::kLinearThreshold:
-      return GenerateLt(root, rng, buffer, base);
+  return graph_.Visit([&](const auto& graph) {
+    return ProduceOn(graph, seed, first, count, fault_site, entries_before,
+                     flush_entries, batch);
+  });
+}
+
+template <typename Backend>
+ProduceResult RrSampler::ProduceOn(const Backend& graph, uint64_t seed,
+                                   uint64_t first, uint64_t count,
+                                   std::string_view fault_site,
+                                   uint64_t entries_before,
+                                   uint64_t flush_entries, RrBatch& batch) {
+  using Stop = ProduceResult::Stop;
+  // Slot i % kLookahead of the ring holds set i's generator and root,
+  // drawn kLookahead sets early. Both are pure functions of
+  // (seed, first + i), so drawing them early changes no set.
+  const NodeId n = graph.num_nodes();
+  uint64_t drawn = 0;
+  auto draw_next = [&] {
+    Pending& p = ring_[drawn % kLookahead];
+    p.rng = Rng::ForStream(seed, first + drawn);
+    p.root = p.rng.NextU32(n);
+    graph.PrefetchInOffsets(p.root);  // stage 1
+    ++drawn;
+  };
+  while (drawn < std::min<uint64_t>(count, kLookahead)) draw_next();
+  // The first sets get their stage 2 at once: their offsets are already
+  // in flight together, and a short range (a parallel lane's batch) would
+  // otherwise sample them unprefetched.
+  for (uint64_t i = 0; i < std::min<uint64_t>(drawn, kStage2Distance); ++i) {
+    graph.PrefetchInAdjacency(ring_[i].root);
   }
-  return 0;
+
+  ProduceResult result;
+  for (uint64_t i = 0; i < count; ++i) {
+    if (i + kStage2Distance < drawn) {
+      graph.PrefetchInAdjacency(ring_[(i + kStage2Distance) % kLookahead].root);
+    }
+    if (Aborted()) {
+      result.stop = Stop::kAborted;
+      break;
+    }
+    if (GuardShouldStop(guard_)) {
+      result.stop = Stop::kGuard;
+      break;
+    }
+    // Fault site: checked before the set is drawn, so the caller's stream
+    // cursor stays on the failed index and a retry regenerates exactly
+    // the missing tail.
+    if (FaultFire(fault_site, &result.injected)) {
+      result.stop = Stop::kFault;
+      break;
+    }
+    Pending& p = ring_[i % kLookahead];
+    const size_t base = batch.members.size();
+    scratch_.blocks_decoded = 0;
+    const uint64_t width = Sample(graph, p.root, p.rng, batch.members);
+    // A stop mid-set leaves a truncated set; drop it so the batch stays a
+    // prefix of the deterministic sequence.
+    if (GuardStopped(guard_)) {
+      batch.members.resize(base);
+      result.stop = Stop::kGuard;
+      break;
+    }
+    if (Aborted()) {
+      batch.members.resize(base);
+      result.stop = Stop::kAborted;
+      break;
+    }
+    batch.sizes.push_back(static_cast<uint32_t>(batch.members.size() - base));
+    batch.widths.push_back(width);
+    batch.blocks.push_back(scratch_.blocks_decoded);
+    if (drawn < count) draw_next();  // refills the slot just consumed
+    if (max_total_entries_ != 0 &&
+        entries_before + batch.members.size() > max_total_entries_) {
+      result.stop = Stop::kEntryCap;
+      break;
+    }
+    if (batch.members.size() >= flush_entries) break;
+  }
+  return result;
 }
 
 RrBatchResult RrSampler::Generate(uint64_t seed, uint64_t count,
                                   RrCollection& out,
                                   std::vector<uint64_t>* widths) {
   if (use_fused_) return GenerateFused(seed, count, out, widths);
+  using Stop = ProduceResult::Stop;
   RrBatchResult result;
-  std::vector<NodeId> scratch;
   uint64_t edges_examined = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) break;
-    if (GuardShouldStop(guard_)) {
-      result.stop = guard_->reason();
-      break;
+  uint64_t blocks_decoded = 0;
+  RrBatch batch;  // released on return: no memory held between calls
+  while (result.generated < count) {
+    batch.Clear();
+    const ProduceResult produced =
+        Produce(seed, next_index_, count - result.generated,
+                faultsite::kRrArenaGrow, out.TotalEntries(), kFlushEntries,
+                batch);
+    // Only kept sets reach the arena and the counters: a set dropped by a
+    // stop is never counted, so the totals match the parallel engine's
+    // merged prefix exactly.
+    out.AppendBatch(batch.members, batch.sizes);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (widths != nullptr) widths->push_back(batch.widths[i]);
+      edges_examined += batch.widths[i];
+      blocks_decoded += batch.blocks[i];
     }
-    // Fault site: the next arena append fails (simulated OOM). Checked
-    // before the set is drawn, so the stream cursor stays on the failed
-    // index and a retry regenerates exactly the missing tail. A transient
-    // fault stops this batch without tripping the caller's guard; a fatal
-    // reason simulates a budget trip through the normal sticky path.
-    StopReason injected = StopReason::kNone;
-    if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
-      result.stop = injected;
-      if (!IsTransientStop(injected) && guard_ != nullptr) {
-        guard_->Trip(injected);
+    next_index_ += batch.size();
+    result.generated += batch.size();
+    if (produced.stop == Stop::kNone) continue;
+    if (produced.stop == Stop::kGuard) {
+      result.stop = guard_->reason();
+    } else if (produced.stop == Stop::kFault) {
+      // A transient fault stops this batch without tripping the caller's
+      // guard; a fatal reason simulates a budget trip through the normal
+      // sticky path.
+      result.stop = produced.injected;
+      if (!IsTransientStop(produced.injected) && guard_ != nullptr) {
+        guard_->Trip(produced.injected);
       }
-      break;
-    }
-    const uint64_t width = GenerateStream(seed, next_index_++, scratch);
-    // A mid-set guard trip leaves a truncated set; drop it so the corpus
-    // stays a prefix of the deterministic sequence.
-    if (GuardStopped(guard_)) {
-      result.stop = guard_->reason();
-      break;
-    }
-    // The scratch buffer is copied into the arena and reused: after the
-    // first few sets it never reallocates again.
-    out.AppendSet(scratch);
-    if (widths != nullptr) widths->push_back(width);
-    edges_examined += width;
-    ++result.generated;
-    // The entry cap is the sampler's own safety valve: report kMemory but
-    // leave the caller's run-wide guard alone so the post-selection
-    // evaluation of the partial seed set still runs.
-    if (max_total_entries_ != 0 && out.TotalEntries() > max_total_entries_) {
+    } else if (produced.stop == Stop::kEntryCap) {
+      // The entry cap is the sampler's own safety valve: report kMemory
+      // but leave the caller's run-wide guard alone so the post-selection
+      // evaluation of the partial seed set still runs.
       result.stop = StopReason::kMemory;
-      break;
     }
+    break;
   }
   if (result.stop == StopReason::kNone && GuardStopped(guard_)) {
     result.stop = guard_->reason();
   }
-  TraceAdd(trace_, TraceCounter::kRrEdgesExamined, edges_examined);
   // Batched Generate is a coordinating site: lane samplers run with a null
-  // trace, so only this sequential flush reaches the counter and the total
-  // stays thread-count invariant.
-  TraceAdd(trace_, TraceCounter::kNeighborBlocksDecoded,
-           std::exchange(scratch_.blocks_decoded, 0));
+  // trace and report per-set counts to their own coordinator, so the
+  // totals stay thread-count invariant.
+  TraceAdd(trace_, TraceCounter::kRrEdgesExamined, edges_examined);
+  TraceAdd(trace_, TraceCounter::kNeighborBlocksDecoded, blocks_decoded);
   return result;
 }
 
@@ -201,21 +275,36 @@ RrBatchResult RrSampler::GenerateFused(uint64_t seed, uint64_t count,
   return result;
 }
 
-uint64_t RrSampler::GenerateIc(NodeId root, Rng& rng, std::vector<NodeId>& out,
-                               size_t base) {
+template <typename Backend>
+uint64_t RrSampler::Sample(const Backend& graph, NodeId root, Rng& rng,
+                           std::vector<NodeId>& out) {
+  ++epoch_;
+  return kind_ == DiffusionKind::kIndependentCascade
+             ? SampleIc(graph, root, rng, out)
+             : SampleLt(graph, root, rng, out);
+}
+
+template <typename Backend>
+uint64_t RrSampler::SampleIc(const Backend& graph, NodeId root, Rng& rng,
+                             std::vector<NodeId>& out) {
   uint64_t edges_examined = 0;
   visited_stamp_[root] = epoch_;
   out.push_back(root);
-  for (size_t head = base; head < out.size(); ++head) {
+  for (size_t head = out.size() - 1; head < out.size(); ++head) {
     if (PollStop()) break;  // truncated set: run is draining
     const NodeId v = out[head];
-    const auto [sources, weights] = graph_.In(v, scratch_);
+    // The same two stages inside the set: a member's offsets are
+    // prefetched when it is queued, its adjacency one expansion before
+    // its own.
+    if (head + 1 < out.size()) graph.PrefetchInAdjacency(out[head + 1]);
+    const auto [sources, weights] = InAdjacency(graph, v, scratch_);
     edges_examined += sources.size();
     for (size_t i = 0; i < sources.size(); ++i) {
       const NodeId u = sources[i];
       if (visited_stamp_[u] == epoch_) continue;
       if (rng.NextDouble() < weights[i]) {
         visited_stamp_[u] = epoch_;
+        graph.PrefetchInOffsets(u);
         out.push_back(u);
       }
     }
@@ -223,18 +312,18 @@ uint64_t RrSampler::GenerateIc(NodeId root, Rng& rng, std::vector<NodeId>& out,
   return edges_examined;
 }
 
-uint64_t RrSampler::GenerateLt(NodeId root, Rng& rng, std::vector<NodeId>& out,
-                               size_t base) {
+template <typename Backend>
+uint64_t RrSampler::SampleLt(const Backend& graph, NodeId root, Rng& rng,
+                             std::vector<NodeId>& out) {
   // Under LT's live-edge view each node activates via at most one
   // in-neighbor, so the RR set is a simple path walked backwards until the
   // residual no-edge event fires or the walk bites its own tail.
-  (void)base;
   uint64_t edges_examined = 0;
   visited_stamp_[root] = epoch_;
   out.push_back(root);
   NodeId v = root;
   while (!PollStop()) {
-    const auto [sources, weights] = graph_.In(v, scratch_);
+    const auto [sources, weights] = InAdjacency(graph, v, scratch_);
     if (sources.empty()) break;
     edges_examined += sources.size();
     double r = rng.NextDouble();
@@ -293,7 +382,6 @@ void RrCollection::AppendSet(std::span<const NodeId> set) {
   for (const NodeId v : set) IMBENCH_CHECK(v < num_nodes_);
   members_.insert(members_.end(), set.begin(), set.end());
   set_offsets_.push_back(members_.size());
-  index_valid_ = false;
 }
 
 void RrCollection::AppendBatch(std::span<const NodeId> members,
@@ -308,7 +396,6 @@ void RrCollection::AppendBatch(std::span<const NodeId> members,
     spliced += size;
   }
   IMBENCH_CHECK(spliced == members.size());
-  index_valid_ = false;
 }
 
 void RrCollection::Reserve(uint64_t sets, uint64_t entries) {
@@ -320,7 +407,7 @@ void RrCollection::TruncateTo(size_t n) {
   if (n >= size()) return;
   set_offsets_.resize(n + 1);
   members_.resize(set_offsets_.back());
-  index_valid_ = false;
+  ResetInvertedIndex();
 }
 
 void RrCollection::ReplaceSets(std::span<const uint32_t> set_ids,
@@ -368,7 +455,7 @@ void RrCollection::ReplaceSets(std::span<const uint32_t> set_ids,
   }
   members_ = std::move(new_members);
   set_offsets_ = std::move(new_offsets);
-  index_valid_ = false;
+  ResetInvertedIndex();
 }
 
 std::vector<uint32_t> RrCollection::SetsContainingAny(
@@ -392,28 +479,65 @@ uint64_t RrCollection::MemoryBytes() const {
          inv_sets_.capacity() * sizeof(uint32_t) + sizeof(*this);
 }
 
+void RrCollection::ResetInvertedIndex() {
+  indexed_sets_ = 0;
+  inv_offsets_.clear();
+}
+
 void RrCollection::EnsureInvertedIndex() const {
-  if (index_valid_) return;
-  // Counting sort over the arena: one pass to histogram per-node
-  // occurrence counts, one pass to place set ids. Stable by construction,
-  // so each node's slice lists set ids in increasing order — the same
-  // order the old per-node vectors grew in, which GreedyMaxCover's
-  // coverage walk (and therefore the determinism goldens) relies on.
-  inv_offsets_.assign(num_nodes_ + 1, 0);
-  for (const NodeId v : members_) ++inv_offsets_[v + 1];
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    inv_offsets_[v + 1] += inv_offsets_[v];
-  }
-  inv_sets_.resize(members_.size());
-  std::vector<uint64_t> cursor(inv_offsets_.begin(), inv_offsets_.end() - 1);
   const size_t num_sets = size();
-  for (size_t id = 0; id < num_sets; ++id) {
+  // Extends the index over the sets appended since the last call. Every
+  // tail set id exceeds every indexed one, so appending each node's tail
+  // ids after its old slice keeps the slices ascending — the order
+  // GreedyMaxCover's coverage walk (and therefore the determinism goldens)
+  // relies on. An extension from 0 is the full counting-sort build.
+  if (inv_offsets_.empty()) {
+    inv_offsets_.assign(num_nodes_ + 1, 0);
+  } else if (indexed_sets_ == num_sets) {
+    return;
+  }
+  const uint64_t tail_begin = set_offsets_[indexed_sets_];
+  // Exact growth: reserve() to the entry count, so the index holds no idle
+  // slack (resize() alone may double the capacity). The old contents are
+  // carried over in place; no second index copy is built.
+  inv_sets_.reserve(members_.size());
+  inv_sets_.resize(members_.size());
+  // shift[v]: tail entries of nodes below v, i.e. how far v's old slice
+  // moves up. Counted over the tail only, then prefix-summed in place.
+  std::vector<uint64_t> shift(num_nodes_, 0);
+  for (uint64_t i = tail_begin; i < members_.size(); ++i) {
+    ++shift[members_[i]];
+  }
+  uint64_t tail_entries = 0;
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    const uint64_t count = shift[v];
+    shift[v] = tail_entries;
+    tail_entries += count;
+  }
+  // Move each old slice up by its shift, highest node first: slice v lands
+  // at or above where it was, over space the higher slices already left,
+  // so nothing unmoved is overwritten. shift[v] becomes v's scatter
+  // cursor, the end of its moved slice.
+  uint64_t shift_above = tail_entries;  // shift of node v + 1
+  for (NodeId v = num_nodes_; v-- > 0;) {
+    const uint64_t begin = inv_offsets_[v];
+    const uint64_t end = inv_offsets_[v + 1];
+    const uint64_t moved = shift[v];
+    if (moved != 0 && end != begin) {
+      std::memmove(inv_sets_.data() + begin + moved, inv_sets_.data() + begin,
+                   (end - begin) * sizeof(uint32_t));
+    }
+    inv_offsets_[v + 1] = end + shift_above;
+    shift[v] = end + moved;
+    shift_above = moved;
+  }
+  for (size_t id = indexed_sets_; id < num_sets; ++id) {
     const uint64_t end = set_offsets_[id + 1];
     for (uint64_t i = set_offsets_[id]; i < end; ++i) {
-      inv_sets_[cursor[members_[i]]++] = static_cast<uint32_t>(id);
+      inv_sets_[shift[members_[i]]++] = static_cast<uint32_t>(id);
     }
   }
-  index_valid_ = true;
+  indexed_sets_ = num_sets;
 }
 
 std::vector<NodeId> RrCollection::GreedyMaxCover(

@@ -20,10 +20,12 @@
 #ifndef IMBENCH_DIFFUSION_RR_SETS_H_
 #define IMBENCH_DIFFUSION_RR_SETS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -108,10 +110,50 @@ class RrEngine {
   virtual void SeekStream(uint64_t next_index) = 0;
 };
 
-// Sequential engine; also generates RR sets one at a time with reusable
-// scratch through the legacy Generate(Rng&, out) entry points.
+// One flat run of consecutive RR sets in the collection's own shape (all
+// members back to back plus per-set sizes), with the per-set counters the
+// engines report for the merged prefix only. The producer's output and the
+// unit AppendBatch splices; buffers are cleared, not freed, between runs.
+struct RrBatch {
+  std::vector<NodeId> members;
+  std::vector<uint32_t> sizes;
+  std::vector<uint64_t> widths;  // edges examined per set
+  std::vector<uint64_t> blocks;  // compressed in-blocks decoded per set
+  size_t size() const { return sizes.size(); }
+  void Clear() {
+    members.clear();
+    sizes.clear();
+    widths.clear();
+    blocks.clear();
+  }
+};
+
+// How RrSampler::Produce ended. Every stop leaves `batch` holding a prefix
+// of the requested range: a set cut short by a stop is never kept.
+struct ProduceResult {
+  enum class Stop : uint8_t {
+    kNone,      // the whole range (or the flush budget) was produced
+    kAborted,   // the abort flag was raised
+    kGuard,     // the guard tripped; its reason() says why
+    kFault,     // the fault site fired; `injected` is the simulated failure
+    kEntryCap,  // the last kept set crossed max_total_entries
+  };
+  Stop stop = Stop::kNone;
+  StopReason injected = StopReason::kNone;
+};
+
+// Sequential engine. Batched generation and the parallel engine's lanes
+// share one range producer (Produce); the single-set entry points below
+// run the same reverse BFS/walk.
 class RrSampler : public RrEngine {
  public:
+  // Sets drawn ahead of the one being sampled: each upcoming set's
+  // (Rng::ForStream(seed, i), root) pair sits in a ring this long while its
+  // root's in-adjacency is prefetched. A constant, not an option: it hides
+  // a memory latency of the machine, not a property of the workload, and
+  // no set depends on it.
+  static constexpr uint32_t kLookahead = 16;
+
   RrSampler(const GraphView& graph, DiffusionKind kind,
             RunGuard* guard = nullptr);
   // SamplerOptions constructor; `threads` and `pool` are ignored (this is
@@ -135,15 +177,20 @@ class RrSampler : public RrEngine {
   uint64_t GenerateStream(uint64_t seed, uint64_t index,
                           std::vector<NodeId>& out);
 
-  // Like GenerateStream, but appends the set to `buffer` without clearing
-  // it — the batch-buffer path: a lane fills one flat buffer with many
-  // consecutive sets and the whole block is spliced into the collection.
-  // The appended set occupies buffer[s..buffer.size()) where s is the size
-  // on entry. A mid-set stop (guard trip / abort flag) leaves a truncated
-  // tail; callers that detect a stop must resize the buffer back to s
-  // instead of publishing the partial set.
-  uint64_t GenerateStreamInto(uint64_t seed, uint64_t index,
-                              std::vector<NodeId>& buffer);
+  // The range producer: appends sets [first, first + count) to `batch`,
+  // each exactly GenerateStream(seed, i). The next kLookahead sets' roots
+  // are drawn ahead and their in-adjacency prefetched, so set i's misses
+  // overlap with the sampling of the sets before it. Per set, in order:
+  // the abort flag, the guard and FaultFire(fault_site) are checked before
+  // it is drawn; the abort flag and guard are polled per node inside it; a
+  // set cut short is dropped. With max_total_entries set, a set that takes
+  // entries_before + batch entries past the cap is kept and ends the run
+  // (add-then-check). The run also ends, with Stop::kNone, once the batch
+  // holds `flush_entries` or more members, which bounds the batch buffer;
+  // callers loop until their count is reached.
+  ProduceResult Produce(uint64_t seed, uint64_t first, uint64_t count,
+                        std::string_view fault_site, uint64_t entries_before,
+                        uint64_t flush_entries, RrBatch& batch);
 
   RrBatchResult Generate(uint64_t seed, uint64_t count, RrCollection& out,
                          std::vector<uint64_t>* widths = nullptr) override;
@@ -156,17 +203,30 @@ class RrSampler : public RrEngine {
   void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
 
  private:
-  bool PollStop() {
-    return (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) ||
-           GuardShouldStop(guard_);
+  bool Aborted() const {
+    return abort_ != nullptr && abort_->load(std::memory_order_relaxed);
   }
+  bool PollStop() { return Aborted() || GuardShouldStop(guard_); }
 
-  // Both work append-style from `base` (the set's first slot in `out`), so
-  // the same code serves the clear-first and batch-buffer entry points.
-  uint64_t GenerateIc(NodeId root, Rng& rng, std::vector<NodeId>& out,
-                      size_t base);
-  uint64_t GenerateLt(NodeId root, Rng& rng, std::vector<NodeId>& out,
-                      size_t base);
+  // Produce with the backend branch hoisted out of every per-set and
+  // per-node loop.
+  template <typename Backend>
+  ProduceResult ProduceOn(const Backend& graph, uint64_t seed, uint64_t first,
+                          uint64_t count, std::string_view fault_site,
+                          uint64_t entries_before, uint64_t flush_entries,
+                          RrBatch& batch);
+
+  // One set from `root`, appended to `out` from its current end: the
+  // reverse BFS (IC) or reverse walk (LT). Returns the edges examined.
+  template <typename Backend>
+  uint64_t Sample(const Backend& graph, NodeId root, Rng& rng,
+                  std::vector<NodeId>& out);
+  template <typename Backend>
+  uint64_t SampleIc(const Backend& graph, NodeId root, Rng& rng,
+                    std::vector<NodeId>& out);
+  template <typename Backend>
+  uint64_t SampleLt(const Backend& graph, NodeId root, Rng& rng,
+                    std::vector<NodeId>& out);
 
   // Batched generation through the bit-parallel kernel: 64 consecutive
   // stream indices per pass, chunked so no pass crosses a lane-block
@@ -195,6 +255,13 @@ class RrSampler : public RrEngine {
   uint32_t epoch_ = 0;
   std::vector<uint32_t> visited_stamp_;  // lazily sized (EnsureStamps)
   AdjScratch scratch_;  // compact-backend in-adjacency decode buffer
+  // Produce's lookahead ring: the drawn generator and root of each of the
+  // next kLookahead sets. Refilled by every Produce call.
+  struct Pending {
+    Rng rng;
+    NodeId root = 0;
+  };
+  std::array<Pending, kLookahead> ring_;
   // Fused-path state: lazily constructed kernel scratch plus reusable
   // chunk buffers (cleared per chunk, never reallocated at steady state).
   bool use_fused_ = false;
@@ -213,18 +280,21 @@ std::unique_ptr<RrEngine> MakeRrEngine(const GraphView& graph,
 // A corpus of RR sets stored in flat append-only arenas (CSR layout, the
 // same flattening the reference TIM/IMM implementations use): one
 // contiguous `members` array plus a `set_offsets` array for the forward
-// direction, and a rebuilt-on-demand CSR inverted index for node -> set
-// ids. Both directions are single contiguous allocations, so the greedy
+// direction, and an on-demand CSR inverted index for node -> set ids.
+// Both directions are single contiguous allocations, so the greedy
 // max-cover inner loops — the hottest loops of TIM+/IMM/RIS — iterate
 // plain spans instead of chasing millions of per-set vector headers.
 //
-// The inverted index is a cache: it is (re)built by the first
-// GreedyMaxCover after a mutation via one counting-sort pass over the
-// arena, which keeps every mutation O(appended) / O(dropped) and the index
-// grouped per node in increasing set-id order (the iteration order the
-// greedy relies on for determinism). Because the cache is filled lazily,
-// concurrent const access is NOT safe while the index is stale; the
-// engines only touch a collection from the coordinating thread.
+// The inverted index is an append-only cache over the first
+// `indexed_sets_` sets, grouped per node in increasing set-id order (the
+// iteration order the greedy relies on for determinism). Appends leave it
+// alone; the next reader extends it in place over just the new tail (IMM's
+// martingale rounds each append a tail and cover the whole corpus).
+// TruncateTo and ReplaceSets change indexed sets, so they reset it to an
+// extension from 0, the state FromArenas starts from; there is no second
+// build path. Because the cache is filled lazily, concurrent const access
+// is NOT safe while the index is stale; the engines only touch a
+// collection from the coordinating thread.
 class RrCollection {
  public:
   explicit RrCollection(NodeId num_nodes);
@@ -249,7 +319,7 @@ class RrCollection {
   void Reserve(uint64_t sets, uint64_t entries);
 
   // Drops sets from the back until `size() == n`: an O(dropped) offset
-  // rollback of the arenas (the inverted-index cache is invalidated, not
+  // rollback of the arenas (the inverted-index cache is reset, not
   // unwound). Lets RIS keep its exact per-set budget semantics under
   // batched generation.
   void TruncateTo(size_t n);
@@ -324,9 +394,14 @@ class RrCollection {
       uint32_t k, size_t limit, double* covered_fraction = nullptr) const;
 
  private:
-  // Builds the node -> set-ids CSR (inv_offsets_ / inv_sets_) from the
-  // arena if any mutation happened since the last build.
+  // Extends the node -> set-ids CSR (inv_offsets_ / inv_sets_) in place
+  // over the sets appended since the last call: counts only the tail,
+  // moves each old slice up (highest node first) and scatters the tail's
+  // set ids after it.
   void EnsureInvertedIndex() const;
+  // Drops the index back to "no set indexed", after a mutation that
+  // rewrote or removed indexed sets.
+  void ResetInvertedIndex();
 
   // Number of sets with id < limit containing v (prefix of v's slice).
   uint32_t PrefixDegree(NodeId v, size_t limit) const;
@@ -340,11 +415,11 @@ class RrCollection {
   NodeId num_nodes_;
   std::vector<NodeId> members_;        // all sets, back to back
   std::vector<uint64_t> set_offsets_;  // size()+1 offsets into members_
-  // Inverted-index cache: set ids grouped by node, ascending within each
-  // node's slice. Valid iff index_valid_.
-  mutable std::vector<uint64_t> inv_offsets_;  // num_nodes_+1
+  // Inverted-index cache over sets [0, indexed_sets_): set ids grouped by
+  // node, ascending within each node's slice.
+  mutable std::vector<uint64_t> inv_offsets_;  // num_nodes_+1 once built
   mutable std::vector<uint32_t> inv_sets_;
-  mutable bool index_valid_ = false;
+  mutable size_t indexed_sets_ = 0;
 };
 
 }  // namespace imbench

@@ -57,10 +57,12 @@ enum class TraceCounter : uint8_t {
   kGraphBytesMapped,    // bytes of .imgrf files mapped (CompactGraph::Open)
   kNeighborBlocksDecoded,  // compressed 64-neighbor blocks decoded, counted
                            // only where the count is thread-count invariant:
-                           // at sequential/coordinating sites, and for fused
-                           // MC as per-block counts summed over the completed
-                           // block prefix. Parallel RR and scalar parallel
-                           // MC lanes drop theirs.
+                           // at sequential/coordinating sites, as per-set
+                           // counts summed over the merged RR prefix (both
+                           // RR engines), and for fused MC as per-block
+                           // counts summed over the completed block prefix.
+                           // Scalar parallel MC lanes and the opt-in fused
+                           // RR kernel drop theirs.
 };
 inline constexpr int kNumTraceCounters = 16;
 

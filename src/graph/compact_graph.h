@@ -93,6 +93,17 @@ class CompactGraph {
   EdgeId OutEdgeBase(NodeId u) const { return out_edge_offsets_[u]; }
   EdgeId InEdgeBase(NodeId v) const { return in_edge_offsets_[v]; }
 
+  // Two-stage prefetch of v's in-adjacency (Graph has the same pair):
+  // stage 1 touches the edge and byte offset entries, stage 2 the varint
+  // block bytes the byte offset points to. Hints only.
+  void PrefetchInOffsets(NodeId v) const {
+    __builtin_prefetch(in_edge_offsets_ + v);
+    __builtin_prefetch(in_byte_offsets_ + v);
+  }
+  void PrefetchInAdjacency(NodeId v) const {
+    __builtin_prefetch(in_blocks_ + in_byte_offsets_[v]);
+  }
+
   // Decodes u's out-targets into scratch.nodes and copies the matching
   // weights into scratch.weights (index-aligned, like Graph::OutTargets /
   // OutWeights). With decode_weights=false the weight copy is skipped.

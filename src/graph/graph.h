@@ -88,6 +88,19 @@ class Graph {
             in_weights_.data() + in_offsets_[v + 1]};
   }
 
+  // Two-stage prefetch of v's in-adjacency, for samplers that know their
+  // next roots ahead of time: stage 1 touches the offset entry, stage 2
+  // (issued once stage 1 has landed) the sources and weights it points to.
+  // Hints only; neither changes any observable state.
+  void PrefetchInOffsets(NodeId v) const {
+    __builtin_prefetch(in_offsets_.data() + v);
+  }
+  void PrefetchInAdjacency(NodeId v) const {
+    const EdgeId base = in_offsets_[v];
+    __builtin_prefetch(in_sources_.data() + base);
+    __builtin_prefetch(in_weights_.data() + base);
+  }
+
   // Forward edge ids of v's in-edges, aligned with InSources(v). The id of
   // an edge indexes weights()/multiplicities().
   std::span<const EdgeId> InEdgeIds(NodeId v) const {

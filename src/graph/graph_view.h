@@ -28,6 +28,19 @@ struct AdjView {
   std::span<const double> weights;
 };
 
+// v's in-adjacency on one concrete backend: spans into the heap CSR, or a
+// decode into `scratch` on the compact backend. GraphView::In dispatches
+// to these; hot loops that hoisted the backend branch (Visit) call them
+// directly.
+inline AdjView InAdjacency(const Graph& graph, NodeId v, AdjScratch&) {
+  return {graph.InSources(v), graph.InWeights(v)};
+}
+inline AdjView InAdjacency(const CompactGraph& graph, NodeId v,
+                           AdjScratch& scratch) {
+  graph.DecodeIn(v, scratch);
+  return {scratch.nodes, scratch.weights};
+}
+
 class GraphView {
  public:
   GraphView() = default;
@@ -62,9 +75,18 @@ class GraphView {
 
   // In-neighbors of v with the matching weights W(·, v), index-aligned.
   AdjView In(NodeId v, AdjScratch& scratch) const {
-    if (mem_ != nullptr) return {mem_->InSources(v), mem_->InWeights(v)};
-    compact_->DecodeIn(v, scratch);
-    return {scratch.nodes, scratch.weights};
+    return mem_ != nullptr ? InAdjacency(*mem_, v, scratch)
+                           : InAdjacency(*compact_, v, scratch);
+  }
+
+  // Calls fn(backend) with the concrete `const Graph&` or `const
+  // CompactGraph&`, so a hot loop pays the backend branch once per call
+  // instead of once per node visit. Both backends offer InAdjacency() and
+  // the two-stage PrefetchInOffsets()/PrefetchInAdjacency() pair, which is
+  // how the RR sampler hides the latency of its next roots' adjacency.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    return mem_ != nullptr ? fn(*mem_) : fn(*compact_);
   }
 
   // Neighbor-only variants that skip the weight copy/gather.

@@ -112,7 +112,10 @@ class CompactGraphModelTest : public ::testing::TestWithParam<WeightModel> {};
 
 TEST_P(CompactGraphModelTest, WriteOpenRoundtripMatchesInMemoryGraph) {
   const Graph graph = AwkwardGraph(400, GetParam());
-  const std::string path = TempPath("roundtrip.imgrf");
+  // One file per model: ctest runs the instances as parallel processes.
+  const std::string name =
+      "roundtrip_" + std::to_string(static_cast<int>(GetParam())) + ".imgrf";
+  const std::string path = TempPath(name.c_str());
   std::string error;
   ASSERT_TRUE(WriteGraphFile(graph, GetParam(), path, &error)) << error;
 

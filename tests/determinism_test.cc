@@ -8,7 +8,12 @@
 // zero workers and everything would silently degrade to inline execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "algorithms/imm.h"
@@ -18,8 +23,11 @@
 #include "diffusion/parallel_rr.h"
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
+#include "framework/fault.h"
 #include "framework/run_guard.h"
+#include "framework/trace.h"
 #include "graph/compact_graph.h"
+#include "graph/generators.h"
 #include "graph/graph_file.h"
 #include "graph/weights.h"
 
@@ -321,6 +329,260 @@ TEST(SamplingDeterminismTest, LtCorpusInvariantUnderThreads) {
   RrCollection corpus(g.num_nodes());
   engine->Generate(11, 400, corpus, nullptr);
   EXPECT_EQ(CorpusOf(corpus), CorpusOf(reference));
+}
+
+// --- Lookahead boundaries: the range producer draws the next
+// RrSampler::kLookahead sets' generators and roots ahead of sampling them.
+// Every set must stay the pure function of (seed, index) it was before,
+// wherever a call, a stop or a fault cuts the ring.
+
+// Order-sensitive FNV-1a over a corpus' two forward arenas.
+uint64_t ArenaDigest(const RrCollection& c) {
+  const auto members = c.MembersArena();
+  const auto offsets = c.OffsetsArena();
+  uint64_t h =
+      imgrf::Fnv1a(members.data(), members.size_bytes(), imgrf::kFnvBasis);
+  return imgrf::Fnv1a(offsets.data(), offsets.size_bytes(), h);
+}
+
+Graph BaGraph(NodeId nodes, uint32_t attach, DiffusionKind kind) {
+  Rng rng(19);
+  EdgeList list = BarabasiAlbert(nodes, attach, rng);
+  Graph g = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+  if (kind == DiffusionKind::kIndependentCascade) {
+    AssignWeightedCascade(g);
+  } else {
+    AssignLtUniform(g);
+  }
+  return g;
+}
+
+// (diffusion kind, use the .imgrf backend)
+class LookaheadBoundaryTest
+    : public ::testing::TestWithParam<std::tuple<DiffusionKind, bool>> {
+ protected:
+  void SetUp() override {
+    kind_ = std::get<0>(GetParam());
+    graph_ = BaGraph(3000, 4, kind_);
+    const bool ic = kind_ == DiffusionKind::kIndependentCascade;
+    // One file per test: ctest runs every instance as its own process, in
+    // parallel.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    path_ = ::testing::TempDir() + "/lookahead_" + name + ".imgrf";
+    std::string error;
+    ASSERT_TRUE(WriteGraphFile(
+        graph_, ic ? WeightModel::kWc : WeightModel::kLtUniform, path_,
+        &error))
+        << error;
+    ASSERT_EQ(CompactGraph::Open(path_, &compact_, &error),
+              GraphFileStatus::kOk)
+        << error;
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  bool compact() const { return std::get<1>(GetParam()); }
+  GraphView View() const {
+    return compact() ? GraphView(compact_) : GraphView(graph_);
+  }
+  SamplerOptions Options() const {
+    SamplerOptions options;
+    options.kind = kind_;
+    return options;
+  }
+  // The fault-free corpus of the first `count` sets under `seed`.
+  RrCollection Reference(uint64_t seed, uint64_t count,
+                         std::vector<uint64_t>* widths = nullptr) const {
+    RrSampler sampler(View(), Options());
+    RrCollection corpus(graph_.num_nodes());
+    EXPECT_EQ(sampler.Generate(seed, count, corpus, widths).generated, count);
+    return corpus;
+  }
+  // Every set of `corpus` is the one GenerateStream draws for its index.
+  void ExpectStreamPrefix(const RrCollection& corpus, uint64_t seed) const {
+    RrSampler single(View(), kind_);
+    std::vector<NodeId> expected;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      single.GenerateStream(seed, i, expected);
+      const auto actual = corpus.Set(i);
+      ASSERT_EQ(std::vector<NodeId>(actual.begin(), actual.end()), expected)
+          << i;
+    }
+  }
+
+  DiffusionKind kind_ = DiffusionKind::kIndependentCascade;
+  Graph graph_;
+  CompactGraph compact_;
+  std::string path_;
+};
+
+TEST_P(LookaheadBoundaryTest, SplitCallsAtRingBoundariesMatchOneCall) {
+  constexpr uint64_t kL = RrSampler::kLookahead;
+  const std::vector<uint64_t> counts = {1, kL - 1, kL, kL + 1, 3 * kL + 5};
+  uint64_t total = 0;
+  for (const uint64_t count : counts) total += count;
+
+  std::vector<uint64_t> whole_widths;
+  const RrCollection whole = Reference(31, total, &whole_widths);
+  ExpectStreamPrefix(whole, 31);
+
+  RrSampler sampler(View(), Options());
+  RrCollection split(graph_.num_nodes());
+  std::vector<uint64_t> split_widths;
+  for (const uint64_t count : counts) {
+    ASSERT_EQ(sampler.Generate(31, count, split, &split_widths).generated,
+              count);
+  }
+  EXPECT_TRUE(std::ranges::equal(split.MembersArena(), whole.MembersArena()));
+  EXPECT_TRUE(std::ranges::equal(split.OffsetsArena(), whole.OffsetsArena()));
+  EXPECT_EQ(split_widths, whole_widths);
+}
+
+TEST_P(LookaheadBoundaryTest, GuardTripMidRunLeavesPrefix) {
+  constexpr uint64_t kSets = 2'000'000;  // far more than 5 ms of work
+  RunBudget budget;
+  budget.deadline_seconds = 0.005;
+  RunGuard guard(budget);
+  SamplerOptions options = Options();
+  options.guard = &guard;
+  RrSampler sampler(View(), options);
+  RrCollection corpus(graph_.num_nodes());
+  const RrBatchResult result = sampler.Generate(8, kSets, corpus, nullptr);
+  EXPECT_EQ(result.stop, StopReason::kDeadline);
+  EXPECT_LT(result.generated, kSets);
+  EXPECT_EQ(corpus.size(), result.generated);
+  ExpectStreamPrefix(corpus, 8);
+}
+
+TEST_P(LookaheadBoundaryTest, AbortFlagLeavesPrefix) {
+  constexpr uint64_t kSets = 2'000'000;
+  std::atomic<bool> abort{false};
+  RrSampler sampler(View(), Options());
+  sampler.set_abort_flag(&abort);
+  RrCollection corpus(graph_.num_nodes());
+  std::thread raiser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    abort.store(true);
+  });
+  const RrBatchResult result = sampler.Generate(8, kSets, corpus, nullptr);
+  raiser.join();
+  EXPECT_LT(result.generated, kSets);
+  EXPECT_EQ(corpus.size(), result.generated);
+  ExpectStreamPrefix(corpus, 8);
+}
+
+TEST_P(LookaheadBoundaryTest, ArenaFaultKeepsCursorAndRetryMatches) {
+  // Hit h (1-based) of the per-set fault site fires before set h - 1 is
+  // drawn: sets 0..h-2 are kept and the cursor stays on h - 1, even though
+  // the ring has already drawn the sets after it.
+  constexpr uint64_t kL = RrSampler::kLookahead;
+  constexpr uint64_t kHit = 2 * kL + 3;
+  constexpr uint64_t kSets = 5 * kL;
+  const RrCollection reference = Reference(17, kSets);
+
+  RrSampler sampler(View(), Options());
+  RrCollection corpus(graph_.num_nodes());
+  {
+    FaultPlan plan;
+    FaultRule rule;
+    rule.site = std::string(faultsite::kRrArenaGrow);
+    rule.fire_on_hit = kHit;
+    plan.rules.push_back(rule);
+    ScopedFaultPlan scoped(std::move(plan));
+    const RrBatchResult faulted = sampler.Generate(17, kSets, corpus, nullptr);
+    EXPECT_EQ(faulted.stop, StopReason::kFault);
+    EXPECT_EQ(faulted.generated, kHit - 1);
+  }
+  const RrBatchResult retry =
+      sampler.Generate(17, kSets - corpus.size(), corpus, nullptr);
+  EXPECT_EQ(retry.stop, StopReason::kNone);
+  EXPECT_EQ(ArenaDigest(corpus), ArenaDigest(reference));
+}
+
+TEST_P(LookaheadBoundaryTest, CountersAndCapCrossingInvariantUnderThreads) {
+  // Per-set widths and decode counts are summed over the merged prefix
+  // only, so both trace counters — and an entry-cap crossing — are the
+  // same for every lane count. Decodes are counted on .imgrf (non-zero)
+  // and absent on the heap CSR.
+  for (const uint64_t cap : {uint64_t{0}, uint64_t{1500}}) {
+    uint64_t digest = 0;
+    uint64_t edges = 0;
+    uint64_t blocks = 0;
+    std::vector<uint64_t> reference_widths;
+    for (const uint32_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads - 1);
+      SamplerOptions options = Options();
+      options.max_total_entries = cap;
+      options.threads = threads;
+      options.pool = &pool;
+      Trace trace;
+      options.trace = &trace;
+      std::unique_ptr<RrEngine> engine = MakeRrEngine(View(), options);
+      RrCollection corpus(graph_.num_nodes());
+      std::vector<uint64_t> widths;
+      const RrBatchResult result = engine->Generate(23, 700, corpus, &widths);
+      EXPECT_EQ(result.stop,
+                cap == 0 ? StopReason::kNone : StopReason::kMemory)
+          << threads;
+      if (cap != 0) {
+        EXPECT_GT(corpus.TotalEntries(), cap);
+        EXPECT_LE(corpus.TotalEntries() - corpus.Set(corpus.size() - 1).size(),
+                  cap);
+      }
+      const uint64_t trace_blocks =
+          trace.Total(TraceCounter::kNeighborBlocksDecoded);
+      if (compact()) {
+        EXPECT_GT(trace_blocks, 0u) << threads;
+      } else {
+        EXPECT_EQ(trace_blocks, 0u) << threads;
+      }
+      if (threads == 1) {
+        digest = ArenaDigest(corpus);
+        edges = trace.Total(TraceCounter::kRrEdgesExamined);
+        blocks = trace_blocks;
+        reference_widths = widths;
+        ExpectStreamPrefix(corpus, 23);
+        continue;
+      }
+      EXPECT_EQ(ArenaDigest(corpus), digest) << threads << " cap " << cap;
+      EXPECT_EQ(widths, reference_widths) << threads << " cap " << cap;
+      EXPECT_EQ(trace.Total(TraceCounter::kRrEdgesExamined), edges)
+          << threads << " cap " << cap;
+      EXPECT_EQ(trace_blocks, blocks) << threads << " cap " << cap;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndBackends, LookaheadBoundaryTest,
+    ::testing::Combine(::testing::Values(DiffusionKind::kIndependentCascade,
+                                         DiffusionKind::kLinearThreshold),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ==
+                                 DiffusionKind::kIndependentCascade
+                             ? "IC"
+                             : "LT") +
+             (std::get<1>(info.param) ? "_imgrf" : "_heap");
+    });
+
+// Corpus digests recorded before the lookahead producer existed: 100K sets
+// on a BA graph must stay byte-identical, for IC and for LT.
+TEST(SamplingDeterminismTest, PinnedBaCorpusDigests) {
+  for (const auto& [kind, expected] :
+       {std::pair{DiffusionKind::kIndependentCascade, 0x13b9fadb95b8bc33ULL},
+        std::pair{DiffusionKind::kLinearThreshold, 0xd074575c116931c1ULL}}) {
+    const Graph g = BaGraph(20000, 5, kind);
+    SamplerOptions options;
+    options.kind = kind;
+    RrSampler sampler(g, options);
+    RrCollection corpus(g.num_nodes());
+    ASSERT_EQ(sampler.Generate(2024, 100000, corpus, nullptr).generated,
+              100000u);
+    EXPECT_EQ(ArenaDigest(corpus), expected)
+        << (kind == DiffusionKind::kIndependentCascade ? "IC" : "LT");
+  }
 }
 
 TEST(RrCollectionTest, TruncateToUnwindsInvertedIndex) {

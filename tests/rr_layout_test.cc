@@ -246,6 +246,131 @@ TEST(RrLayoutTest, PrefixLimitedCoverEdgeCasesMatchAcrossEngines) {
   }
 }
 
+// The inverted index is extended in place over each appended tail and
+// reset by TruncateTo / ReplaceSets. After every step of an uneven
+// mutation history, every index reader must agree with a fresh
+// FromArenas copy of the same arenas, whose index is one build from 0.
+void ExpectIndexMatchesFreshCopy(const RrCollection& grown, NodeId n,
+                                 const char* step) {
+  SCOPED_TRACE(step);
+  const auto members = grown.MembersArena();
+  const auto offsets = grown.OffsetsArena();
+  RrCollection fresh(n);
+  ASSERT_TRUE(RrCollection::FromArenas(
+      n, std::vector<NodeId>(members.begin(), members.end()),
+      std::vector<uint64_t>(offsets.begin(), offsets.end()), &fresh));
+  double grown_fraction = -1;
+  double fresh_fraction = -2;
+  EXPECT_EQ(grown.GreedyMaxCover(10, &grown_fraction),
+            fresh.GreedyMaxCover(10, &fresh_fraction));
+  EXPECT_EQ(grown_fraction, fresh_fraction);
+  for (const size_t limit : {size_t{0}, size_t{1}, size_t{4095},
+                             size_t{4096}, grown.size()}) {
+    grown_fraction = -1;
+    fresh_fraction = -2;
+    EXPECT_EQ(grown.GreedyMaxCoverPrefix(10, limit, &grown_fraction),
+              fresh.GreedyMaxCoverPrefix(10, limit, &fresh_fraction))
+        << "limit=" << limit;
+    EXPECT_EQ(grown_fraction, fresh_fraction) << "limit=" << limit;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId node[] = {v};
+    ASSERT_EQ(grown.SetsContainingAny(node), fresh.SetsContainingAny(node))
+        << "node " << v;
+  }
+}
+
+TEST(RrLayoutTest, IncrementalIndexMatchesFreshBuildAfterEveryStep) {
+  const Graph g = WcGraph();
+  const NodeId n = g.num_nodes();
+  // Sets from another stream than the sampler's, for the direct appends.
+  RrSampler other(g, DiffusionKind::kIndependentCascade);
+  uint64_t other_index = 0;
+  std::vector<NodeId> scratch;
+  auto append_sets = [&](RrCollection& c, int count) {
+    for (int i = 0; i < count; ++i) {
+      other.GenerateStream(77, other_index++, scratch);
+      c.AppendSet(scratch);
+    }
+  };
+  auto append_batch = [&](RrCollection& c, int count) {
+    std::vector<NodeId> members;
+    std::vector<uint32_t> sizes;
+    for (int i = 0; i < count; ++i) {
+      other.GenerateStream(77, other_index++, scratch);
+      members.insert(members.end(), scratch.begin(), scratch.end());
+      sizes.push_back(static_cast<uint32_t>(scratch.size()));
+    }
+    c.AppendBatch(members, sizes);
+  };
+
+  SamplerOptions options;
+  RrSampler sampler(g, options);
+  RrCollection c(n);
+  ExpectIndexMatchesFreshCopy(c, n, "empty");
+  append_sets(c, 37);
+  ExpectIndexMatchesFreshCopy(c, n, "AppendSet x37");
+  ExpectIndexMatchesFreshCopy(c, n, "no change");
+  sampler.Generate(5, 1000, c, nullptr);
+  ExpectIndexMatchesFreshCopy(c, n, "Generate 1000");
+  c.AppendSet({});
+  ExpectIndexMatchesFreshCopy(c, n, "empty set");
+  append_batch(c, 513);
+  ExpectIndexMatchesFreshCopy(c, n, "AppendBatch 513");
+  c.TruncateTo(900);
+  ExpectIndexMatchesFreshCopy(c, n, "TruncateTo 900");
+  sampler.Generate(5, 3500, c, nullptr);
+  ExpectIndexMatchesFreshCopy(c, n, "Generate 3500, past 4096 sets");
+  std::vector<uint32_t> ids;
+  std::vector<NodeId> members;
+  std::vector<uint32_t> sizes;
+  for (uint32_t id = 3; id < c.size(); id += 97) {
+    ids.push_back(id);
+    other.GenerateStream(77, other_index++, scratch);
+    members.insert(members.end(), scratch.begin(), scratch.end());
+    sizes.push_back(static_cast<uint32_t>(scratch.size()));
+  }
+  c.ReplaceSets(ids, members, sizes);
+  ExpectIndexMatchesFreshCopy(c, n, "ReplaceSets");
+  append_sets(c, 1);
+  ExpectIndexMatchesFreshCopy(c, n, "AppendSet x1");
+  append_batch(c, 3000);
+  ExpectIndexMatchesFreshCopy(c, n, "AppendBatch 3000");
+  c.TruncateTo(c.size() - 1);
+  ExpectIndexMatchesFreshCopy(c, n, "TruncateTo size - 1");
+  sampler.Generate(5, 2, c, nullptr);
+  ExpectIndexMatchesFreshCopy(c, n, "Generate 2");
+}
+
+TEST(RrLayoutTest, IndexGrowsToExactEntryCount) {
+  // Each extension sizes the index to exactly one slot per entry, so a
+  // corpus grown in uneven steps holds no idle index capacity (the Fig. 8
+  // metric). The arenas are reserved exactly up front, which pins every
+  // other term of MemoryBytes().
+  const Graph g = WcGraph();
+  const NodeId n = g.num_nodes();
+  RrSampler sampler(g, DiffusionKind::kIndependentCascade);
+  std::vector<std::vector<NodeId>> sets(3000);
+  uint64_t entries = 0;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    sampler.GenerateStream(21, i, sets[i]);
+    entries += sets[i].size();
+  }
+  RrCollection c(n);
+  c.Reserve(sets.size(), entries);
+  size_t next = 0;
+  for (const size_t step : {1, 2, 7, 300, 5, 1100, 1585}) {
+    for (size_t i = 0; i < step; ++i) c.AppendSet(sets[next++]);
+    c.SetsContainingAny({});  // extends the index
+    EXPECT_EQ(c.MemoryBytes(),
+              entries * sizeof(NodeId) + (sets.size() + 1) * sizeof(uint64_t) +
+                  (uint64_t{n} + 1) * sizeof(uint64_t) +
+                  c.TotalEntries() * sizeof(uint32_t) + sizeof(RrCollection))
+        << "after " << c.size() << " sets";
+  }
+  ASSERT_EQ(next, sets.size());
+}
+
 TEST(RrLayoutTest, ReserveDoesNotChangeObservableState) {
   const Graph g = testutil::TwoStars(0.5);
   RrCollection plain(g.num_nodes());
