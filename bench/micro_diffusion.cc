@@ -137,31 +137,14 @@ void BM_FusedBlockLt(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedBlockLt);
 
-// Fused RR generation: one iteration produces 64 RR sets.
-void BM_FusedRrBlockIcWc(benchmark::State& state) {
-  const Graph& graph = WcGraph();
-  FusedRrContext context(graph);
-  std::vector<NodeId> members;
-  std::vector<uint32_t> sizes;
-  uint64_t first = 0;
-  for (auto _ : state) {
-    members.clear();
-    sizes.clear();
-    context.GenerateRange(5, first, kFusedLanes, members, sizes, nullptr);
-    first += kFusedLanes;
-    benchmark::DoNotOptimize(members.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kFusedLanes);
-}
-BENCHMARK(BM_FusedRrBlockIcWc);
-
 void BM_RrSetIcWc(benchmark::State& state) {
   const Graph& graph = WcGraph();
   RrSampler sampler(graph, DiffusionKind::kIndependentCascade);
   Rng rng(5);
   std::vector<NodeId> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Generate(rng, out));
+    benchmark::DoNotOptimize(
+        sampler.GenerateFromRoot(rng.NextU32(graph.num_nodes()), rng, out));
   }
 }
 BENCHMARK(BM_RrSetIcWc);
@@ -172,7 +155,8 @@ void BM_RrSetIcConstant(benchmark::State& state) {
   Rng rng(6);
   std::vector<NodeId> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Generate(rng, out));
+    benchmark::DoNotOptimize(
+        sampler.GenerateFromRoot(rng.NextU32(graph.num_nodes()), rng, out));
   }
 }
 BENCHMARK(BM_RrSetIcConstant);
@@ -183,7 +167,8 @@ void BM_RrSetLt(benchmark::State& state) {
   Rng rng(7);
   std::vector<NodeId> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Generate(rng, out));
+    benchmark::DoNotOptimize(
+        sampler.GenerateFromRoot(rng.NextU32(graph.num_nodes()), rng, out));
   }
 }
 BENCHMARK(BM_RrSetLt);
@@ -195,7 +180,7 @@ void BM_GreedyMaxCover(benchmark::State& state) {
   RrCollection collection(graph.num_nodes());
   std::vector<NodeId> out;
   for (int i = 0; i < 20000; ++i) {
-    sampler.Generate(rng, out);
+    sampler.GenerateFromRoot(rng.NextU32(graph.num_nodes()), rng, out);
     collection.AppendSet(out);
   }
   for (auto _ : state) {

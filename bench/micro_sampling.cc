@@ -1,15 +1,13 @@
-// Scaling micro benchmark for the parallel RR-sampling engine (the
-// tentpole behind --threads). Generates a fixed corpus on a Barabási–
-// Albert graph with 100K nodes under WC weights and sweeps the thread
-// count; the parallel engine is bit-identical to the sequential one, so
-// the only thing that changes across rows is wall-clock time.
+// Scaling micro benchmark for RR sampling across lanes (--threads).
+// Generates a fixed corpus on a Barabási–Albert graph with 100K nodes under
+// WC weights and sweeps the lane count; corpora are bit-identical for every
+// lane count, so the only thing that changes across rows is wall-clock
+// time.
 //
 // Each row builds a private ThreadPool with (threads - 1) workers so the
 // sweep exercises real worker threads regardless of what the shared pool
-// resolved to. On a single-core machine the pool parks its workers behind
-// the one CPU and rows collapse to sequential throughput; the expected
-// near-linear scaling only materializes on multicore hardware (see
-// EXPERIMENTS.md, "Parallel sampling").
+// resolved to. See EXPERIMENTS.md, "Scaling", for measured rows: the
+// sweep does not scale near-linearly.
 
 #include <cstdint>
 #include <vector>
@@ -48,10 +46,10 @@ void BM_RrGenerationThreads(benchmark::State& state) {
   options.threads = threads;
   options.pool = &pool;
   for (auto _ : state) {
-    std::unique_ptr<RrEngine> engine = MakeRrEngine(graph, options);
+    RrSampler sampler(graph, options);
     RrCollection corpus(graph.num_nodes());
     const RrBatchResult result =
-        engine->Generate(/*seed=*/7, kSetsPerIteration, corpus, nullptr);
+        sampler.Generate(/*seed=*/7, kSetsPerIteration, corpus, nullptr);
     benchmark::DoNotOptimize(result);
     benchmark::DoNotOptimize(corpus.TotalEntries());
   }
@@ -75,10 +73,10 @@ void BM_RrGenerationLtThreads(benchmark::State& state) {
   options.threads = threads;
   options.pool = &pool;
   for (auto _ : state) {
-    std::unique_ptr<RrEngine> engine = MakeRrEngine(graph, options);
+    RrSampler sampler(graph, options);
     RrCollection corpus(graph.num_nodes());
     const RrBatchResult result =
-        engine->Generate(/*seed=*/7, kSetsPerIteration, corpus, nullptr);
+        sampler.Generate(/*seed=*/7, kSetsPerIteration, corpus, nullptr);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * kSetsPerIteration);

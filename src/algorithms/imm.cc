@@ -27,9 +27,9 @@ SelectionResult Imm::Select(const SelectionInput& input) {
   // the advertised probability (Sec. 4.3 of the IMM paper).
   const double ell = options_.ell * (1.0 + std::log(2.0) / std::log(n));
 
-  // One engine for both phases: the corpus is always the prefix
+  // One sampler for both phases: the corpus is always the prefix
   // Rng::ForStream(input.seed, 0..θ-1), so seed sets are invariant under
-  // input.threads. The engine-level entry cap drains through kMemory, the
+  // input.threads. The sampler's entry cap drains through kMemory, the
   // algorithm-local truncation the cap predates.
   SamplerOptions sampler_options;
   sampler_options.kind = input.diffusion;
@@ -38,7 +38,7 @@ SelectionResult Imm::Select(const SelectionInput& input) {
   sampler_options.max_total_entries = options_.max_rr_entries;
   sampler_options.pool = input.pool;
   sampler_options.trace = input.trace;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(graph, sampler_options);
+  RrSampler sampler(graph, sampler_options);
 
   RrCollection sets(graph.num_nodes());
   StopReason stop = StopReason::kNone;
@@ -58,7 +58,7 @@ SelectionResult Imm::Select(const SelectionInput& input) {
       sets.Reserve(target, estimate);
     }
     const RrBatchResult batch =
-        engine->Generate(input.seed, target - sets.size(), sets, nullptr);
+        sampler.Generate(input.seed, target - sets.size(), sets, nullptr);
     if (input.counters != nullptr) input.counters->rr_sets += batch.generated;
     TraceAdd(input.trace, TraceCounter::kRrSets, batch.generated);
     stop = batch.stop;

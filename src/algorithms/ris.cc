@@ -19,13 +19,13 @@ SelectionResult Ris::Select(const SelectionInput& input) {
   sampler_options.max_total_entries = options_.max_rr_entries;
   sampler_options.pool = input.pool;
   sampler_options.trace = input.trace;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(graph, sampler_options);
+  RrSampler sampler(graph, sampler_options);
 
   RrCollection sets(graph.num_nodes());
 
   // Sample until the examined-edge budget runs out (the paper's R steps).
   // Generation is chunked; the chunk size is a fixed constant — NOT derived
-  // from input.threads — so the engine sees the same call sequence and the
+  // from input.threads — so the sampler sees the same call sequence and the
   // budget-crossing set index is identical for every thread count. The
   // reported per-set widths locate the exact crossing set; the over-sampled
   // tail of the final chunk is truncated away.
@@ -43,7 +43,7 @@ SelectionResult Ris::Select(const SelectionInput& input) {
     widths.clear();
     const size_t before = sets.size();
     const RrBatchResult batch =
-        engine->Generate(input.seed, kChunkSets, sets, &widths);
+        sampler.Generate(input.seed, kChunkSets, sets, &widths);
     uint64_t kept = batch.generated;
     for (size_t i = 0; i < widths.size(); ++i) {
       // +1: even an isolated root costs a step, so the loop terminates on
@@ -60,7 +60,7 @@ SelectionResult Ris::Select(const SelectionInput& input) {
       sets.TruncateTo(before + kept);
     } else if (batch.stop != StopReason::kNone) {
       // Only a chunk that was not budget-truncated can propagate the
-      // engine's stop: after truncation the kept corpus never reached the
+      // sampler's stop: after truncation the kept corpus never reached the
       // cap, and the budget itself is the reason the loop ends.
       stop = batch.stop;
     }

@@ -28,9 +28,9 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
   const double ell = options_.ell;
   last_stop_ = StopReason::kNone;
 
-  // All sampling goes through one engine: set j is always drawn from
-  // Rng::ForStream(input.seed, j) whether the engine is sequential or
-  // parallel, so the seed set is invariant under input.threads.
+  // All sampling goes through one sampler: set j is always drawn from
+  // Rng::ForStream(input.seed, j) on any number of lanes, so the seed set
+  // is invariant under input.threads.
   SamplerOptions sampler_options;
   sampler_options.kind = input.diffusion;
   sampler_options.guard = input.guard;
@@ -38,7 +38,7 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
   sampler_options.max_total_entries = options_.max_rr_entries;
   sampler_options.pool = input.pool;
   sampler_options.trace = input.trace;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(graph, sampler_options);
+  RrSampler sampler(graph, sampler_options);
 
   auto count_rr = [&](uint64_t c) {
     if (input.counters != nullptr) input.counters->rr_sets += c;
@@ -63,7 +63,7 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
         RrCollection sample(graph.num_nodes());
         widths.clear();
         const RrBatchResult batch =
-            engine->Generate(input.seed, num_sets, sample, &widths);
+            sampler.Generate(input.seed, num_sets, sample, &widths);
         count_rr(batch.generated);
         // κ(R) = 1 − (1 − w(R)/m)^k where w(R) is the number of arcs
         // entering R (the width the sampler reports).
@@ -100,7 +100,7 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
       const uint64_t refine_sets = std::min<uint64_t>(theta_prime, 1u << 14);
       RrCollection refine_sample(graph.num_nodes());
       const RrBatchResult batch =
-          engine->Generate(input.seed, refine_sets, refine_sample, nullptr);
+          sampler.Generate(input.seed, refine_sets, refine_sample, nullptr);
       count_rr(batch.generated);
       if (batch.stop != StopReason::kNone) last_stop_ = batch.stop;
       uint64_t covered = 0;
@@ -144,7 +144,7 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
         sets.Reserve(theta, estimate);
       }
       const RrBatchResult batch =
-          engine->Generate(input.seed, theta, sets, nullptr);
+          sampler.Generate(input.seed, theta, sets, nullptr);
       count_rr(batch.generated);
       if (batch.stop != StopReason::kNone) last_stop_ = batch.stop;
     }

@@ -12,8 +12,6 @@ constexpr uint32_t kFixedOne = 1u << kCoinBits;
 
 // Weller-style multiplier for decorrelating block indices before SplitMix64.
 constexpr uint64_t kBlockMix = 0xd1342543de82ef95ULL;
-// Keeps the RR ensemble's coin streams disjoint from the forward ones.
-constexpr uint64_t kRrSalt = 0xa24baed4963ee407ULL;
 
 uint32_t FixedPointProb(double p) {
   if (!(p > 0.0)) return 0;
@@ -319,125 +317,6 @@ NodeId FusedScalarReplay(const GraphView& graph, DiffusionKind kind,
     }
   }
   return count;
-}
-
-FusedRrContext::FusedRrContext(const GraphView& graph)
-    : graph_(graph),
-      active_word_(graph.num_nodes(), 0),
-      pending_word_(graph.num_nodes(), 0),
-      mask_stamp_(graph.num_nodes(), 0),
-      edge_mask_(graph.num_edges(), 0) {
-  // In-edge probabilities in in-position order (aligned with InSources),
-  // so mask generation and lookup are both contiguous scans.
-  p_fix_.reserve(graph.num_edges());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    const AdjView in = graph.In(v, in_scratch_);
-    for (const double w : in.weights) {
-      p_fix_.push_back(FixedPointProb(w));
-    }
-  }
-}
-
-uint64_t FusedRrContext::BlockSeed(uint64_t seed, uint64_t block) {
-  uint64_t sm = seed ^ kRrSalt ^ (kBlockMix * (block + 1));
-  return SplitMix64(sm);
-}
-
-void FusedRrContext::GenerateRange(uint64_t seed, uint64_t first,
-                                   uint32_t count,
-                                   std::vector<NodeId>& members,
-                                   std::vector<uint32_t>& sizes,
-                                   std::vector<uint64_t>* widths) {
-  uint64_t index = first;
-  uint32_t remaining = count;
-  while (remaining > 0) {
-    const uint64_t block = index / kFusedLanes;
-    const uint32_t lane_lo = static_cast<uint32_t>(index % kFusedLanes);
-    const uint32_t lane_count =
-        std::min(remaining, kFusedLanes - lane_lo);
-    RunBlock(seed, block, lane_lo, lane_count, members, sizes, widths);
-    index += lane_count;
-    remaining -= lane_count;
-  }
-}
-
-void FusedRrContext::RunBlock(uint64_t seed, uint64_t block,
-                              uint32_t lane_lo, uint32_t lane_count,
-                              std::vector<NodeId>& members,
-                              std::vector<uint32_t>& sizes,
-                              std::vector<uint64_t>* widths) {
-  ++epoch_;
-  queue_.clear();
-  touched_.clear();
-  const uint64_t block_seed = BlockSeed(seed, block);
-  // Roots are drawn exactly like the scalar sampler's: set i's root is the
-  // first draw of Rng::ForStream(seed, i).
-  NodeId roots[kFusedLanes];
-  for (uint32_t j = 0; j < lane_count; ++j) {
-    const uint64_t stream = block * kFusedLanes + lane_lo + j;
-    Rng rng = Rng::ForStream(seed, stream);
-    const NodeId root = rng.NextU32(graph_.num_nodes());
-    roots[j] = root;
-    const uint64_t bit = uint64_t{1} << (lane_lo + j);
-    if (active_word_[root] == 0) touched_.push_back(root);
-    active_word_[root] |= bit;
-    if (pending_word_[root] == 0) queue_.push_back(root);
-    pending_word_[root] |= bit;
-  }
-  for (size_t head = 0; head < queue_.size(); ++head) {
-    const NodeId v = queue_[head];
-    const uint64_t frontier = pending_word_[v];
-    pending_word_[v] = 0;
-    const std::span<const NodeId> sources = graph_.InSources(v, in_scratch_);
-    if (sources.empty()) continue;
-    const size_t base = static_cast<size_t>(graph_.InEdgeBase(v));
-    if (mask_stamp_[v] != epoch_) {
-      mask_stamp_[v] = epoch_;
-      CoinStream stream(block_seed, v);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        edge_mask_[base + i] = CoinMask(p_fix_[base + i], stream);
-      }
-    }
-    for (size_t i = 0; i < sources.size(); ++i) {
-      uint64_t add = frontier & edge_mask_[base + i];
-      if (add == 0) continue;
-      const NodeId w = sources[i];
-      add &= ~active_word_[w];  // untouched nodes hold 0: AND-NOT is free
-      if (add == 0) continue;
-      if (active_word_[w] == 0) touched_.push_back(w);
-      active_word_[w] |= add;
-      if (pending_word_[w] == 0) queue_.push_back(w);
-      pending_word_[w] |= add;
-    }
-  }
-  // Extract each lane's set in canonical order: root first, then the other
-  // members ascending by id. Canonicalizing matters because touched_ holds
-  // the whole block's discovery order, which depends on which lanes ran in
-  // this call — sorting makes set i a byte-identical function of (seed, i)
-  // no matter how a range was partitioned into RunBlock calls. Width is
-  // the scalar sampler's edges-examined count: every member's in-degree is
-  // charged when it is expanded.
-  for (uint32_t j = 0; j < lane_count; ++j) {
-    const NodeId root = roots[j];
-    const uint64_t bit = uint64_t{1} << (lane_lo + j);
-    uint32_t size = 1;
-    uint64_t width = graph_.InDegree(root);
-    members.push_back(root);
-    const size_t tail = members.size();
-    for (const NodeId v : touched_) {
-      if (v == root || (active_word_[v] & bit) == 0) continue;
-      members.push_back(v);
-      ++size;
-      width += graph_.InDegree(v);
-    }
-    std::sort(members.begin() + tail, members.end());
-    sizes.push_back(size);
-    if (widths != nullptr) widths->push_back(width);
-  }
-  // O(touched) cleanup restores the all-zero word invariant (pending words
-  // were drained by the BFS loop); a nonzero active_word_ is the "touched
-  // this block" marker, so no epoch stamps are needed on the hot path.
-  for (const NodeId v : touched_) active_word_[v] = 0;
 }
 
 }  // namespace imbench

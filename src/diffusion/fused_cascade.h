@@ -33,13 +33,6 @@
 //     a sum computed from already-active lanes, ends at the same least
 //     fixed point. FusedScalarReplay's naive per-contact recompute in BFS
 //     order is one such schedule, so Γ agrees lane for lane.
-//
-// The same trick runs reverse-reachable set sampling under IC
-// (FusedRrContext): RR set i lives in lane i%64 of block i/64, its root is
-// drawn exactly like the scalar sampler's (ForStream(seed, i)), and the
-// per-in-edge liveness masks are keyed by (seed, block, target node) — so
-// set i is a pure function of (seed, i), independent of how index ranges
-// are partitioned across threads or top-up calls.
 #ifndef IMBENCH_DIFFUSION_FUSED_CASCADE_H_
 #define IMBENCH_DIFFUSION_FUSED_CASCADE_H_
 
@@ -127,47 +120,6 @@ class FusedCascadeContext {
 NodeId FusedScalarReplay(const GraphView& graph, DiffusionKind kind,
                          std::span<const NodeId> seeds, uint64_t seed,
                          uint64_t index);
-
-// Fused reverse-reachable set generation under IC: 64 RR sets per pass,
-// one lane per set. Used by both RR engines when SamplerOptions::engine
-// selects the fused kernel.
-class FusedRrContext {
- public:
-  explicit FusedRrContext(const GraphView& graph);
-
-  // Generates RR sets for stream indices [first, first+count), appending
-  // each set's members (root first, then the rest ascending by node id —
-  // a canonical order, because the block-level discovery order depends on
-  // which sibling lanes ran in the same pass) to `members`,
-  // its length to `sizes`, and — when `widths` is non-null — its width
-  // (sum of in-degrees over members, the scalar sampler's edges-examined
-  // count) to `widths`. Ranges may start unaligned and span block
-  // boundaries; the output for index i never depends on the partition.
-  void GenerateRange(uint64_t seed, uint64_t first, uint32_t count,
-                     std::vector<NodeId>& members,
-                     std::vector<uint32_t>& sizes,
-                     std::vector<uint64_t>* widths);
-
-  static uint64_t BlockSeed(uint64_t seed, uint64_t block);
-
- private:
-  void RunBlock(uint64_t seed, uint64_t block, uint32_t lane_lo,
-                uint32_t lane_count, std::vector<NodeId>& members,
-                std::vector<uint32_t>& sizes, std::vector<uint64_t>* widths);
-
-  GraphView graph_;
-  std::vector<uint32_t> p_fix_;  // per in-edge position, kCoinBits fixed pt
-  AdjScratch in_scratch_;        // compact-backend decode buffer
-
-  uint32_t epoch_ = 0;
-  // Same zero-between-blocks word invariant as FusedCascadeContext.
-  std::vector<uint64_t> active_word_;
-  std::vector<uint64_t> pending_word_;
-  std::vector<uint32_t> mask_stamp_;  // v's in-edge masks valid this epoch
-  std::vector<uint64_t> edge_mask_;   // per in-edge position
-  std::vector<NodeId> queue_;
-  std::vector<NodeId> touched_;
-};
 
 }  // namespace imbench
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "diffusion/fused_cascade.h"
-#include "diffusion/parallel_rr.h"
 #include "framework/fault.h"
 #include "framework/run_guard.h"
 #include "framework/trace.h"
@@ -15,86 +14,91 @@
 namespace imbench {
 namespace {
 
-// Corpus size at which GreedyMaxCover switches from the lazy max-heap to
-// the exact degree-bucket variant. Below this the heap's log factor is
-// noise and its smaller working set wins; above it the bucket variant's
-// O(n + D + decrements) walk over contiguous arrays is strictly cheaper.
-// Both variants produce identical seeds, so the threshold is purely a
-// performance knob (and deterministic: size() never depends on threads).
-constexpr size_t kDegreeBucketThreshold = 4096;
+// Consecutive set indices in one batch of a many-lane wave. Large enough
+// to amortize scheduling, small enough that a tripped run wastes at most a
+// wave of discarded sets.
+constexpr uint64_t kBatchSets = 64;
 
-// Batched Generate splices its batch into the collection once the batch
-// holds this many members: the buffer stays a few pages however large
-// single sets get (supercritical IC), so it adds nothing measurable to
-// peak heap, and one ring restart per flush costs nothing measurable.
+// A one-lane batch is merged once it holds this many members: the buffer
+// stays a few pages however large single sets get (supercritical IC), so
+// it adds nothing measurable to peak heap, and one ring restart per flush
+// costs nothing measurable.
 constexpr uint64_t kFlushEntries = uint64_t{1} << 12;
 
 // Stage-2 distance: a pending set's adjacency is prefetched this many sets
 // before it is sampled, half a ring after its offsets were.
 constexpr uint32_t kStage2Distance = RrSampler::kLookahead / 2;
 
+SamplerOptions OneLane(DiffusionKind kind, RunGuard* guard) {
+  SamplerOptions options;
+  options.kind = kind;
+  options.guard = guard;
+  return options;
+}
+
 }  // namespace
 
 RrSampler::RrSampler(const GraphView& graph, DiffusionKind kind,
                      RunGuard* guard)
-    : graph_(graph), kind_(kind), guard_(guard) {}
+    : RrSampler(graph, OneLane(kind, guard)) {}
 
 RrSampler::RrSampler(const GraphView& graph, const SamplerOptions& options)
     : graph_(graph),
       kind_(options.kind),
       guard_(options.guard),
       trace_(options.trace),
-      max_total_entries_(options.max_total_entries),
-      // kAuto stays scalar for RR generation; the fused kernel is opt-in
-      // and IC-only (see SamplerOptions::engine).
-      use_fused_(options.engine == McEngine::kFused64 &&
-                 options.kind == DiffusionKind::kIndependentCascade) {}
+      max_total_entries_(options.max_total_entries) {
+  uint32_t lanes = EffectiveThreads(options.threads);
+  if (lanes > 1) {
+    pool_ = options.pool != nullptr ? options.pool : &ThreadPool::Shared();
+    if (pool_->worker_count() == 0) {
+      pool_ = nullptr;
+      lanes = 1;
+    }
+  }
+  lanes_.reserve(lanes);
+  for (uint32_t lane = 0; lane < lanes; ++lane) {
+    lanes_.push_back(std::make_unique<Lane>());
+  }
+}
 
 RrSampler::~RrSampler() = default;
-
-uint64_t RrSampler::Generate(Rng& rng, std::vector<NodeId>& out) {
-  return GenerateFromRoot(rng.NextU32(graph_.num_nodes()), rng, out);
-}
 
 uint64_t RrSampler::GenerateFromRoot(NodeId root, Rng& rng,
                                      std::vector<NodeId>& out) {
   out.clear();
-  EnsureStamps();
+  Lane& lane = *lanes_[0];
+  lane.guard = guard_;
+  lane.wave = nullptr;
   return graph_.Visit(
-      [&](const auto& graph) { return Sample(graph, root, rng, out); });
+      [&](const auto& graph) { return Sample(graph, lane, root, rng, out); });
 }
 
 uint64_t RrSampler::GenerateStream(uint64_t seed, uint64_t index,
                                    std::vector<NodeId>& out) {
   Rng rng = Rng::ForStream(seed, index);
-  return Generate(rng, out);
+  return GenerateFromRoot(rng.NextU32(graph_.num_nodes()), rng, out);
 }
 
-ProduceResult RrSampler::Produce(uint64_t seed, uint64_t first, uint64_t count,
-                                 std::string_view fault_site,
-                                 uint64_t entries_before,
-                                 uint64_t flush_entries, RrBatch& batch) {
-  EnsureStamps();
-  return graph_.Visit([&](const auto& graph) {
-    return ProduceOn(graph, seed, first, count, fault_site, entries_before,
-                     flush_entries, batch);
+void RrSampler::Produce(Lane& lane, uint64_t seed, uint64_t first,
+                        uint64_t count, uint64_t flush_entries,
+                        Batch& batch) {
+  graph_.Visit([&](const auto& graph) {
+    ProduceOn(graph, lane, seed, first, count, flush_entries, batch);
   });
 }
 
 template <typename Backend>
-ProduceResult RrSampler::ProduceOn(const Backend& graph, uint64_t seed,
-                                   uint64_t first, uint64_t count,
-                                   std::string_view fault_site,
-                                   uint64_t entries_before,
-                                   uint64_t flush_entries, RrBatch& batch) {
-  using Stop = ProduceResult::Stop;
+void RrSampler::ProduceOn(const Backend& graph, Lane& lane, uint64_t seed,
+                          uint64_t first, uint64_t count,
+                          uint64_t flush_entries, Batch& batch) {
   // Slot i % kLookahead of the ring holds set i's generator and root,
   // drawn kLookahead sets early. Both are pure functions of
   // (seed, first + i), so drawing them early changes no set.
   const NodeId n = graph.num_nodes();
   uint64_t drawn = 0;
   auto draw_next = [&] {
-    Pending& p = ring_[drawn % kLookahead];
+    Pending& p = lane.ring[drawn % kLookahead];
     p.rng = Rng::ForStream(seed, first + drawn);
     p.root = p.rng.NextU32(n);
     graph.PrefetchInOffsets(p.root);  // stage 1
@@ -102,208 +106,194 @@ ProduceResult RrSampler::ProduceOn(const Backend& graph, uint64_t seed,
   };
   while (drawn < std::min<uint64_t>(count, kLookahead)) draw_next();
   // The first sets get their stage 2 at once: their offsets are already
-  // in flight together, and a short range (a parallel lane's batch) would
-  // otherwise sample them unprefetched.
+  // in flight together, and a short range (a 64-set batch) would otherwise
+  // sample them unprefetched.
   for (uint64_t i = 0; i < std::min<uint64_t>(drawn, kStage2Distance); ++i) {
-    graph.PrefetchInAdjacency(ring_[i].root);
+    graph.PrefetchInAdjacency(lane.ring[i].root);
   }
 
-  ProduceResult result;
+  ParallelGuardState& wave = *lane.wave;
+  batch.complete = false;
   for (uint64_t i = 0; i < count; ++i) {
     if (i + kStage2Distance < drawn) {
-      graph.PrefetchInAdjacency(ring_[(i + kStage2Distance) % kLookahead].root);
+      graph.PrefetchInAdjacency(
+          lane.ring[(i + kStage2Distance) % kLookahead].root);
     }
-    if (Aborted()) {
-      result.stop = Stop::kAborted;
-      break;
+    if (wave.aborted()) return;
+    if (lane.guard_copy.ShouldStop()) {
+      wave.Trip(lane.guard_copy.reason());
+      return;
     }
-    if (GuardShouldStop(guard_)) {
-      result.stop = Stop::kGuard;
-      break;
+    // Fault site: the lane dies before drawing its next set.
+    StopReason injected = StopReason::kNone;
+    if (FaultFire(faultsite::kSamplerLane, &injected)) {
+      wave.Trip(injected);
+      return;
     }
-    // Fault site: checked before the set is drawn, so the caller's stream
-    // cursor stays on the failed index and a retry regenerates exactly
-    // the missing tail.
-    if (FaultFire(fault_site, &result.injected)) {
-      result.stop = Stop::kFault;
-      break;
-    }
-    Pending& p = ring_[i % kLookahead];
+    Pending& p = lane.ring[i % kLookahead];
     const size_t base = batch.members.size();
-    scratch_.blocks_decoded = 0;
-    const uint64_t width = Sample(graph, p.root, p.rng, batch.members);
+    lane.scratch.blocks_decoded = 0;
+    const uint64_t width = Sample(graph, lane, p.root, p.rng, batch.members);
     // A stop mid-set leaves a truncated set; drop it so the batch stays a
     // prefix of the deterministic sequence.
-    if (GuardStopped(guard_)) {
+    if (lane.guard_copy.stopped()) {
       batch.members.resize(base);
-      result.stop = Stop::kGuard;
-      break;
+      wave.Trip(lane.guard_copy.reason());
+      return;
     }
-    if (Aborted()) {
+    if (wave.aborted()) {
       batch.members.resize(base);
-      result.stop = Stop::kAborted;
-      break;
+      return;
     }
     batch.sizes.push_back(static_cast<uint32_t>(batch.members.size() - base));
     batch.widths.push_back(width);
-    batch.blocks.push_back(scratch_.blocks_decoded);
+    batch.blocks.push_back(lane.scratch.blocks_decoded);
     if (drawn < count) draw_next();  // refills the slot just consumed
-    if (max_total_entries_ != 0 &&
-        entries_before + batch.members.size() > max_total_entries_) {
-      result.stop = Stop::kEntryCap;
-      break;
-    }
     if (batch.members.size() >= flush_entries) break;
   }
-  return result;
+  batch.complete = true;
 }
 
 RrBatchResult RrSampler::Generate(uint64_t seed, uint64_t count,
                                   RrCollection& out,
                                   std::vector<uint64_t>* widths) {
-  if (use_fused_) return GenerateFused(seed, count, out, widths);
-  using Stop = ProduceResult::Stop;
   RrBatchResult result;
+  ParallelGuardState wave(guard_);
+  for (auto& lane : lanes_) {
+    // Each call starts from the caller's current budget state.
+    lane->guard_copy = wave.MakeLaneGuard();
+    lane->guard = &lane->guard_copy;
+    lane->wave = &wave;
+  }
+  const uint64_t lanes = lanes_.size();
+  // Per-set counters of merged sets only, summed in index order, so the
+  // totals are the same for every lane count.
   uint64_t edges_examined = 0;
   uint64_t blocks_decoded = 0;
-  RrBatch batch;  // released on return: no memory held between calls
-  while (result.generated < count) {
-    batch.Clear();
-    const ProduceResult produced =
-        Produce(seed, next_index_, count - result.generated,
-                faultsite::kRrArenaGrow, out.TotalEntries(), kFlushEntries,
-                batch);
-    // Only kept sets reach the arena and the counters: a set dropped by a
-    // stop is never counted, so the totals match the parallel engine's
-    // merged prefix exactly.
-    out.AppendBatch(batch.members, batch.sizes);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (widths != nullptr) widths->push_back(batch.widths[i]);
-      edges_examined += batch.widths[i];
-      blocks_decoded += batch.blocks[i];
+  bool draining = false;
+  while (result.generated < count && !draining) {
+    // The wave's shape is the only thing the lane count changes. One lane
+    // runs one batch to the remaining count, cut by the flush bound, so
+    // its lookahead ring never restarts mid-stream. Several lanes share
+    // 4 batches each through the pool's dynamic cursor: enough to balance
+    // uneven set sizes, few enough that unmerged sets stay bounded.
+    const uint64_t remaining = count - result.generated;
+    const uint64_t wave_sets =
+        lanes == 1 ? remaining : std::min(remaining, lanes * 4 * kBatchSets);
+    const uint64_t batch_sets = lanes == 1 ? wave_sets : kBatchSets;
+    const uint64_t flush_entries = lanes == 1
+                                       ? kFlushEntries
+                                       : std::numeric_limits<uint64_t>::max();
+    const uint64_t num_batches = (wave_sets + batch_sets - 1) / batch_sets;
+    const uint64_t wave_base = next_index_;
+    const uint64_t wave_end = wave_base + wave_sets;
+    if (batches_.size() < num_batches) batches_.resize(num_batches);
+    auto produce = [&](uint64_t b, uint32_t lane) {
+      Batch& batch = batches_[b];
+      batch.members.clear();
+      batch.sizes.clear();
+      batch.widths.clear();
+      batch.blocks.clear();
+      const uint64_t first = wave_base + b * batch_sets;
+      Produce(*lanes_[lane], seed, first,
+              std::min(batch_sets, wave_end - first), flush_entries, batch);
+    };
+    if (lanes == 1) {
+      produce(0, 0);
+    } else {
+      pool_->ParallelFor(num_batches, static_cast<uint32_t>(lanes), produce);
     }
-    next_index_ += batch.size();
-    result.generated += batch.size();
-    if (produced.stop == Stop::kNone) continue;
-    if (produced.stop == Stop::kGuard) {
-      result.stop = guard_->reason();
-    } else if (produced.stop == Stop::kFault) {
-      // A transient fault stops this batch without tripping the caller's
-      // guard; a fatal reason simulates a budget trip through the normal
-      // sticky path.
-      result.stop = produced.injected;
-      if (!IsTransientStop(produced.injected) && guard_ != nullptr) {
-        guard_->Trip(produced.injected);
+
+    // Merge in index order. The merge is single-threaded, so the set at
+    // which a fault fires or the entry cap is crossed is the same for
+    // every lane count. Each batch's kept prefix lands as one splice.
+    for (uint64_t b = 0; b < num_batches && !draining; ++b) {
+      const Batch& batch = batches_[b];
+      size_t keep = 0;
+      uint64_t keep_entries = 0;
+      while (keep < batch.size()) {
+        // Fault site: the arena append of this set fails (simulated OOM).
+        // Nothing from it is appended and the stream cursor stays put, so
+        // a retry resumes at exactly this set.
+        StopReason injected = StopReason::kNone;
+        if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
+          result.stop = injected;
+          if (!IsTransientStop(injected) && guard_ != nullptr) {
+            guard_->Trip(injected);
+          }
+          break;
+        }
+        keep_entries += batch.sizes[keep++];
+        // The entry cap, add-then-check: the crossing set is kept. It is
+        // the sampler's own safety valve, so it leaves the caller's
+        // run-wide guard alone and the evaluation of the partial seed set
+        // still runs.
+        if (max_total_entries_ != 0 &&
+            out.TotalEntries() + keep_entries > max_total_entries_) {
+          result.stop = StopReason::kMemory;
+          break;
+        }
       }
-    } else if (produced.stop == Stop::kEntryCap) {
-      // The entry cap is the sampler's own safety valve: report kMemory
-      // but leave the caller's run-wide guard alone so the post-selection
-      // evaluation of the partial seed set still runs.
-      result.stop = StopReason::kMemory;
+      out.AppendBatch(
+          std::span<const NodeId>(batch.members.data(), keep_entries),
+          std::span<const uint32_t>(batch.sizes.data(), keep));
+      for (size_t i = 0; i < keep; ++i) {
+        if (widths != nullptr) widths->push_back(batch.widths[i]);
+        edges_examined += batch.widths[i];
+        blocks_decoded += batch.blocks[i];
+      }
+      next_index_ += keep;
+      result.generated += keep;
+      draining = result.stop != StopReason::kNone || !batch.complete;
     }
-    break;
   }
+  for (auto& lane : lanes_) lane->wave = nullptr;
+  // A lane's trip reaches the caller's guard unless it is transient, so a
+  // retry can resume from the same stream index.
+  wave.Propagate();
+  if (result.stop == StopReason::kNone) result.stop = wave.reason();
   if (result.stop == StopReason::kNone && GuardStopped(guard_)) {
     result.stop = guard_->reason();
   }
-  // Batched Generate is a coordinating site: lane samplers run with a null
-  // trace and report per-set counts to their own coordinator, so the
-  // totals stay thread-count invariant.
   TraceAdd(trace_, TraceCounter::kRrEdgesExamined, edges_examined);
   TraceAdd(trace_, TraceCounter::kNeighborBlocksDecoded, blocks_decoded);
   return result;
 }
 
-RrBatchResult RrSampler::GenerateFused(uint64_t seed, uint64_t count,
-                                       RrCollection& out,
-                                       std::vector<uint64_t>* widths) {
-  RrBatchResult result;
-  if (fused_ == nullptr) fused_ = std::make_unique<FusedRrContext>(graph_);
-  uint64_t edges_examined = 0;
-  while (result.generated < count) {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) break;
-    if (GuardShouldStop(guard_)) {
-      result.stop = guard_->reason();
-      break;
-    }
-    // Fault site: the same simulated-OOM hook as the scalar loop, fired
-    // once per chunk (the fused unit of work). The stream cursor stays on
-    // the first ungenerated index, so a retry regenerates exactly the
-    // missing tail.
-    StopReason injected = StopReason::kNone;
-    if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
-      result.stop = injected;
-      if (!IsTransientStop(injected) && guard_ != nullptr) {
-        guard_->Trip(injected);
-      }
-      break;
-    }
-    // A chunk never crosses a 64-lane block boundary, so the entry-cap
-    // resolution below buffers at most one kernel pass.
-    const uint64_t chunk = std::min<uint64_t>(
-        count - result.generated, kFusedLanes - next_index_ % kFusedLanes);
-    fused_members_.clear();
-    fused_sizes_.clear();
-    fused_widths_.clear();
-    fused_->GenerateRange(seed, next_index_, static_cast<uint32_t>(chunk),
-                          fused_members_, fused_sizes_, &fused_widths_);
-    size_t offset = 0;
-    bool cap_hit = false;
-    for (size_t i = 0; i < fused_sizes_.size(); ++i) {
-      out.AppendSet(std::span<const NodeId>(fused_members_.data() + offset,
-                                            fused_sizes_[i]));
-      offset += fused_sizes_[i];
-      if (widths != nullptr) widths->push_back(fused_widths_[i]);
-      edges_examined += fused_widths_[i];
-      ++next_index_;
-      ++result.generated;
-      // Add-then-check, exactly like the scalar engine: the crossing set
-      // is kept, the rest of the chunk is dropped (the cursor has not
-      // advanced past the kept prefix, so nothing is lost).
-      if (max_total_entries_ != 0 && out.TotalEntries() > max_total_entries_) {
-        result.stop = StopReason::kMemory;
-        cap_hit = true;
-        break;
-      }
-    }
-    if (cap_hit) break;
-  }
-  if (result.stop == StopReason::kNone && GuardStopped(guard_)) {
-    result.stop = guard_->reason();
-  }
-  TraceAdd(trace_, TraceCounter::kRrEdgesExamined, edges_examined);
-  return result;
-}
-
 template <typename Backend>
-uint64_t RrSampler::Sample(const Backend& graph, NodeId root, Rng& rng,
-                           std::vector<NodeId>& out) {
-  ++epoch_;
+uint64_t RrSampler::Sample(const Backend& graph, Lane& lane, NodeId root,
+                           Rng& rng, std::vector<NodeId>& out) {
+  if (lane.visited_stamp.empty()) {
+    lane.visited_stamp.assign(graph_.num_nodes(), 0);
+  }
+  ++lane.epoch;
   return kind_ == DiffusionKind::kIndependentCascade
-             ? SampleIc(graph, root, rng, out)
-             : SampleLt(graph, root, rng, out);
+             ? SampleIc(graph, lane, root, rng, out)
+             : SampleLt(graph, lane, root, rng, out);
 }
 
 template <typename Backend>
-uint64_t RrSampler::SampleIc(const Backend& graph, NodeId root, Rng& rng,
-                             std::vector<NodeId>& out) {
+uint64_t RrSampler::SampleIc(const Backend& graph, Lane& lane, NodeId root,
+                             Rng& rng, std::vector<NodeId>& out) {
   uint64_t edges_examined = 0;
-  visited_stamp_[root] = epoch_;
+  const uint32_t epoch = lane.epoch;
+  uint32_t* const visited = lane.visited_stamp.data();
+  visited[root] = epoch;
   out.push_back(root);
   for (size_t head = out.size() - 1; head < out.size(); ++head) {
-    if (PollStop()) break;  // truncated set: run is draining
+    if (lane.PollStop()) break;  // truncated set: run is draining
     const NodeId v = out[head];
     // The same two stages inside the set: a member's offsets are
     // prefetched when it is queued, its adjacency one expansion before
     // its own.
     if (head + 1 < out.size()) graph.PrefetchInAdjacency(out[head + 1]);
-    const auto [sources, weights] = InAdjacency(graph, v, scratch_);
+    const auto [sources, weights] = InAdjacency(graph, v, lane.scratch);
     edges_examined += sources.size();
     for (size_t i = 0; i < sources.size(); ++i) {
       const NodeId u = sources[i];
-      if (visited_stamp_[u] == epoch_) continue;
+      if (visited[u] == epoch) continue;
       if (rng.NextDouble() < weights[i]) {
-        visited_stamp_[u] = epoch_;
+        visited[u] = epoch;
         graph.PrefetchInOffsets(u);
         out.push_back(u);
       }
@@ -313,17 +303,19 @@ uint64_t RrSampler::SampleIc(const Backend& graph, NodeId root, Rng& rng,
 }
 
 template <typename Backend>
-uint64_t RrSampler::SampleLt(const Backend& graph, NodeId root, Rng& rng,
-                             std::vector<NodeId>& out) {
+uint64_t RrSampler::SampleLt(const Backend& graph, Lane& lane, NodeId root,
+                             Rng& rng, std::vector<NodeId>& out) {
   // Under LT's live-edge view each node activates via at most one
   // in-neighbor, so the RR set is a simple path walked backwards until the
   // residual no-edge event fires or the walk bites its own tail.
   uint64_t edges_examined = 0;
-  visited_stamp_[root] = epoch_;
+  const uint32_t epoch = lane.epoch;
+  uint32_t* const visited = lane.visited_stamp.data();
+  visited[root] = epoch;
   out.push_back(root);
   NodeId v = root;
-  while (!PollStop()) {
-    const auto [sources, weights] = InAdjacency(graph, v, scratch_);
+  while (!lane.PollStop()) {
+    const auto [sources, weights] = InAdjacency(graph, v, lane.scratch);
     if (sources.empty()) break;
     edges_examined += sources.size();
     double r = rng.NextDouble();
@@ -335,24 +327,18 @@ uint64_t RrSampler::SampleLt(const Backend& graph, NodeId root, Rng& rng,
       }
       r -= weights[i];
     }
-    if (next == kInvalidNode) break;              // residual: no live in-edge
-    if (visited_stamp_[next] == epoch_) break;    // cycle
-    visited_stamp_[next] = epoch_;
+    if (next == kInvalidNode) break;      // residual: no live in-edge
+    if (visited[next] == epoch) break;    // cycle
+    visited[next] = epoch;
     out.push_back(next);
     v = next;
   }
   return edges_examined;
 }
 
-std::unique_ptr<RrEngine> MakeRrEngine(const GraphView& graph,
-                                       const SamplerOptions& options) {
-  const uint32_t threads = EffectiveThreads(options.threads);
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
-  if (threads <= 1 || pool.worker_count() == 0) {
-    return std::make_unique<RrSampler>(graph, options);
-  }
-  return std::make_unique<ParallelRrSampler>(graph, options);
+std::unique_ptr<RrSampler> MakeRrEngine(const GraphView& graph,
+                                        const SamplerOptions& options) {
+  return std::make_unique<RrSampler>(graph, options);
 }
 
 RrCollection::RrCollection(NodeId num_nodes) : num_nodes_(num_nodes) {
@@ -545,41 +531,12 @@ std::vector<NodeId> RrCollection::GreedyMaxCover(
   return GreedyMaxCoverPrefix(k, size(), covered_fraction);
 }
 
-std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
-    uint32_t k, size_t limit, double* covered_fraction) const {
-  limit = std::min(limit, size());
-  EnsureInvertedIndex();
-  // Dispatch on the number of sets actually covered: a warm corpus grown
-  // far past this query's θ should not push a small query onto the
-  // large-corpus path.
-  return limit >= kDegreeBucketThreshold
-             ? CoverDegreeBuckets(k, limit, covered_fraction)
-             : CoverLazyHeap(k, limit, covered_fraction);
-}
-
-namespace {
-
-// Shared tail of both cover variants: when every set is covered before k
-// picks, fill the remaining slots with unchosen nodes so the result always
-// has k seeds (matches the reference implementations).
-void PadSeeds(NodeId num_nodes, uint32_t k, std::vector<uint8_t>& chosen,
-              std::vector<NodeId>& seeds) {
-  for (NodeId v = 0; v < num_nodes && seeds.size() < k; ++v) {
-    if (!chosen[v]) {
-      chosen[v] = 1;
-      seeds.push_back(v);
-    }
-  }
-}
-
-}  // namespace
-
 uint32_t RrCollection::PrefixDegree(NodeId v, size_t limit) const {
   // Each node's inverted-index slice lists set ids in increasing order, so
   // the ids below `limit` form a prefix of the slice. An empty prefix must
   // short-circuit: `limit - 1` would wrap to UINT32_MAX and report the
   // whole-corpus degree, making a limit-0 cover pick by corpus degree
-  // instead of degrading to the PadSeeds order.
+  // instead of degrading to the pad order.
   if (limit == 0) return 0;
   const auto begin = inv_sets_.begin() + inv_offsets_[v];
   const auto end = inv_sets_.begin() + inv_offsets_[v + 1];
@@ -588,85 +545,18 @@ uint32_t RrCollection::PrefixDegree(NodeId v, size_t limit) const {
       std::upper_bound(begin, end, static_cast<uint32_t>(limit - 1)) - begin);
 }
 
-std::vector<NodeId> RrCollection::CoverLazyHeap(
+std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
     uint32_t k, size_t limit, double* covered_fraction) const {
-  // Counting greedy with lazy decrement: degree[v] = #uncovered sets among
-  // the first `limit` that contain v, read off the inverted-index slice
-  // prefix. Every inner loop below walks a contiguous span of one of the
-  // two arenas.
-  std::vector<uint32_t> degree(num_nodes_, 0);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    degree[v] = PrefixDegree(v, limit);
-  }
-  std::vector<uint8_t> covered(limit, 0);
-  std::vector<uint8_t> chosen(num_nodes_, 0);
-
-  // Lazy priority queue of (stale degree, node); ties resolve to the
-  // largest node id (the pair comparison), which the bucket variant
-  // reproduces exactly.
-  std::vector<std::pair<uint32_t, NodeId>> heap;
-  heap.reserve(num_nodes_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    if (degree[v] > 0) heap.emplace_back(degree[v], v);
-  }
-  std::make_heap(heap.begin(), heap.end());
-
-  std::vector<NodeId> seeds;
-  seeds.reserve(k);
-  uint64_t covered_count = 0;
-  while (seeds.size() < k) {
-    NodeId best = kInvalidNode;
-    while (!heap.empty()) {
-      auto [stale_degree, v] = heap.front();
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      if (chosen[v]) continue;
-      if (stale_degree != degree[v]) {
-        // Entry went stale; reinsert with the true degree.
-        if (degree[v] > 0) {
-          heap.emplace_back(degree[v], v);
-          std::push_heap(heap.begin(), heap.end());
-        }
-        continue;
-      }
-      best = v;
-      break;
-    }
-    if (best == kInvalidNode) {
-      PadSeeds(num_nodes_, k, chosen, seeds);
-      break;
-    }
-    chosen[best] = 1;
-    seeds.push_back(best);
-    for (uint64_t j = inv_offsets_[best]; j < inv_offsets_[best + 1]; ++j) {
-      const uint32_t set_id = inv_sets_[j];
-      if (set_id >= limit) break;  // slice is ascending; rest is past limit
-      if (covered[set_id]) continue;
-      covered[set_id] = 1;
-      ++covered_count;
-      const uint64_t end = set_offsets_[set_id + 1];
-      for (uint64_t i = set_offsets_[set_id]; i < end; ++i) {
-        --degree[members_[i]];
-      }
-    }
-  }
-  if (covered_fraction != nullptr) {
-    *covered_fraction = limit == 0 ? 0.0
-                                   : static_cast<double>(covered_count) /
-                                         static_cast<double>(limit);
-  }
-  return seeds;
-}
-
-std::vector<NodeId> RrCollection::CoverDegreeBuckets(
-    uint32_t k, size_t limit, double* covered_fraction) const {
-  // Exact greedy over lazily-maintained degree buckets: bucket[d] holds
-  // candidate nodes last seen at degree d. Degrees only decrease, so a
-  // cursor sweeps from the top bucket downward and never backs up; a node
-  // found below its bucket is moved down (each node moves monotonically,
-  // so total moves are bounded by total degree decrements). Selection
-  // takes the largest node id in the highest non-empty bucket — the exact
-  // tie-break the lazy heap's pair ordering yields.
+  limit = std::min(limit, size());
+  EnsureInvertedIndex();
+  // Exact greedy over lazily-maintained degree buckets: degree[v] counts
+  // the uncovered sets among the first `limit` that contain v, and
+  // bucket[d] holds candidate nodes last seen at degree d. Degrees only
+  // decrease, so a cursor sweeps from the top bucket downward and never
+  // backs up; a node found below its bucket is moved down (each node moves
+  // monotonically, so total moves are bounded by total degree decrements).
+  // Selection takes the largest node id in the highest non-empty bucket.
+  // Every inner loop walks a contiguous span of one of the two arenas.
   std::vector<uint32_t> degree(num_nodes_, 0);
   uint32_t max_degree = 0;
   for (NodeId v = 0; v < num_nodes_; ++v) {
@@ -706,7 +596,15 @@ std::vector<NodeId> RrCollection::CoverDegreeBuckets(
       --cur;
     }
     if (best == kInvalidNode) {
-      PadSeeds(num_nodes_, k, chosen, seeds);
+      // Every set is covered before k picks: fill the remaining slots with
+      // the smallest unchosen ids, so the result always has k seeds
+      // (matches the reference implementations).
+      for (NodeId v = 0; v < num_nodes_ && seeds.size() < k; ++v) {
+        if (!chosen[v]) {
+          chosen[v] = 1;
+          seeds.push_back(v);
+        }
+      }
       break;
     }
     chosen[best] = 1;

@@ -9,67 +9,51 @@
 //     proportional to its weight (no in-edge with the residual probability
 //     1 - Σ W) — a reverse random walk without revisits.
 //
-// Sampling goes through the RrEngine interface: set number i is always
-// drawn from Rng::ForStream(seed, i) — root choice included — so a corpus
-// depends only on (seed, count), never on the thread count or on how the
-// work was scheduled. RrSampler is the sequential engine; ParallelRrSampler
-// (diffusion/parallel_rr.h) fans batches across the shared thread pool and
-// merges them in index order, bit-identical to the sequential engine.
-// MakeRrEngine() picks between them, which is how TIM+/IMM/RIS select
-// their sampling backend from one place.
+// RrSampler is the one sampling engine. Set number i is always drawn from
+// Rng::ForStream(seed, i) — root choice included — so a corpus depends only
+// on (seed, count), never on the lane count or on how the work was
+// scheduled: lanes fill batches over the thread pool and a single-threaded
+// merge splices them in index order.
 #ifndef IMBENCH_DIFFUSION_RR_SETS_H_
 #define IMBENCH_DIFFUSION_RR_SETS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/run_options.h"
 #include "diffusion/cascade.h"
-#include "diffusion/mc_engine.h"
 #include "framework/run_guard.h"
 #include "graph/graph_view.h"
 
 namespace imbench {
 
-class FusedRrContext;
 class ThreadPool;
 class Trace;
 
-// Common constructor shape for the RR-set engines: diffusion kind plus the
-// shared run controls. Shared by RrSampler, ParallelRrSampler and the
-// MakeRrEngine() factory the algorithms use.
+// RrSampler's constructor shape: diffusion kind plus the shared run
+// controls.
 //
-// CommonRunOptions fields, as the engines read them:
+// CommonRunOptions fields, as the sampler reads them:
 //   * `guard` is polled inside the reverse BFS/walk, so even a single
 //     exploding RR set (supercritical IC) cannot overrun a budget:
 //     generation stops mid-set and the truncated corpus is returned with
 //     the trip's StopReason.
-//   * `threads` picks the generation backend (1 = sequential, 0 = all
-//     hardware). Corpus contents are identical for every value.
-//   * `trace`: engines add the examined-edge count of every appended set
-//     to kRrEdgesExamined, always from the coordinating thread and only
-//     for the merged prefix, so the totals are thread-count-invariant.
+//   * `threads` is the lane count (0 = all hardware). A pool with no
+//     workers runs one lane. Corpus contents are identical for every value.
+//   * `trace`: the merge adds the examined-edge count of every appended
+//     set to kRrEdgesExamined, always from the coordinating thread and
+//     only for the merged prefix, so the totals are lane-count-invariant.
 //     Callers bump kRrSets themselves alongside Counters::rr_sets (RIS may
 //     truncate a chunk after generation, and only the caller knows the
 //     kept count).
 //   * `seed` is unused here: the stream base is an explicit argument of
-//     every Generate() call, because one engine may serve several corpora.
+//     every Generate() call, because one sampler may serve several corpora.
 struct SamplerOptions : CommonRunOptions {
   DiffusionKind kind = DiffusionKind::kIndependentCascade;
-  // MC kernel for batched set generation. kAuto resolves to the scalar
-  // sampler: RR corpora feed the query service's single-set repair path,
-  // which has no fused equivalent, so the bit-parallel kernel is strictly
-  // opt-in here. kFused64 draws 64 consecutive stream indices per pass
-  // (IC only; LT falls back to scalar). Either engine is deterministic and
-  // thread-invariant on its own, but the two draw different coin streams,
-  // so a fused corpus is not byte-identical to a scalar one.
-  McEngine engine = McEngine::kAuto;
   // Cap on total node entries across the sets appended to one collection
   // (0 = unlimited). Crossing it stops generation with StopReason::kMemory
   // — the safety valve behind the paper's "Crashed" cells.
@@ -84,68 +68,14 @@ struct RrBatchResult {
 
 class RrCollection;
 
-// Batched RR-set generation. Engines keep a running set index across
-// calls: the j-th set ever generated is drawn from Rng::ForStream(seed, j),
-// so callers must pass the same seed to every call on one engine.
-class RrEngine {
- public:
-  virtual ~RrEngine() = default;
-
-  // Appends up to `count` RR sets to `out`. If `widths` is non-null, the
-  // examined-edge count of each appended set is pushed in the same order
-  // (the width counter used by TIM+'s KPT estimation and RIS's budget).
-  // On a guard trip or entry-cap hit the appended sets form a prefix of
-  // the deterministic set sequence and `stop` carries the reason; callers
-  // bump Counters::rr_sets by `generated`, which keeps counts exact
-  // without any atomics on the generation hot path.
-  virtual RrBatchResult Generate(uint64_t seed, uint64_t count,
-                                 RrCollection& out,
-                                 std::vector<uint64_t>* widths = nullptr) = 0;
-
-  // Moves the running set index: the next Generate() call draws its first
-  // set from Rng::ForStream(seed, next_index). A fresh engine starts at 0;
-  // the query service seeks to the corpus size so a warm corpus built by an
-  // earlier (possibly discarded) engine is topped up with exactly the sets
-  // a cold engine would have produced next.
-  virtual void SeekStream(uint64_t next_index) = 0;
-};
-
-// One flat run of consecutive RR sets in the collection's own shape (all
-// members back to back plus per-set sizes), with the per-set counters the
-// engines report for the merged prefix only. The producer's output and the
-// unit AppendBatch splices; buffers are cleared, not freed, between runs.
-struct RrBatch {
-  std::vector<NodeId> members;
-  std::vector<uint32_t> sizes;
-  std::vector<uint64_t> widths;  // edges examined per set
-  std::vector<uint64_t> blocks;  // compressed in-blocks decoded per set
-  size_t size() const { return sizes.size(); }
-  void Clear() {
-    members.clear();
-    sizes.clear();
-    widths.clear();
-    blocks.clear();
-  }
-};
-
-// How RrSampler::Produce ended. Every stop leaves `batch` holding a prefix
-// of the requested range: a set cut short by a stop is never kept.
-struct ProduceResult {
-  enum class Stop : uint8_t {
-    kNone,      // the whole range (or the flush budget) was produced
-    kAborted,   // the abort flag was raised
-    kGuard,     // the guard tripped; its reason() says why
-    kFault,     // the fault site fired; `injected` is the simulated failure
-    kEntryCap,  // the last kept set crossed max_total_entries
-  };
-  Stop stop = Stop::kNone;
-  StopReason injected = StopReason::kNone;
-};
-
-// Sequential engine. Batched generation and the parallel engine's lanes
-// share one range producer (Produce); the single-set entry points below
-// run the same reverse BFS/walk.
-class RrSampler : public RrEngine {
+// The RR sampling engine. Batched generation runs in waves: each lane
+// draws a run of consecutive set indices into a private batch, then the
+// caller merges the batches in index order. With one lane a wave is one
+// batch that runs to the requested count or a 4096-entry flush bound;
+// with L lanes it is 4L batches of 64 sets, balanced through the pool's
+// dynamic cursor. Either way the corpus, the widths and the trace counters
+// are the same.
+class RrSampler {
  public:
   // Sets drawn ahead of the one being sampled: each upcoming set's
   // (Rng::ForStream(seed, i), root) pair sits in a ring this long while its
@@ -154,128 +84,135 @@ class RrSampler : public RrEngine {
   // no set depends on it.
   static constexpr uint32_t kLookahead = 16;
 
+  // One lane, no entry cap, no trace.
   RrSampler(const GraphView& graph, DiffusionKind kind,
             RunGuard* guard = nullptr);
-  // SamplerOptions constructor; `threads` and `pool` are ignored (this is
-  // the one-thread engine). `engine` selects the batched-generation kernel
-  // (see SamplerOptions); the single-set entry points below are always
-  // scalar.
   RrSampler(const GraphView& graph, const SamplerOptions& options);
-  ~RrSampler() override;
+  ~RrSampler();
 
-  // Samples an RR set rooted at a uniform random node; appends its members
+  // Samples one RR set from a caller-chosen root; appends its members
   // (root included) to `out` (cleared first). Returns the number of edges
-  // examined.
-  uint64_t Generate(Rng& rng, std::vector<NodeId>& out);
-
-  // Same, with a caller-chosen root.
+  // examined. Polls the caller's guard directly.
   uint64_t GenerateFromRoot(NodeId root, Rng& rng, std::vector<NodeId>& out);
 
   // Draws the set with global index `index`: rng = ForStream(seed, index),
-  // root = rng.NextU32(n). The unit of determinism shared by the
-  // sequential and parallel engines.
+  // root = rng.NextU32(n). The unit of determinism behind every corpus, and
+  // the service's single-set repair primitive.
   uint64_t GenerateStream(uint64_t seed, uint64_t index,
                           std::vector<NodeId>& out);
+
+  // Appends up to `count` RR sets to `out`, drawing them from the running
+  // stream index: the j-th set this sampler ever generates is
+  // ForStream(seed, j), so callers pass the same seed to every call. If
+  // `widths` is non-null, the examined-edge count of each appended set is
+  // pushed in the same order (the width counter used by TIM+'s KPT
+  // estimation and RIS's budget). On a guard trip, fault or entry-cap hit
+  // the appended sets form a prefix of the deterministic set sequence and
+  // `stop` carries the reason; callers bump Counters::rr_sets by
+  // `generated`, which keeps counts exact without any atomics on the
+  // generation hot path.
+  //
+  // Stops, in index order. A lane checks its guard copy, the wave's abort
+  // flag and the rr_sampler_lane fault site before drawing each set (and
+  // the first two per node inside it); a set cut short is dropped and the
+  // lane's batch ends there. The merge then checks, per set: the
+  // rr_arena_grow fault site (the set is not appended), and the entry cap
+  // (add-then-check: the crossing set is kept, and the stop is kMemory
+  // without tripping the caller's guard). Transient faults never reach the
+  // caller's guard either, so a retry resumes at the first missing index.
+  RrBatchResult Generate(uint64_t seed, uint64_t count, RrCollection& out,
+                         std::vector<uint64_t>* widths = nullptr);
+
+  // Moves the running set index: the next Generate() call draws its first
+  // set from Rng::ForStream(seed, next_index). A fresh sampler starts at 0;
+  // the query service seeks to the corpus size so a warm corpus built by an
+  // earlier (possibly discarded) sampler is topped up with exactly the sets
+  // a cold sampler would have produced next.
+  void SeekStream(uint64_t next_index) { next_index_ = next_index; }
+
+ private:
+  // A drawn-ahead set: its generator and root.
+  struct Pending {
+    Rng rng;
+    NodeId root = 0;
+  };
+
+  // One lane's sampling state. Its stamp array and decode scratch survive
+  // across waves and are allocated on the lane's first set, so their pages
+  // are first touched by the worker that runs it (NUMA first-touch under a
+  // pinned pool).
+  struct Lane {
+    RunGuard guard_copy;  // RunGuard is single-threaded: one copy per lane
+    // Polled inside a set: &guard_copy during a wave, the caller's guard
+    // in the single-set entry points.
+    RunGuard* guard = nullptr;
+    // The wave's shared stop state; null outside a wave.
+    ParallelGuardState* wave = nullptr;
+    uint32_t epoch = 0;
+    std::vector<uint32_t> visited_stamp;
+    AdjScratch scratch;  // compact-backend in-adjacency decode buffer
+    std::array<Pending, kLookahead> ring;
+
+    bool PollStop() {
+      return (wave != nullptr && wave->aborted()) || GuardShouldStop(guard);
+    }
+  };
+
+  // One lane's output for one run of consecutive set indices, in the
+  // collection's own flat shape (all members back to back plus per-set
+  // sizes), with the per-set counters the merge adds for the merged prefix
+  // only. Buffers are cleared, not freed, between waves.
+  struct Batch {
+    std::vector<NodeId> members;
+    std::vector<uint32_t> sizes;
+    std::vector<uint64_t> widths;  // edges examined per set
+    std::vector<uint64_t> blocks;  // compressed in-blocks decoded per set
+    bool complete = false;         // false: a stop cut the run short
+    size_t size() const { return sizes.size(); }
+  };
 
   // The range producer: appends sets [first, first + count) to `batch`,
   // each exactly GenerateStream(seed, i). The next kLookahead sets' roots
   // are drawn ahead and their in-adjacency prefetched, so set i's misses
-  // overlap with the sampling of the sets before it. Per set, in order:
-  // the abort flag, the guard and FaultFire(fault_site) are checked before
-  // it is drawn; the abort flag and guard are polled per node inside it; a
-  // set cut short is dropped. With max_total_entries set, a set that takes
-  // entries_before + batch entries past the cap is kept and ends the run
-  // (add-then-check). The run also ends, with Stop::kNone, once the batch
-  // holds `flush_entries` or more members, which bounds the batch buffer;
-  // callers loop until their count is reached.
-  ProduceResult Produce(uint64_t seed, uint64_t first, uint64_t count,
-                        std::string_view fault_site, uint64_t entries_before,
-                        uint64_t flush_entries, RrBatch& batch);
-
-  RrBatchResult Generate(uint64_t seed, uint64_t count, RrCollection& out,
-                         std::vector<uint64_t>* widths = nullptr) override;
-
-  void SeekStream(uint64_t next_index) override { next_index_ = next_index; }
-
-  // Hook for the parallel engine: an additional stop flag polled inside
-  // the BFS/walk so a sibling lane's trip truncates this lane's in-flight
-  // set too.
-  void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
-
- private:
-  bool Aborted() const {
-    return abort_ != nullptr && abort_->load(std::memory_order_relaxed);
-  }
-  bool PollStop() { return Aborted() || GuardShouldStop(guard_); }
-
+  // overlap with the sampling of the sets before it. Ends early, complete,
+  // once the batch holds `flush_entries` or more members; ends incomplete
+  // on a stop (see Generate), publishing a trip to the wave.
+  void Produce(Lane& lane, uint64_t seed, uint64_t first, uint64_t count,
+               uint64_t flush_entries, Batch& batch);
   // Produce with the backend branch hoisted out of every per-set and
   // per-node loop.
   template <typename Backend>
-  ProduceResult ProduceOn(const Backend& graph, uint64_t seed, uint64_t first,
-                          uint64_t count, std::string_view fault_site,
-                          uint64_t entries_before, uint64_t flush_entries,
-                          RrBatch& batch);
+  void ProduceOn(const Backend& graph, Lane& lane, uint64_t seed,
+                 uint64_t first, uint64_t count, uint64_t flush_entries,
+                 Batch& batch);
 
   // One set from `root`, appended to `out` from its current end: the
   // reverse BFS (IC) or reverse walk (LT). Returns the edges examined.
   template <typename Backend>
-  uint64_t Sample(const Backend& graph, NodeId root, Rng& rng,
+  uint64_t Sample(const Backend& graph, Lane& lane, NodeId root, Rng& rng,
                   std::vector<NodeId>& out);
   template <typename Backend>
-  uint64_t SampleIc(const Backend& graph, NodeId root, Rng& rng,
+  uint64_t SampleIc(const Backend& graph, Lane& lane, NodeId root, Rng& rng,
                     std::vector<NodeId>& out);
   template <typename Backend>
-  uint64_t SampleLt(const Backend& graph, NodeId root, Rng& rng,
+  uint64_t SampleLt(const Backend& graph, Lane& lane, NodeId root, Rng& rng,
                     std::vector<NodeId>& out);
-
-  // Batched generation through the bit-parallel kernel: 64 consecutive
-  // stream indices per pass, chunked so no pass crosses a lane-block
-  // boundary. Guard/abort/fault are polled once per chunk (the fused unit
-  // of work), so a trip truncates the corpus on a chunk boundary — still a
-  // prefix of the fused engine's deterministic sequence.
-  RrBatchResult GenerateFused(uint64_t seed, uint64_t count, RrCollection& out,
-                              std::vector<uint64_t>* widths);
-
-  // Allocates the visited-stamp array on first use. Deferred so a lane
-  // sampler's stamp pages are first touched by the worker that will run
-  // it (first-touch NUMA placement under the pinned pool).
-  void EnsureStamps() {
-    if (visited_stamp_.empty() && graph_.num_nodes() > 0) {
-      visited_stamp_.assign(graph_.num_nodes(), 0);
-    }
-  }
 
   GraphView graph_;
   DiffusionKind kind_;
   RunGuard* guard_;
   Trace* trace_ = nullptr;
-  const std::atomic<bool>* abort_ = nullptr;
   uint64_t max_total_entries_ = 0;
-  uint64_t next_index_ = 0;  // stream cursor for batched generation
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> visited_stamp_;  // lazily sized (EnsureStamps)
-  AdjScratch scratch_;  // compact-backend in-adjacency decode buffer
-  // Produce's lookahead ring: the drawn generator and root of each of the
-  // next kLookahead sets. Refilled by every Produce call.
-  struct Pending {
-    Rng rng;
-    NodeId root = 0;
-  };
-  std::array<Pending, kLookahead> ring_;
-  // Fused-path state: lazily constructed kernel scratch plus reusable
-  // chunk buffers (cleared per chunk, never reallocated at steady state).
-  bool use_fused_ = false;
-  std::unique_ptr<FusedRrContext> fused_;
-  std::vector<NodeId> fused_members_;
-  std::vector<uint32_t> fused_sizes_;
-  std::vector<uint64_t> fused_widths_;
+  ThreadPool* pool_ = nullptr;  // null with one lane
+  uint64_t next_index_ = 0;     // stream cursor for batched generation
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Batch> batches_;  // reusable wave buffers
 };
 
-// Picks the engine for the requested thread count: the sequential
-// RrSampler for one thread (or a worker-less pool), ParallelRrSampler
-// otherwise. The single construction point TIM+/IMM/RIS go through.
-std::unique_ptr<RrEngine> MakeRrEngine(const GraphView& graph,
-                                       const SamplerOptions& options);
+// The sampler's older name and factory, kept for perfbench/perfbench.cc.
+using RrEngine = RrSampler;
+std::unique_ptr<RrSampler> MakeRrEngine(const GraphView& graph,
+                                        const SamplerOptions& options);
 
 // A corpus of RR sets stored in flat append-only arenas (CSR layout, the
 // same flattening the reference TIM/IMM implementations use): one
@@ -376,10 +313,9 @@ class RrCollection {
   // Greedy max cover: picks k nodes maximizing the number of covered sets.
   // Returns the seeds and writes the covered fraction (coverage / size())
   // to `covered_fraction` if non-null. The arenas are left unmodified (the
-  // inverted-index cache may be built). Two internal variants produce the
-  // same seeds — ties always break to the largest node id — and are picked
-  // by corpus size: a lazy max-heap for small corpora, exact degree
-  // buckets (O(n + D + decrements), no log factor) for large ones.
+  // inverted-index cache may be built). Exact greedy over degree buckets
+  // (O(n + D + decrements), no log factor); ties break to the largest node
+  // id.
   std::vector<NodeId> GreedyMaxCover(uint32_t k,
                                      double* covered_fraction = nullptr) const;
 
@@ -406,11 +342,6 @@ class RrCollection {
   // Number of sets with id < limit containing v (prefix of v's slice).
   uint32_t PrefixDegree(NodeId v, size_t limit) const;
 
-  // Both variants cover only set ids < limit (the prefix restriction).
-  std::vector<NodeId> CoverLazyHeap(uint32_t k, size_t limit,
-                                    double* covered_fraction) const;
-  std::vector<NodeId> CoverDegreeBuckets(uint32_t k, size_t limit,
-                                         double* covered_fraction) const;
 
   NodeId num_nodes_;
   std::vector<NodeId> members_;        // all sets, back to back

@@ -80,8 +80,10 @@ SpreadEstimate EstimateParallel(const GraphView& graph, DiffusionKind kind,
     contexts.push_back(std::make_unique<CascadeContext>(graph.num_nodes()));
   }
 
-  // -1 marks "not run" so a guard trip yields a clean prefix below.
+  // -1 marks "not run" so a guard trip yields a clean prefix below. Each
+  // simulation's decode count is recorded next to its sample.
   std::vector<int64_t> samples(options.simulations, -1);
+  std::vector<uint64_t> decoded(options.simulations, 0);
   pool.ParallelFor(
       options.simulations, lanes, [&](uint64_t i, uint32_t lane) {
         if (stop_state.aborted()) return;
@@ -92,19 +94,25 @@ SpreadEstimate EstimateParallel(const GraphView& graph, DiffusionKind kind,
         }
         Rng rng = Rng::ForStream(options.seed, i);
         samples[i] = contexts[lane]->Simulate(graph, kind, seeds, rng);
+        decoded[i] = contexts[lane]->TakeBlocksDecoded();
       });
   stop_state.Propagate();
 
   // Aggregate the completed prefix in index order. On a full run this is
   // all simulations and the result matches the sequential path bit for
   // bit; on a trip it is the longest prefix with no gaps, mirroring the
-  // sequential path's early break.
+  // sequential path's early break. The decode counts are summed over the
+  // same prefix, so the trace matches the sequential path too.
   std::vector<NodeId> prefix;
   prefix.reserve(options.simulations);
+  uint64_t blocks_decoded = 0;
   for (uint32_t i = 0; i < options.simulations; ++i) {
     if (samples[i] < 0) break;
     prefix.push_back(static_cast<NodeId>(samples[i]));
+    blocks_decoded += decoded[i];
   }
+  TraceAdd(options.trace, TraceCounter::kNeighborBlocksDecoded,
+           blocks_decoded);
   return Aggregate(prefix);
 }
 

@@ -40,11 +40,12 @@ namespace imbench {
 // header, but production code should use these constants.
 namespace faultsite {
 // Arena growth in RrCollection consumers: the next set/batch append to the
-// corpus fails (simulated OOM). Planted in both RR engines at the exact
-// point the arena would grow, before anything is appended.
+// corpus fails (simulated OOM). Planted per set in the RR sampler's merge,
+// before the set is appended.
 inline constexpr std::string_view kRrArenaGrow = "rr_arena_grow";
-// Parallel sampler lane: one worker lane dies mid-wave. The wave drains
-// and the merged corpus stays a prefix of the deterministic sequence.
+// RR sampler lane: a lane dies before drawing its next set. The wave
+// drains and the merged corpus stays a prefix of the deterministic
+// sequence.
 inline constexpr std::string_view kSamplerLane = "rr_sampler_lane";
 // Per-set regeneration inside the warm-corpus repair loop.
 inline constexpr std::string_view kServiceRepair = "service_repair";

@@ -55,14 +55,11 @@ enum class TraceCounter : uint8_t {
   kBnbNodesExpanded,    // branch-and-bound search-tree nodes expanded
   kBnbPruned,           // B&B subtrees pruned by the submodular bound
   kGraphBytesMapped,    // bytes of .imgrf files mapped (CompactGraph::Open)
-  kNeighborBlocksDecoded,  // compressed 64-neighbor blocks decoded, counted
-                           // only where the count is thread-count invariant:
-                           // at sequential/coordinating sites, as per-set
-                           // counts summed over the merged RR prefix (both
-                           // RR engines), and for fused MC as per-block
-                           // counts summed over the completed block prefix.
-                           // Scalar parallel MC lanes and the opt-in fused
-                           // RR kernel drop theirs.
+  kNeighborBlocksDecoded,  // compressed 64-neighbor blocks decoded. Every
+                           // site records a per-unit count (per RR set, per
+                           // MC simulation, per fused MC block) and adds it
+                           // over the merged or completed prefix in index
+                           // order, so the total is thread-count invariant.
 };
 inline constexpr int kNumTraceCounters = 16;
 

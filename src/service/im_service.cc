@@ -136,13 +136,12 @@ void ImService::TopUp(const EpochGraphStore::Snapshot& snap,
   sampler_options.guard = guard;
   sampler_options.kind = options_.kind;
   sampler_options.max_total_entries = options_.max_total_entries;
-  std::unique_ptr<RrEngine> engine =
-      MakeRrEngine(*snap.graph, sampler_options);
+  RrSampler sampler(*snap.graph, sampler_options);
   uint32_t attempt = 0;
   while (corpus_.size() < required) {
-    engine->SeekStream(corpus_.size());
+    sampler.SeekStream(corpus_.size());
     const RrBatchResult batch =
-        engine->Generate(options_.seed, required - corpus_.size(), corpus_);
+        sampler.Generate(options_.seed, required - corpus_.size(), corpus_);
     result->sets_sampled += batch.generated;
     TraceAdd(options_.trace, TraceCounter::kRrSets, batch.generated);
     if (batch.stop == StopReason::kNone) return;
@@ -157,11 +156,12 @@ void ImService::TopUp(const EpochGraphStore::Snapshot& snap,
       Backoff(attempt);
       continue;
     }
-    // The batched engine keeps faulting; degrade to the plain sequential
-    // sampler for the remaining tail. Same streams, same seeds — only the
-    // throughput is worse.
+    // The sampler keeps faulting; degrade to a one-lane retry of the
+    // remaining tail, with the same entry cap and trace. Same streams,
+    // same seeds — only the throughput is worse.
     result->degraded = DegradeMode::kPerQuerySampler;
-    RrSampler fallback(*snap.graph, options_.kind, guard);
+    sampler_options.threads = 1;
+    RrSampler fallback(*snap.graph, sampler_options);
     fallback.SeekStream(corpus_.size());
     const RrBatchResult tail = fallback.Generate(
         options_.seed, required - corpus_.size(), corpus_);

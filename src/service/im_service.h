@@ -31,8 +31,8 @@
 // so a query that survives N faults serves seeds byte-identical to a
 // fault-free run. When retries are exhausted the service degrades instead
 // of failing: a repair that cannot complete falls back to a cold corpus
-// rebuild (DegradeMode::kColdRebuild), a top-up whose batched engine keeps
-// faulting falls back to the plain sequential sampler
+// rebuild (DegradeMode::kColdRebuild), a top-up whose sampler keeps
+// faulting falls back to a one-lane retry of the same sampler
 // (DegradeMode::kPerQuerySampler). Both facts are reported on the result
 // so operators can see the service running in a degraded mode.
 #ifndef IMBENCH_SERVICE_IM_SERVICE_H_
@@ -76,7 +76,7 @@ struct ServiceOptions : CommonRunOptions {
 enum class DegradeMode : uint8_t {
   kNone = 0,          // warm path (reuse / top-up / repair) succeeded
   kColdRebuild,       // repair failed; corpus discarded and rebuilt cold
-  kPerQuerySampler,   // batched top-up failed; sequential sampler fallback
+  kPerQuerySampler,   // top-up kept faulting; one-lane retry served it
 };
 
 const char* DegradeModeName(DegradeMode mode);
@@ -163,10 +163,10 @@ class ImService {
   void MigrateCorpus(const EpochGraphStore::Snapshot& snap, RunGuard* guard,
                      ImQueryResult* result);
 
-  // Grows the corpus to `required` sets with the configured engine,
+  // Grows the corpus to `required` sets with the configured lanes,
   // retrying transient stops (re-seeking to the corpus size each time) and
-  // falling back to the sequential sampler when the batched engine keeps
-  // faulting (DegradeMode::kPerQuerySampler). Fatal stops serve the
+  // falling back to one lane, with the same entry cap and trace, when the
+  // sampler keeps faulting (DegradeMode::kPerQuerySampler). Fatal stops serve the
   // partial prefix, as before.
   void TopUp(const EpochGraphStore::Snapshot& snap, uint64_t required,
              RunGuard* guard, ImQueryResult* result);

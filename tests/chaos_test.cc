@@ -1,7 +1,7 @@
 // Chaos suite: replay query+mutation workloads under deterministic fault
 // plans and assert the self-healing service serves seeds byte-identical to
 // the fault-free run. Every recovery path — retry, cold rebuild,
-// sequential-sampler fallback — is a deterministic rebuild of the same
+// one-lane sampler retry — is a deterministic rebuild of the same
 // per-index RR streams, so faults may cost time but never change answers.
 #include <cstdio>
 #include <memory>
@@ -14,6 +14,7 @@
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
 #include "framework/fault.h"
+#include "framework/trace.h"
 #include "graph/compact_graph.h"
 #include "graph/graph_file.h"
 #include "graph/weights.h"
@@ -151,19 +152,18 @@ TEST(ChaosTest, TransientArenaFaultIsRetriedInPlace) {
   }
 }
 
-// The arena keeps failing past the retry budget: the batched engine is
-// abandoned and the query degrades to the sequential per-query sampler —
-// slower, same streams, same seeds.
+// The arena keeps failing past the retry budget: the query degrades to a
+// one-lane retry of the sampler — slower, same streams, same seeds.
 TEST(ChaosTest, PersistentArenaFaultDegradesToSequentialSampler) {
   const DiffusionKind kind = DiffusionKind::kIndependentCascade;
   const std::vector<WorkloadOp> ops = ChaosOps(kind);
   const ChaosRun baseline = FaultFreeBaseline(kind, ops);
   for (const uint32_t threads : {1u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
-    // Each failed attempt consumes exactly one hit (the engine faults
-    // before appending anything), so fires=4 defeats the initial try plus
-    // all 3 retries; the sequential fallback starts at hit 5 and runs
-    // clear of the window.
+    // Each failed attempt consumes exactly one hit (the merge faults on
+    // the first set, before appending anything), so fires=4 defeats the
+    // initial try plus all 3 retries; the one-lane retry starts at hit 5
+    // and runs clear of the window.
     ScopedFaultPlan scoped(
         OneRule(faultsite::kRrArenaGrow, /*hit=*/1, /*fires=*/4));
     const ChaosRun chaos = RunOps(kind, threads, ops);
@@ -177,14 +177,56 @@ TEST(ChaosTest, PersistentArenaFaultDegradesToSequentialSampler) {
   }
 }
 
-// A parallel sampler lane dies mid-wave: the wave drains, the merged
-// corpus stays a prefix of the deterministic sequence, and the retry
-// resumes from exactly the dropped index.
+// The one-lane retry keeps the service's entry cap and trace: a capped
+// query that degrades stops with kMemory at the same corpus size, with
+// the same seeds and examined-edge count, as a fault-free capped service.
+TEST(ChaosTest, DegradedTopUpKeepsEntryCapAndTrace) {
+  const DiffusionKind kind = DiffusionKind::kIndependentCascade;
+  auto serve = [&](uint32_t threads, Trace* trace) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+    EpochGraphStore store(ChaosTestGraph(kind));
+    ServiceOptions options;
+    options.kind = kind;
+    options.epsilon = kEpsilon;
+    options.seed = kSeed;
+    options.threads = threads;
+    options.pool = pool.get();
+    options.trace = trace;
+    options.retry_backoff_seconds = 0;
+    options.max_total_entries = 300;
+    ImService service(store, options);
+    ImQuery query;
+    query.k = 5;
+    return service.Query(query);
+  };
+  FaultInjector::Global().Disarm();
+  Trace reference_trace;
+  const ImQueryResult reference = serve(1, &reference_trace);
+  ASSERT_EQ(reference.stop_reason, StopReason::kMemory);
+  for (const uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ScopedFaultPlan scoped(
+        OneRule(faultsite::kRrArenaGrow, /*hit=*/1, /*fires=*/4));
+    Trace trace;
+    const ImQueryResult degraded = serve(threads, &trace);
+    EXPECT_EQ(degraded.degraded, DegradeMode::kPerQuerySampler);
+    EXPECT_EQ(degraded.stop_reason, StopReason::kMemory);
+    EXPECT_EQ(degraded.sets_sampled, reference.sets_sampled);
+    EXPECT_EQ(degraded.seeds, reference.seeds);
+    EXPECT_EQ(trace.Total(TraceCounter::kRrEdgesExamined),
+              reference_trace.Total(TraceCounter::kRrEdgesExamined));
+  }
+}
+
+// A sampler lane dies mid-wave: the wave drains, the merged corpus stays a
+// prefix of the deterministic sequence, and the retry resumes from exactly
+// the dropped index. One lane takes the same path as several.
 TEST(ChaosTest, SamplerLaneFaultDrainsWaveAndRetries) {
   const DiffusionKind kind = DiffusionKind::kIndependentCascade;
   const std::vector<WorkloadOp> ops = ChaosOps(kind);
   const ChaosRun baseline = FaultFreeBaseline(kind, ops);
-  for (const uint32_t threads : {2u, 8u}) {
+  for (const uint32_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     ScopedFaultPlan scoped(
         OneRule(faultsite::kSamplerLane, /*hit=*/3, /*fires=*/1));

@@ -1,4 +1,4 @@
-// The parallel sampling engine's core contract: thread-count invariance.
+// The RR sampler's core contract: thread-count invariance.
 // RR corpora, seed sets and spread estimates must be bit-identical for
 // threads in {1, 2, 8}, and budget trips must stop promptly with the right
 // StopReason while still returning a deterministic prefix.
@@ -20,7 +20,6 @@
 #include "algorithms/ris.h"
 #include "algorithms/tim_plus.h"
 #include "common/thread_pool.h"
-#include "diffusion/parallel_rr.h"
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
 #include "framework/fault.h"
@@ -70,11 +69,11 @@ TEST(SamplingDeterminismTest, CorpusBitIdenticalAcrossThreadCounts) {
     SamplerOptions options;
     options.threads = threads;
     options.pool = &pool;
-    std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+    RrSampler sampler(g, options);
     RrCollection corpus(g.num_nodes());
     std::vector<uint64_t> widths;
     const RrBatchResult result =
-        engine->Generate(kSeed, kSets, corpus, &widths);
+        sampler.Generate(kSeed, kSets, corpus, &widths);
     EXPECT_EQ(result.generated, kSets) << threads;
     EXPECT_EQ(result.stop, StopReason::kNone) << threads;
     EXPECT_EQ(CorpusOf(corpus), reference_corpus) << threads;
@@ -83,7 +82,7 @@ TEST(SamplingDeterminismTest, CorpusBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SamplingDeterminismTest, SplitCallsMatchOneCall) {
-  // The engine keeps a global stream cursor, so Generate(300) + Generate(400)
+  // The sampler keeps a global stream cursor, so Generate(300) + Generate(400)
   // must produce the same corpus as one Generate(700).
   const Graph g = WcGraph();
   SamplerOptions options;
@@ -94,10 +93,10 @@ TEST(SamplingDeterminismTest, SplitCallsMatchOneCall) {
   ThreadPool pool(3);
   options.threads = 4;
   options.pool = &pool;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+  RrSampler sampler(g, options);
   RrCollection split(g.num_nodes());
-  engine->Generate(9, 300, split, nullptr);
-  engine->Generate(9, 400, split, nullptr);
+  sampler.Generate(9, 300, split, nullptr);
+  sampler.Generate(9, 400, split, nullptr);
   EXPECT_EQ(CorpusOf(split), CorpusOf(whole));
 }
 
@@ -117,15 +116,15 @@ TEST(SamplingDeterminismTest, EntryCapTripsIdenticallyAcrossThreads) {
   ThreadPool pool(7);
   options.threads = 8;
   options.pool = &pool;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+  RrSampler sampler(g, options);
   RrCollection corpus(g.num_nodes());
-  const RrBatchResult result = engine->Generate(7, 100000, corpus, nullptr);
+  const RrBatchResult result = sampler.Generate(7, 100000, corpus, nullptr);
   EXPECT_EQ(result.stop, StopReason::kMemory);
   EXPECT_EQ(CorpusOf(corpus), CorpusOf(reference));
 }
 
 TEST(SamplingDeterminismTest, GuardTripStopsPromptlyWithPrefixCorpus) {
-  // An already-expired deadline: the parallel engine must drain its lanes,
+  // An already-expired deadline: the sampler must drain its lanes,
   // report kDeadline, and whatever it did append must be a prefix of the
   // deterministic sequence.
   const Graph g = WcGraph();
@@ -138,9 +137,9 @@ TEST(SamplingDeterminismTest, GuardTripStopsPromptlyWithPrefixCorpus) {
   options.guard = &guard;
   options.threads = 4;
   options.pool = &pool;
-  ParallelRrSampler engine(g, options);
+  RrSampler sampler(g, options);
   RrCollection corpus(g.num_nodes());
-  const RrBatchResult result = engine.Generate(5, 100000, corpus, nullptr);
+  const RrBatchResult result = sampler.Generate(5, 100000, corpus, nullptr);
   EXPECT_EQ(result.stop, StopReason::kDeadline);
   EXPECT_TRUE(guard.stopped());  // Propagate() reached the parent guard
   EXPECT_LT(result.generated, 100000u);  // stopped long before the target
@@ -167,9 +166,9 @@ TEST(SamplingDeterminismTest, CancelFlagDrainsParallelGeneration) {
   options.guard = &guard;
   options.threads = 4;
   options.pool = &pool;
-  ParallelRrSampler engine(g, options);
+  RrSampler sampler(g, options);
   RrCollection corpus(g.num_nodes());
-  const RrBatchResult result = engine.Generate(5, 100000, corpus, nullptr);
+  const RrBatchResult result = sampler.Generate(5, 100000, corpus, nullptr);
   EXPECT_EQ(result.stop, StopReason::kCancelled);
   EXPECT_LT(result.generated, 100000u);
 }
@@ -325,9 +324,9 @@ TEST(SamplingDeterminismTest, LtCorpusInvariantUnderThreads) {
   ThreadPool pool(7);
   options.threads = 8;
   options.pool = &pool;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+  RrSampler sampler(g, options);
   RrCollection corpus(g.num_nodes());
-  engine->Generate(11, 400, corpus, nullptr);
+  sampler.Generate(11, 400, corpus, nullptr);
   EXPECT_EQ(CorpusOf(corpus), CorpusOf(reference));
 }
 
@@ -386,9 +385,12 @@ class LookaheadBoundaryTest
   GraphView View() const {
     return compact() ? GraphView(compact_) : GraphView(graph_);
   }
-  SamplerOptions Options() const {
+  SamplerOptions Options(uint32_t threads = 1,
+                         ThreadPool* pool = nullptr) const {
     SamplerOptions options;
     options.kind = kind_;
+    options.threads = threads;
+    options.pool = pool;
     return options;
   }
   // The fault-free corpus of the first `count` sets under `seed`.
@@ -441,63 +443,84 @@ TEST_P(LookaheadBoundaryTest, SplitCallsAtRingBoundariesMatchOneCall) {
 
 TEST_P(LookaheadBoundaryTest, GuardTripMidRunLeavesPrefix) {
   constexpr uint64_t kSets = 2'000'000;  // far more than 5 ms of work
-  RunBudget budget;
-  budget.deadline_seconds = 0.005;
-  RunGuard guard(budget);
-  SamplerOptions options = Options();
-  options.guard = &guard;
-  RrSampler sampler(View(), options);
-  RrCollection corpus(graph_.num_nodes());
-  const RrBatchResult result = sampler.Generate(8, kSets, corpus, nullptr);
-  EXPECT_EQ(result.stop, StopReason::kDeadline);
-  EXPECT_LT(result.generated, kSets);
-  EXPECT_EQ(corpus.size(), result.generated);
-  ExpectStreamPrefix(corpus, 8);
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadPool pool(threads - 1);
+    RunBudget budget;
+    budget.deadline_seconds = 0.005;
+    RunGuard guard(budget);
+    SamplerOptions options = Options(threads, &pool);
+    options.guard = &guard;
+    RrSampler sampler(View(), options);
+    RrCollection corpus(graph_.num_nodes());
+    const RrBatchResult result = sampler.Generate(8, kSets, corpus, nullptr);
+    EXPECT_EQ(result.stop, StopReason::kDeadline);
+    EXPECT_LT(result.generated, kSets);
+    EXPECT_EQ(corpus.size(), result.generated);
+    ExpectStreamPrefix(corpus, 8);
+  }
 }
 
 TEST_P(LookaheadBoundaryTest, AbortFlagLeavesPrefix) {
+  // A cancel raised from another thread mid-run drains every lane through
+  // the sampler's internal abort flag.
   constexpr uint64_t kSets = 2'000'000;
-  std::atomic<bool> abort{false};
-  RrSampler sampler(View(), Options());
-  sampler.set_abort_flag(&abort);
-  RrCollection corpus(graph_.num_nodes());
-  std::thread raiser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    abort.store(true);
-  });
-  const RrBatchResult result = sampler.Generate(8, kSets, corpus, nullptr);
-  raiser.join();
-  EXPECT_LT(result.generated, kSets);
-  EXPECT_EQ(corpus.size(), result.generated);
-  ExpectStreamPrefix(corpus, 8);
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadPool pool(threads - 1);
+    std::atomic<bool> cancel{false};
+    RunBudget budget;
+    budget.cancel = &cancel;
+    RunGuard guard(budget);
+    SamplerOptions options = Options(threads, &pool);
+    options.guard = &guard;
+    RrSampler sampler(View(), options);
+    RrCollection corpus(graph_.num_nodes());
+    std::thread raiser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      cancel.store(true);
+    });
+    const RrBatchResult result = sampler.Generate(8, kSets, corpus, nullptr);
+    raiser.join();
+    EXPECT_EQ(result.stop, StopReason::kCancelled);
+    EXPECT_LT(result.generated, kSets);
+    EXPECT_EQ(corpus.size(), result.generated);
+    ExpectStreamPrefix(corpus, 8);
+  }
 }
 
 TEST_P(LookaheadBoundaryTest, ArenaFaultKeepsCursorAndRetryMatches) {
-  // Hit h (1-based) of the per-set fault site fires before set h - 1 is
-  // drawn: sets 0..h-2 are kept and the cursor stays on h - 1, even though
-  // the ring has already drawn the sets after it.
+  // Hit h (1-based) of the per-set merge fault site fires on set h - 1:
+  // sets 0..h-2 are kept and the cursor stays on h - 1, even though the
+  // ring (and, with several lanes, the wave) has already drawn the sets
+  // after it. The merge runs in index order, so every lane count agrees.
   constexpr uint64_t kL = RrSampler::kLookahead;
   constexpr uint64_t kHit = 2 * kL + 3;
   constexpr uint64_t kSets = 5 * kL;
   const RrCollection reference = Reference(17, kSets);
 
-  RrSampler sampler(View(), Options());
-  RrCollection corpus(graph_.num_nodes());
-  {
-    FaultPlan plan;
-    FaultRule rule;
-    rule.site = std::string(faultsite::kRrArenaGrow);
-    rule.fire_on_hit = kHit;
-    plan.rules.push_back(rule);
-    ScopedFaultPlan scoped(std::move(plan));
-    const RrBatchResult faulted = sampler.Generate(17, kSets, corpus, nullptr);
-    EXPECT_EQ(faulted.stop, StopReason::kFault);
-    EXPECT_EQ(faulted.generated, kHit - 1);
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    ThreadPool pool(threads - 1);
+    RrSampler sampler(View(), Options(threads, &pool));
+    RrCollection corpus(graph_.num_nodes());
+    {
+      FaultPlan plan;
+      FaultRule rule;
+      rule.site = std::string(faultsite::kRrArenaGrow);
+      rule.fire_on_hit = kHit;
+      plan.rules.push_back(rule);
+      ScopedFaultPlan scoped(std::move(plan));
+      const RrBatchResult faulted =
+          sampler.Generate(17, kSets, corpus, nullptr);
+      EXPECT_EQ(faulted.stop, StopReason::kFault);
+      EXPECT_EQ(faulted.generated, kHit - 1);
+    }
+    const RrBatchResult retry =
+        sampler.Generate(17, kSets - corpus.size(), corpus, nullptr);
+    EXPECT_EQ(retry.stop, StopReason::kNone);
+    EXPECT_EQ(ArenaDigest(corpus), ArenaDigest(reference));
   }
-  const RrBatchResult retry =
-      sampler.Generate(17, kSets - corpus.size(), corpus, nullptr);
-  EXPECT_EQ(retry.stop, StopReason::kNone);
-  EXPECT_EQ(ArenaDigest(corpus), ArenaDigest(reference));
 }
 
 TEST_P(LookaheadBoundaryTest, CountersAndCapCrossingInvariantUnderThreads) {
@@ -518,10 +541,10 @@ TEST_P(LookaheadBoundaryTest, CountersAndCapCrossingInvariantUnderThreads) {
       options.pool = &pool;
       Trace trace;
       options.trace = &trace;
-      std::unique_ptr<RrEngine> engine = MakeRrEngine(View(), options);
+      RrSampler sampler(View(), options);
       RrCollection corpus(graph_.num_nodes());
       std::vector<uint64_t> widths;
-      const RrBatchResult result = engine->Generate(23, 700, corpus, &widths);
+      const RrBatchResult result = sampler.Generate(23, 700, corpus, &widths);
       EXPECT_EQ(result.stop,
                 cap == 0 ? StopReason::kNone : StopReason::kMemory)
           << threads;

@@ -77,10 +77,8 @@ TEST(GraphEdgeCasesTest, RrSamplerDeterministicPerStream) {
   RrSampler b(g, DiffusionKind::kIndependentCascade);
   std::vector<NodeId> sa, sb;
   for (int i = 0; i < 50; ++i) {
-    Rng ra = Rng::ForStream(91, i);
-    Rng rb = Rng::ForStream(91, i);
-    a.Generate(ra, sa);
-    b.Generate(rb, sb);
+    a.GenerateStream(91, i, sa);
+    b.GenerateStream(91, i, sb);
     EXPECT_EQ(sa, sb);
   }
 }
@@ -109,7 +107,7 @@ TEST(GraphEdgeCasesTest, ZeroWeightGraphRrSetsAreSingletons) {
   std::vector<NodeId> set;
   Rng rng(7);
   for (int i = 0; i < 20; ++i) {
-    sampler.Generate(rng, set);
+    sampler.GenerateFromRoot(rng.NextU32(g.num_nodes()), rng, set);
     EXPECT_EQ(set.size(), 1u);
   }
 }

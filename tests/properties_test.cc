@@ -27,8 +27,7 @@ double RrHitRate(const Graph& graph, DiffusionKind kind,
   std::vector<NodeId> set;
   int hits = 0;
   for (int i = 0; i < samples; ++i) {
-    Rng rng = Rng::ForStream(seed, i);
-    sampler.Generate(rng, set);
+    sampler.GenerateStream(seed, i, set);
     for (const NodeId v : set) {
       if (is_seed[v]) {
         ++hits;

@@ -1,12 +1,11 @@
 // Differential coverage for the flat-arena RR corpus: the CSR layout must
 // be observationally identical to the vector-of-vectors baseline it
 // replaced (bench/legacy_rr_corpus.h) — same sets for the same seeds, same
-// greedy max-cover seeds and covered fractions (which also pins the exact
-// degree-bucket variant to the lazy heap's tie-breaking), and the same
-// TruncateTo semantics across parallel batch boundaries.
+// greedy max-cover seeds and covered fractions (which pins the degree-bucket
+// cover to the legacy lazy heap's tie-breaking at every corpus size), and
+// the same TruncateTo semantics across parallel batch boundaries.
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -73,10 +72,9 @@ TEST(RrLayoutTest, GreedyMaxCoverMatchesLegacyAcrossK) {
 }
 
 TEST(RrLayoutTest, DegreeBucketVariantMatchesLegacyHeapOnLargeCorpus) {
-  // 6000 sets crosses the internal heap -> degree-bucket switch; the
-  // legacy baseline always uses the lazy heap, so equality here pins the
-  // bucket variant's (max degree, max node id) tie-breaking exactly. Tiny
-  // node count + many sets maximizes degree ties.
+  // The legacy baseline uses the lazy heap, so equality here pins the
+  // degree buckets' (max degree, max node id) tie-breaking exactly on a
+  // large corpus. Tiny node count + many sets maximizes degree ties.
   constexpr NodeId kNodes = 40;
   constexpr uint64_t kSets = 6000;
   RrCollection flat(kNodes);
@@ -132,18 +130,18 @@ TEST(RrLayoutTest, AppendBatchMatchesPerSetAppend) {
 }
 
 TEST(RrLayoutTest, TruncateAcrossParallelBatchBoundaries) {
-  // Generate through the parallel engine (64-set batches spliced
-  // block-wise), truncate to a size that lands mid-batch, and verify the
-  // survivor arena against the sequential engine set by set — then keep
-  // appending to prove the arena recovers from a rollback.
+  // Generate on four lanes (64-set batches spliced block-wise), truncate
+  // to a size that lands mid-batch, and verify the survivor arena against
+  // single-set draws — then keep appending to prove the arena recovers
+  // from a rollback.
   const Graph g = WcGraph();
   ThreadPool pool(3);
   SamplerOptions options;
   options.threads = 4;
   options.pool = &pool;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+  RrSampler sampler(g, options);
   RrCollection corpus(g.num_nodes());
-  ASSERT_EQ(engine->Generate(13, 700, corpus, nullptr).generated, 700u);
+  ASSERT_EQ(sampler.Generate(13, 700, corpus, nullptr).generated, 700u);
 
   corpus.TruncateTo(131);  // 131 = 2*64 + 3: inside the third batch
   ASSERT_EQ(corpus.size(), 131u);
@@ -224,8 +222,7 @@ TEST(RrLayoutTest, PrefixLimitZeroDegradesToPadOrder) {
 TEST(RrLayoutTest, PrefixLimitedCoverEdgeCasesMatchAcrossEngines) {
   // Alternating {10} / {11} singleton sets: both nodes tie on degree in
   // every even-sized prefix, so the first pick exercises the (max degree,
-  // largest node id) tie-break identically on the lazy-heap path (small
-  // limit) and the degree-bucket path (limit >= the 4096-set threshold);
+  // largest node id) tie-break under a short and a full prefix limit;
   // k = 5 > 2 live nodes exercises the pad tail under a prefix limit.
   constexpr NodeId kNodes = 16;
   RrCollection c(kNodes);

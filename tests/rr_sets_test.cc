@@ -58,8 +58,7 @@ TEST(RrSamplerTest, LtSetIsAlwaysAPath) {
   RrSampler sampler(g, DiffusionKind::kLinearThreshold);
   std::vector<NodeId> set;
   for (int i = 0; i < 200; ++i) {
-    Rng rng = Rng::ForStream(5, i);
-    sampler.Generate(rng, set);
+    sampler.GenerateStream(5, i, set);
     // LT live-edge: at most one in-edge per node, so no duplicates and the
     // set size is bounded by the longest in-path (2 in a star).
     std::set<NodeId> unique(set.begin(), set.end());
@@ -140,7 +139,7 @@ TEST(RrCollectionTest, FillsUpToKWhenEverythingCovered) {
 }
 
 TEST(RrCollectionTest, LazyHeapHandlesInterleavedDegrees) {
-  // Regression-style check: overlapping sets force stale heap entries.
+  // Regression-style check: overlapping sets force stale bucket entries.
   RrCollection collection(4);
   collection.Add({0, 1});
   collection.Add({0, 1});

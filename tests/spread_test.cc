@@ -1,10 +1,15 @@
 #include "diffusion/spread.h"
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 #include "common/thread_pool.h"
 #include "framework/datasets.h"
+#include "framework/trace.h"
+#include "graph/compact_graph.h"
+#include "graph/graph_file.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
@@ -172,6 +177,37 @@ TEST(ParallelSpreadTest, DefaultThreadCount) {
   const SpreadEstimate est = EstimateSpread(
       g, DiffusionKind::kIndependentCascade, seeds, SpreadOpts(200, 3, 0));
   EXPECT_GT(est.mean, 1.0);
+}
+
+TEST(ParallelSpreadTest, ScalarDecodeCountInvariantUnderThreads) {
+  // Scalar lanes record each simulation's decode count next to its sample,
+  // and the count is summed over the completed prefix in index order, so
+  // the trace on an .imgrf graph is the same for every thread count.
+  Graph g = MakeDataset("nethept", DatasetScale::kTiny);
+  AssignWeightedCascade(g);
+  const std::string path = ::testing::TempDir() + "/spread_decode.imgrf";
+  std::string error;
+  ASSERT_TRUE(WriteGraphFile(g, WeightModel::kWc, path, &error)) << error;
+  CompactGraph compact;
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+      << error;
+  const std::vector<NodeId> seeds = {1, 5, 9};
+  uint64_t reference = 0;
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads - 1);
+    Trace trace;
+    SpreadOptions options =
+        SpreadOpts(300, 7, threads, threads > 1 ? &pool : nullptr);
+    options.engine = McEngine::kScalar;
+    options.trace = &trace;
+    EstimateSpread(GraphView(compact), DiffusionKind::kIndependentCascade,
+                   seeds, options);
+    const uint64_t decoded = trace.Total(TraceCounter::kNeighborBlocksDecoded);
+    if (threads == 1) reference = decoded;
+    EXPECT_GT(decoded, 0u) << threads;
+    EXPECT_EQ(decoded, reference) << threads;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
     service_options.threads = static_cast<uint32_t>(*threads);
     service_options.trace = tr;
     // An explicit pool sized to --threads: the shared pool is sized to the
-    // hardware, which silently falls back to the sequential engine on a
+    // hardware, which silently falls back to one sampler lane on a
     // single-core box even when more threads were asked for. Results are
     // thread-count invariant either way; this keeps the flag honest.
     std::unique_ptr<ThreadPool> serve_pool;
