@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace imbench {
@@ -87,6 +88,17 @@ uint64_t LaneMask(uint32_t lanes) {
 
 }  // namespace
 
+double LtRoundingMargin(uint64_t max_in_degree, double max_weight) {
+  constexpr double kUnitRoundoff = 0x1.0p-53;
+  const double bound_weight =
+      static_cast<double>(max_in_degree) * std::abs(max_weight);
+  if (!std::isfinite(bound_weight)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return 2 * (static_cast<double>(max_in_degree) + 2) * kUnitRoundoff *
+         (1 + 3 * bound_weight);
+}
+
 FusedCascadeContext::FusedCascadeContext(const GraphView& graph)
     : graph_(graph),
       active_word_(graph.num_nodes(), 0),
@@ -168,19 +180,48 @@ void FusedCascadeContext::RunBlockIc(std::span<const NodeId> seeds,
   }
 }
 
-const double* FusedCascadeContext::LtThresholds(NodeId v,
-                                                uint64_t block_seed) {
+double* FusedCascadeContext::LtSlot(NodeId v, uint64_t block_seed) {
   if (lt_stamp_[v] != epoch_) {
     lt_stamp_[v] = epoch_;
     lt_slot_[v] = lt_slots_used_++;
-    if (lt_thresh_.size() < static_cast<size_t>(lt_slots_used_) * 64) {
-      lt_thresh_.resize(static_cast<size_t>(lt_slots_used_) * 64);
+    if (lt_residual_.size() < static_cast<size_t>(lt_slots_used_) * 64) {
+      lt_residual_.resize(static_cast<size_t>(lt_slots_used_) * 64);
     }
-    double* thresholds = &lt_thresh_[static_cast<size_t>(lt_slot_[v]) * 64];
+    double* thresholds = &lt_residual_[static_cast<size_t>(lt_slot_[v]) * 64];
     Rng rng = Rng::ForStream(block_seed, v);
     for (int j = 0; j < 64; ++j) thresholds[j] = rng.NextDouble();
   }
-  return &lt_thresh_[static_cast<size_t>(lt_slot_[v]) * 64];
+  return &lt_residual_[static_cast<size_t>(lt_slot_[v]) * 64];
+}
+
+// The exact path for v's `lanes`: the replay's comparison of the in-edge-
+// order sum of active in-weights with the threshold, redrawn from v's
+// stream because the slot holds t − Σw by now. The slot itself is left
+// as it is, so later pushes keep subtracting in activation order.
+uint64_t FusedCascadeContext::LtExactSweep(NodeId v, uint64_t lanes,
+                                           uint64_t block_seed) {
+  exact_lanes_ += static_cast<uint64_t>(std::popcount(lanes));
+  double threshold[kFusedLanes];
+  double sum[kFusedLanes];
+  Rng rng = Rng::ForStream(block_seed, v);
+  const int last = 63 - std::countl_zero(lanes);
+  for (int j = 0; j <= last; ++j) threshold[j] = rng.NextDouble();
+  for (uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
+    sum[std::countr_zero(rest)] = 0;
+  }
+  const auto [sources, in_weights] = graph_.In(v, in_scratch_);
+  for (size_t e = 0; e < sources.size(); ++e) {
+    for (uint64_t bits = active_word_[sources[e]] & lanes; bits != 0;
+         bits &= bits - 1) {
+      sum[std::countr_zero(bits)] += in_weights[e];
+    }
+  }
+  uint64_t newly = 0;
+  for (uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
+    const int j = std::countr_zero(rest);
+    if (sum[j] >= threshold[j]) newly |= uint64_t{1} << j;
+  }
+  return newly;
 }
 
 void FusedCascadeContext::RunBlockLt(std::span<const NodeId> seeds,
@@ -188,59 +229,38 @@ void FusedCascadeContext::RunBlockLt(std::span<const NodeId> seeds,
   for (const NodeId s : seeds) {
     if (active_word_[s] == 0) Activate(s, lane_mask);
   }
-  double sum[kFusedLanes];
-  size_t level_begin = 0;
-  while (level_begin < queue_.size()) {
-    // Push: fold the level's frontiers into one contact word per
-    // out-neighbor, listing each newly contacted node once. Nothing
-    // activates during the push, so `~active_word_[v]` is stable here.
-    const size_t level_end = queue_.size();
-    for (size_t head = level_begin; head < level_end; ++head) {
-      const NodeId u = queue_[head];
-      const uint64_t frontier = pending_word_[u];
-      pending_word_[u] = 0;
-      for (const NodeId v : graph_.OutTargets(u, out_scratch_)) {
-        const uint64_t contact = frontier & ~active_word_[v];
-        if (contact == 0) continue;
-        if (contact_word_[v] == 0) contacted_.push_back(v);
-        contact_word_[v] |= contact;
-      }
-    }
-    level_begin = level_end;
-    // Pull: one in-edge sweep per contacted node serves all its contacted
-    // lanes. Each lane's sum still adds its active in-weights in in-edge
-    // order, so it equals the replay's per-contact recompute bit for bit.
-    // Activations land in the next level (and are visible to later pulls
-    // of this one, which is harmless: see the header).
-    for (const NodeId v : contacted_) {
-      const uint64_t contact = contact_word_[v];
-      contact_word_[v] = 0;
-      const double* thresholds = LtThresholds(v, block_seed);
-      const auto [sources, in_weights] = graph_.In(v, in_scratch_);
-      for (uint64_t rest = contact; rest != 0; rest &= rest - 1) {
-        sum[std::countr_zero(rest)] = 0;
-      }
-      for (size_t e = 0; e < sources.size(); ++e) {
-        for (uint64_t bits = active_word_[sources[e]] & contact; bits != 0;
-             bits &= bits - 1) {
-          sum[std::countr_zero(bits)] += in_weights[e];
-        }
-      }
+  const double margin = lt_margin_;
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const NodeId u = queue_[head];
+    const uint64_t frontier = pending_word_[u];
+    pending_word_[u] = 0;
+    const auto [targets, weights] = graph_.Out(u, out_scratch_);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const NodeId v = targets[i];
+      uint64_t lanes = frontier & ~active_word_[v];
+      if (lanes == 0) continue;
+      double* residual = LtSlot(v, block_seed);
+      const double w = weights[i];
       uint64_t newly = 0;
-      for (uint64_t rest = contact; rest != 0; rest &= rest - 1) {
-        const int j = std::countr_zero(rest);
-        if (sum[j] >= thresholds[j]) newly |= uint64_t{1} << j;
+      uint64_t exact = 0;
+      for (; lanes != 0; lanes &= lanes - 1) {
+        const int j = std::countr_zero(lanes);
+        residual[j] -= w;
+        const LtDecision decision = DecideLt(residual[j], margin);
+        newly |= uint64_t{decision == LtDecision::kActivate} << j;
+        exact |= uint64_t{decision == LtDecision::kExact} << j;
       }
+      if (exact != 0) newly |= LtExactSweep(v, exact, block_seed);
       if (newly != 0) Activate(v, newly);
     }
-    contacted_.clear();
   }
 }
 
 // Per-kind scratch is allocated on the kind's first block: an LT context
-// never holds IC's per-edge mask lanes (12 B per edge), nor an IC context
-// LT's per-node stamps and contact words. Kept out of the kernels so that
-// inlining it cannot perturb their hot loops' code generation.
+// never holds IC's per-edge mask lanes (12 B per edge), nor does an IC
+// context hold LT's per-node stamps or pay the margin's O(n + m) scan.
+// Kept out of the kernels so that inlining it cannot perturb their hot
+// loops' code generation.
 void FusedCascadeContext::PrepareScratch(DiffusionKind kind) {
   const size_t n = graph_.num_nodes();
   if (kind == DiffusionKind::kIndependentCascade) {
@@ -252,7 +272,19 @@ void FusedCascadeContext::PrepareScratch(DiffusionKind kind) {
     if (lt_stamp_.size() == n) return;
     lt_stamp_.assign(n, 0);
     lt_slot_.assign(n, 0);
-    contact_word_.assign(n, 0);
+    uint32_t max_in_degree = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      max_in_degree = std::max(max_in_degree, graph_.InDegree(v));
+    }
+    double max_weight = 0;
+    for (const double w : graph_.weights()) {
+      if (!std::isfinite(w)) {
+        max_weight = w;
+        break;
+      }
+      max_weight = std::max(max_weight, std::abs(w));
+    }
+    lt_margin_ = LtRoundingMargin(max_in_degree, max_weight);
   }
 }
 

@@ -20,19 +20,28 @@
 //     over blocks yields bit-identical results, and FusedScalarReplay can
 //     re-derive any single simulation's cascade exactly.
 //   * LT: node v's 64 thresholds are drawn from ForStream(block_seed, v)
-//     on first contact. The block runs in push/pull levels. The push
-//     drains the current level, ORs each frontier into a per-node contact
-//     word and lists every newly contacted node once. The pull sweeps
-//     each listed node's in-edges once for all its contacted lanes,
-//     summing every lane's active in-weights in in-edge order, and
-//     activates the lanes whose sum reaches the threshold into the next
-//     level. Why this matches a per-contact recompute bit for bit: a
-//     fixed-order sum of nonnegative terms only grows when a term is
+//     on first contact into a 64-double slot, and the block runs one
+//     push-only FIFO loop, the same shape as IC's. Popping u pushes each
+//     out-edge (u, v): for every lane of u's frontier where v is still
+//     inactive, W(u, v) is subtracted in place from the lane's slot, which
+//     so holds t_j − Σw over v's pushed in-neighbors, in activation order.
+//     A slot below −B activates the lane at once, one above +B rejects it
+//     for now, and only a slot inside [−B, B] takes the exact path: it
+//     redraws t_j from the stream and sums the lane's active in-weights in
+//     in-edge order, the replay's own expression. B (LtRoundingMargin)
+//     bounds the rounding error of both sums together, so the fast
+//     decisions agree with that comparison, and the exact path decides
+//     the rest with it. Why Γ matches a per-contact recompute bit for bit:
+//     a fixed-order sum of nonnegative terms only grows when a term is
 //     added (FP rounding is monotone), so every schedule that re-checks a
 //     node after each activation of an in-neighbor, and activates only on
 //     a sum computed from already-active lanes, ends at the same least
-//     fixed point. FusedScalarReplay's naive per-contact recompute in BFS
-//     order is one such schedule, so Γ agrees lane for lane.
+//     fixed point. The push re-checks v after every in-neighbor's push;
+//     FusedScalarReplay's naive per-contact recompute in BFS order is
+//     another such schedule, so Γ agrees lane for lane. The running sums
+//     cost no memory of their own: they live in the threshold slots, and
+//     the exact path redraws the thresholds instead of keeping a copy, so
+//     a contacted node holds one 64-double slot and no other LT state.
 #ifndef IMBENCH_DIFFUSION_FUSED_CASCADE_H_
 #define IMBENCH_DIFFUSION_FUSED_CASCADE_H_
 
@@ -57,6 +66,34 @@ inline constexpr uint32_t kFusedLanes = 64;
 // simulations.
 inline constexpr int kCoinBits = 16;
 
+// The fused LT decision margin B for a graph whose in-degrees are at most
+// `max_in_degree` and whose edge weights are at most `max_weight` in
+// magnitude. With D = max_in_degree and W = D * max_weight, for any
+// k <= D in-weights of one node and any threshold |t| <= 1 + W, B bounds
+//
+//   |fl(t − w_π1 − … − w_πk) − (t − S)| + |fl(w_1 + … + w_k) − S|
+//
+// (exact sum S; the first float runs in any activation order π, the
+// second in in-edge order), plus one ulp of the in-edge-order sum, so a
+// threshold within one ulp of that sum always lands in the exact path.
+// Recursive summation of n terms errs by at most γ_(n−1) times the sum of
+// their magnitudes (γ_n = nu/(1 − nu), u = 2^-53; Higham, "Accuracy and
+// Stability of Numerical Algorithms", eq. 4.4), so the two sums err by at
+// most γ_D(1 + 2W) and γ_D·W; the ulp adds at most 2u·W(1 + γ_D). The
+// margin is 2(D + 2)u(1 + 3W) >= γ_(D+2)(1 + 3W), which covers all three
+// and the rounding of computing it. Sums above 1 are allowed: edge-list
+// weights are not validated against it. +inf (every lane exact) when a
+// weight is not finite or W overflows.
+double LtRoundingMargin(uint64_t max_in_degree, double max_weight);
+
+// The fused LT kernel's three-way decision on a lane's slot, t − Σw.
+enum class LtDecision { kActivate, kReject, kExact };
+inline LtDecision DecideLt(double residual, double margin) {
+  if (residual < -margin) return LtDecision::kActivate;
+  if (residual > margin) return LtDecision::kReject;
+  return LtDecision::kExact;  // also a NaN slot
+}
+
 // Reusable scratch for fused forward simulation. One context per thread;
 // lane words are swept back to zero in O(touched) at block end, so
 // repeated blocks never pay an O(n) clear.
@@ -76,20 +113,26 @@ class FusedCascadeContext {
   // The per-block key all in-block streams derive from.
   static uint64_t BlockSeed(uint64_t seed, uint64_t block);
 
+  // LT lanes the exact in-edge sweep decided over this context's life.
+  uint64_t exact_lanes() const { return exact_lanes_; }
+
  private:
+  friend class FusedCascadeContextTestPeer;
+
   void RunBlockIc(std::span<const NodeId> seeds, uint64_t block_seed,
                   uint64_t lane_mask);
   void RunBlockLt(std::span<const NodeId> seeds, uint64_t block_seed,
                   uint64_t lane_mask);
   void PrepareScratch(DiffusionKind kind);
   void Activate(NodeId v, uint64_t bits);
-  const double* LtThresholds(NodeId v, uint64_t block_seed);
+  double* LtSlot(NodeId v, uint64_t block_seed);
+  uint64_t LtExactSweep(NodeId v, uint64_t lanes, uint64_t block_seed);
 
   GraphView graph_;
   // IC-only and LT-only scratch is sized by PrepareScratch.
   std::vector<uint32_t> p_fix_;  // per forward edge id, kCoinBits fixed point
   // Decode buffers for the compact backend: out-adjacency for IC and the
-  // LT push, in-adjacency for the LT pull.
+  // LT push, in-adjacency for the LT exact sweep.
   AdjScratch out_scratch_;
   AdjScratch in_scratch_;
 
@@ -101,15 +144,14 @@ class FusedCascadeContext {
   std::vector<uint64_t> pending_word_;
   std::vector<uint32_t> mask_stamp_;  // u's out-edge masks valid this epoch
   std::vector<uint64_t> edge_mask_;   // per forward edge id
-  std::vector<uint32_t> lt_stamp_;    // v's thresholds valid this epoch
+  std::vector<uint32_t> lt_stamp_;    // v's slot valid this epoch
   std::vector<uint32_t> lt_slot_;
-  std::vector<double> lt_thresh_;     // 64 per slot, touched nodes only
+  std::vector<double> lt_residual_;   // 64 per slot, contacted nodes only
   uint32_t lt_slots_used_ = 0;
+  double lt_margin_ = 0;              // LtRoundingMargin of the graph
+  uint64_t exact_lanes_ = 0;
   std::vector<NodeId> queue_;
   std::vector<NodeId> touched_;
-  // Lanes contacted in the current LT level; zero outside a level's pull.
-  std::vector<uint64_t> contact_word_;
-  std::vector<NodeId> contacted_;  // nodes with a nonzero contact word
 };
 
 // Replays one simulation of the fused ensemble with a plain sequential

@@ -60,6 +60,9 @@ enum class TraceCounter : uint8_t {
                            // MC simulation, per fused MC block) and adds it
                            // over the merged or completed prefix in index
                            // order, so the total is thread-count invariant.
+                           // A fused LT block counts the out-blocks its
+                           // push decodes (with weights) plus the in-blocks
+                           // of its rare exact sweeps.
 };
 inline constexpr int kNumTraceCounters = 16;
 

@@ -5,7 +5,7 @@
 // the exact coin masks / thresholds of one fused lane. Every lane of every
 // block must match it bit for bit, across all six weight models — that
 // pins the AND/OR coin-mask ladder, the block-seed derivation, and the
-// LT thresholds and push/pull levels all at once. The replay recomputes
+// LT thresholds, push and exact path all at once. The replay recomputes
 // each LT sum per contact, an independent algorithm from the kernel's.
 #include "diffusion/fused_cascade.h"
 
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,9 +85,9 @@ TEST(FusedKernelTest, BlockGammaMatchesScalarReplayAcrossModels) {
 // Preferential attachment with both arc directions: hubs carry in-degrees
 // in the hundreds, so one hub is contacted by many active in-neighbors per
 // level, and LT cascades from the hubs run many levels deep.
-Graph HubHeavyGraph(WeightModel model) {
+Graph HubHeavyGraph(WeightModel model, NodeId n = 3000) {
   Rng rng(0xba);
-  EdgeList list = BarabasiAlbert(3000, 5, rng);
+  EdgeList list = BarabasiAlbert(n, 5, rng);
   const size_t forward = list.arcs.size();
   for (size_t i = 0; i < forward; ++i) {
     list.arcs.push_back(Arc{list.arcs[i].target, list.arcs[i].source});
@@ -224,6 +225,162 @@ TEST(FusedKernelTest, LtEstimateIdenticalAcrossBackends) {
     }
     std::remove(path.c_str());
   }
+}
+
+}  // namespace
+
+// Sends every contacted lane of a context's LT blocks through the exact
+// in-edge sweep (B = +inf), the path the default margin almost never takes.
+class FusedCascadeContextTestPeer {
+ public:
+  static void ForceExactPath(FusedCascadeContext& context) {
+    context.PrepareScratch(DiffusionKind::kLinearThreshold);
+    context.lt_margin_ = std::numeric_limits<double>::infinity();
+  }
+};
+
+namespace {
+
+// Γ of the default and the forced-exact path must equal the replay lane
+// for lane on both backends and for full and partial tail blocks. The
+// seed list holds a duplicate and a seed that is another's out-neighbor.
+TEST(FusedKernelExactPathTest, ForcedExactSweepMatchesReplayAndDefault) {
+  for (const WeightModel model : {WeightModel::kLtUniform,
+                                  WeightModel::kLtRandom,
+                                  WeightModel::kLtParallel}) {
+    const Graph graph = HubHeavyGraph(model, 2000);
+    const std::string path = ::testing::TempDir() + "/fused_lt_exact.imgrf";
+    std::string error;
+    ASSERT_TRUE(WriteGraphFile(graph, model, path, &error)) << error;
+    CompactGraph compact;
+    ASSERT_EQ(CompactGraph::Open(path, &compact, &error),
+              GraphFileStatus::kOk)
+        << error;
+    const std::vector<NodeId> seeds = {7, 0, graph.OutTargets(0)[0], 7};
+    constexpr uint64_t kBlock = 2;
+    NodeId replay[kFusedLanes];
+    for (uint32_t lane = 0; lane < kFusedLanes; ++lane) {
+      replay[lane] = FusedScalarReplay(graph, DiffusionKind::kLinearThreshold,
+                                       seeds, 42, kBlock * 64 + lane);
+    }
+    for (const GraphView view : {GraphView(graph), GraphView(compact)}) {
+      FusedCascadeContext fast(view);
+      FusedCascadeContext exact(view);
+      FusedCascadeContextTestPeer::ForceExactPath(exact);
+      for (const uint32_t lanes : {kFusedLanes, 23u}) {
+        NodeId fast_gamma[kFusedLanes];
+        NodeId exact_gamma[kFusedLanes];
+        fast.RunBlock(DiffusionKind::kLinearThreshold, seeds, 42, kBlock,
+                      lanes, fast_gamma);
+        exact.RunBlock(DiffusionKind::kLinearThreshold, seeds, 42, kBlock,
+                       lanes, exact_gamma);
+        for (uint32_t lane = 0; lane < lanes; ++lane) {
+          ASSERT_EQ(exact_gamma[lane], replay[lane])
+              << WeightModelName(model) << " compact=" << view.is_compact()
+              << " lanes=" << lanes << " lane=" << lane;
+          ASSERT_EQ(fast_gamma[lane], replay[lane])
+              << WeightModelName(model) << " compact=" << view.is_compact()
+              << " lanes=" << lanes << " lane=" << lane;
+        }
+      }
+      EXPECT_EQ(fast.exact_lanes(), 0u) << WeightModelName(model);
+      EXPECT_GT(exact.exact_lanes(), 0u) << WeightModelName(model);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// The fl(in-edge-order sum) of the `active` positions of `weights`.
+double InEdgeOrderSum(const std::vector<double>& weights,
+                      std::vector<uint32_t> active) {
+  std::sort(active.begin(), active.end());
+  double sum = 0;
+  for (const uint32_t e : active) sum += weights[e];
+  return sum;
+}
+
+// t − w_π1 − … − w_πk in activation order π, as the kernel's slot holds it.
+double Residual(double threshold, const std::vector<double>& weights,
+                const std::vector<uint32_t>& active) {
+  double residual = threshold;
+  for (const uint32_t e : active) residual -= weights[e];
+  return residual;
+}
+
+// Whenever the three-way decision is not kExact it must agree with the
+// replay's comparison, for in-degrees up to 5000, weights from 1e-9 to 1,
+// in-weight sums above 1 and random activation orders; and a threshold
+// equal to the in-edge-order sum, or one ulp off it, must be exact.
+TEST(FusedKernelMarginTest, DecisionsAgreeWithInEdgeOrderSum) {
+  Rng rng(0xb0d);
+  uint64_t decided = 0;
+  uint32_t sums_above_one = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t degree =
+        trial < 20   ? 5000
+        : trial < 40 ? 1 + trial % 3
+                     : 1 + static_cast<uint32_t>(rng.NextU64(5000));
+    std::vector<double> weights(degree);
+    double max_weight = 0;
+    for (double& w : weights) {
+      w = std::pow(10.0, -9.0 * rng.NextDouble());
+      max_weight = std::max(max_weight, w);
+    }
+    std::vector<uint32_t> order(degree);
+    for (uint32_t e = 0; e < degree; ++e) order[e] = e;
+    for (uint32_t e = degree; e > 1; --e) {
+      std::swap(order[e - 1], order[rng.NextU64(e)]);
+    }
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.NextU64(degree));
+    const std::vector<uint32_t> active(order.begin(), order.begin() + k);
+    const double sum = InEdgeOrderSum(weights, active);
+    if (sum > 1) ++sums_above_one;
+    const double margin = LtRoundingMargin(degree, max_weight);
+    ASSERT_GT(margin, 0);
+
+    for (const double tie : {sum, std::nextafter(sum, 0.0),
+                             std::nextafter(sum, 2 * sum + 1)}) {
+      EXPECT_EQ(DecideLt(Residual(tie, weights, active), margin),
+                LtDecision::kExact)
+          << "degree=" << degree << " k=" << k << " sum=" << sum
+          << " t=" << tie;
+    }
+    std::vector<double> thresholds;
+    for (int i = 0; i < 8; ++i) thresholds.push_back(rng.NextDouble());
+    for (const double scale : {0.25, 0.5, 1.0, 1.5, 2.0, 4.0}) {
+      thresholds.push_back(sum + scale * margin);
+      thresholds.push_back(sum - scale * margin);
+    }
+    for (int shift = 1; shift < 40; shift += 3) {
+      const double ulps = std::ldexp(1.0, shift);
+      const double ulp = std::nextafter(sum, 2 * sum + 1) - sum;
+      thresholds.push_back(sum + ulps * ulp);
+      thresholds.push_back(sum - ulps * ulp);
+    }
+    for (const double t : thresholds) {
+      const LtDecision decision =
+          DecideLt(Residual(t, weights, active), margin);
+      if (decision == LtDecision::kExact) continue;
+      ++decided;
+      ASSERT_EQ(decision == LtDecision::kActivate, sum >= t)
+          << "degree=" << degree << " k=" << k << " sum=" << sum
+          << " t=" << t << " margin=" << margin;
+    }
+  }
+  EXPECT_GT(sums_above_one, 50u);
+  // The margin must be tight enough to decide the uniform draws and the
+  // thresholds far outside it without a sweep.
+  EXPECT_GT(decided, 200u * 8u);
+}
+
+TEST(FusedKernelMarginTest, NonFiniteInputsForceTheExactPath) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(LtRoundingMargin(10, kInf), kInf);
+  EXPECT_EQ(LtRoundingMargin(10, std::nan("")), kInf);
+  EXPECT_EQ(LtRoundingMargin(uint64_t{1} << 40, 1e300), kInf);
+  EXPECT_EQ(DecideLt(std::nan(""), 1e-9), LtDecision::kExact);
+  EXPECT_EQ(DecideLt(-1.0, kInf), LtDecision::kExact);
+  EXPECT_EQ(DecideLt(1.0, kInf), LtDecision::kExact);
 }
 
 TEST(FusedKernelTest, AutoDispatchesBySimulationCount) {
