@@ -45,18 +45,8 @@ SelectionResult Imm::Select(const SelectionInput& input) {
 
   auto generate_until = [&](uint64_t target) {
     if (sets.size() >= target || stop != StopReason::kNone) return;
-    // Pre-size the arena from the corpus so far: the martingale phases
-    // roughly double θ each round, so without this every round re-grows
-    // the member arena several times over.
-    if (sets.size() > 0) {
-      const uint64_t mean_entries =
-          (sets.TotalEntries() + sets.size() - 1) / sets.size();
-      uint64_t estimate = target * mean_entries;
-      if (options_.max_rr_entries != 0) {
-        estimate = std::min(estimate, options_.max_rr_entries);
-      }
-      sets.Reserve(target, estimate);
-    }
+    // Each round roughly doubles θ; the corpus arenas grow in place
+    // (mremap), so a round neither copies nor re-faults earlier sets.
     const RrBatchResult batch =
         sampler.Generate(input.seed, target - sets.size(), sets, nullptr);
     if (input.counters != nullptr) input.counters->rr_sets += batch.generated;

@@ -37,7 +37,6 @@ SelectionResult Ris::Select(const SelectionInput& input) {
   StopReason stop = StopReason::kNone;
   std::vector<uint64_t> widths;
   widths.reserve(kChunkSets);
-  bool reserved = false;
   Span sample_span(input.trace, "sample");
   while (examined < budget && stop == StopReason::kNone) {
     widths.clear();
@@ -67,25 +66,6 @@ SelectionResult Ris::Select(const SelectionInput& input) {
     if (input.counters != nullptr) input.counters->rr_sets += kept;
     TraceAdd(input.trace, TraceCounter::kRrSets, kept);
     if (batch.generated == 0 && batch.stop == StopReason::kNone) break;
-    // Project the final corpus size off the first chunk's budget burn rate
-    // and pre-size the arena once: sets-per-step and entries-per-set are
-    // stable across chunks, so this usually lands within one re-grow of
-    // the final footprint. Purely a reservation — contents and the budget
-    // crossing are unaffected.
-    if (!reserved && sets.size() > 0 && examined > 0) {
-      reserved = true;
-      const double sets_per_step =
-          static_cast<double>(sets.size()) / examined;
-      const uint64_t projected_sets = static_cast<uint64_t>(
-          budget * sets_per_step + static_cast<double>(kChunkSets));
-      const uint64_t mean_entries =
-          (sets.TotalEntries() + sets.size() - 1) / sets.size();
-      uint64_t estimate = projected_sets * mean_entries;
-      if (options_.max_rr_entries != 0) {
-        estimate = std::min(estimate, options_.max_rr_entries);
-      }
-      sets.Reserve(projected_sets, estimate);
-    }
   }
   sample_span.Close();
 

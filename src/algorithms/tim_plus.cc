@@ -129,20 +129,6 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
 
     if (last_stop_ == StopReason::kNone) {
       Span final_span(input.trace, "final");
-      // Pre-size the arena from the KPT-phase sample: θ sets at the
-      // observed mean set size (capped by the entry-cap safety valve, so a
-      // doomed run never reserves more than it is allowed to fill). This
-      // turns the final phase's arena growth into one allocation instead
-      // of a geometric re-grow series.
-      if (kpt_sets.size() > 0) {
-        const uint64_t mean_entries =
-            (kpt_sets.TotalEntries() + kpt_sets.size() - 1) / kpt_sets.size();
-        uint64_t estimate = theta * mean_entries;
-        if (options_.max_rr_entries != 0) {
-          estimate = std::min(estimate, options_.max_rr_entries);
-        }
-        sets.Reserve(theta, estimate);
-      }
       const RrBatchResult batch =
           sampler.Generate(input.seed, theta, sets, nullptr);
       count_rr(batch.generated);

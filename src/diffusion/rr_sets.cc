@@ -345,10 +345,10 @@ RrCollection::RrCollection(NodeId num_nodes) : num_nodes_(num_nodes) {
   set_offsets_.push_back(0);
 }
 
-bool RrCollection::FromArenas(NodeId num_nodes, std::vector<NodeId> members,
-                              std::vector<uint64_t> offsets,
+bool RrCollection::FromArenas(NodeId num_nodes, MappedArena<NodeId> members,
+                              MappedArena<uint64_t> offsets,
                               RrCollection* out) {
-  if (offsets.empty() || offsets.front() != 0 ||
+  if (offsets.empty() || offsets[0] != 0 ||
       offsets.back() != members.size()) {
     return false;
   }
@@ -366,22 +366,21 @@ bool RrCollection::FromArenas(NodeId num_nodes, std::vector<NodeId> members,
 
 void RrCollection::AppendSet(std::span<const NodeId> set) {
   for (const NodeId v : set) IMBENCH_CHECK(v < num_nodes_);
-  members_.insert(members_.end(), set.begin(), set.end());
+  members_.append(set);
   set_offsets_.push_back(members_.size());
 }
 
 void RrCollection::AppendBatch(std::span<const NodeId> members,
                                std::span<const uint32_t> sizes) {
   for (const NodeId v : members) IMBENCH_CHECK(v < num_nodes_);
-  members_.insert(members_.end(), members.begin(), members.end());
+  members_.append(members);
   uint64_t offset = set_offsets_.back();
-  uint64_t spliced = 0;
+  uint64_t* out = set_offsets_.Extend(sizes.size());
   for (const uint32_t size : sizes) {
     offset += size;
-    set_offsets_.push_back(offset);
-    spliced += size;
+    *out++ = offset;
   }
-  IMBENCH_CHECK(spliced == members.size());
+  IMBENCH_CHECK(offset == members_.size());
 }
 
 void RrCollection::Reserve(uint64_t sets, uint64_t entries) {
@@ -418,24 +417,22 @@ void RrCollection::ReplaceSets(std::span<const uint32_t> set_ids,
   // One forward compaction pass: kept sets are block-copied from the old
   // arena, replaced sets from the batch. Sizes differ in general, so the
   // pass rebuilds both arenas rather than shifting in place.
-  std::vector<NodeId> new_members;
+  MappedArena<NodeId> new_members;
   new_members.reserve(members_.size() - (set_offsets_[set_ids.back() + 1] -
                                          set_offsets_[set_ids.front()]) +
                       members.size());
-  std::vector<uint64_t> new_offsets;
+  MappedArena<uint64_t> new_offsets;
   new_offsets.reserve(set_offsets_.size());
   new_offsets.push_back(0);
   size_t next_replace = 0;
   for (size_t id = 0; id < num_sets; ++id) {
     if (next_replace < set_ids.size() && set_ids[next_replace] == id) {
-      new_members.insert(
-          new_members.end(), members.begin() + rep_offsets[next_replace],
-          members.begin() + rep_offsets[next_replace + 1]);
+      new_members.append(members.subspan(
+          rep_offsets[next_replace],
+          rep_offsets[next_replace + 1] - rep_offsets[next_replace]));
       ++next_replace;
     } else {
-      new_members.insert(new_members.end(),
-                         members_.begin() + set_offsets_[id],
-                         members_.begin() + set_offsets_[id + 1]);
+      new_members.append(Set(id));
     }
     new_offsets.push_back(new_members.size());
   }
@@ -459,10 +456,9 @@ std::vector<uint32_t> RrCollection::SetsContainingAny(
 }
 
 uint64_t RrCollection::MemoryBytes() const {
-  return members_.capacity() * sizeof(NodeId) +
-         set_offsets_.capacity() * sizeof(uint64_t) +
-         inv_offsets_.capacity() * sizeof(uint64_t) +
-         inv_sets_.capacity() * sizeof(uint32_t) + sizeof(*this);
+  return members_.MemoryBytes() + set_offsets_.MemoryBytes() +
+         inv_offsets_.capacity() * sizeof(uint64_t) + inv_sets_.MemoryBytes() +
+         sizeof(*this);
 }
 
 void RrCollection::ResetInvertedIndex() {
@@ -479,15 +475,17 @@ void RrCollection::EnsureInvertedIndex() const {
   // relies on. An extension from 0 is the full counting-sort build.
   if (inv_offsets_.empty()) {
     inv_offsets_.assign(num_nodes_ + 1, 0);
+    inv_sets_.clear();
   } else if (indexed_sets_ == num_sets) {
     return;
   }
   const uint64_t tail_begin = set_offsets_[indexed_sets_];
   // Exact growth: reserve() to the entry count, so the index holds no idle
-  // slack (resize() alone may double the capacity). The old contents are
-  // carried over in place; no second index copy is built.
+  // slack beyond page rounding (the arena's geometric rule would add up to
+  // an eighth). The mapping grows in place; no second index copy exists.
+  // Every new slot is written below, so Extend skips the zero fill.
   inv_sets_.reserve(members_.size());
-  inv_sets_.resize(members_.size());
+  inv_sets_.Extend(members_.size() - inv_sets_.size());
   // shift[v]: tail entries of nodes below v, i.e. how far v's old slice
   // moves up. Counted over the tail only, then prefix-summed in place.
   std::vector<uint64_t> shift(num_nodes_, 0);
@@ -567,7 +565,9 @@ std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
   for (NodeId v = 0; v < num_nodes_; ++v) {
     if (degree[v] > 0) buckets[degree[v]].push_back(v);
   }
-  std::vector<uint8_t> covered(limit, 0);
+  // One bit per set: at ≈9M sets a byte per flag would add ≈8 MB to the
+  // peak heap.
+  std::vector<uint64_t> covered((limit + 63) / 64, 0);
   std::vector<uint8_t> chosen(num_nodes_, 0);
 
   std::vector<NodeId> seeds;
@@ -612,8 +612,10 @@ std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
     for (uint64_t j = inv_offsets_[best]; j < inv_offsets_[best + 1]; ++j) {
       const uint32_t set_id = inv_sets_[j];
       if (set_id >= limit) break;  // slice is ascending; rest is past limit
-      if (covered[set_id]) continue;
-      covered[set_id] = 1;
+      uint64_t& word = covered[set_id >> 6];
+      const uint64_t bit = uint64_t{1} << (set_id & 63);
+      if ((word & bit) != 0) continue;
+      word |= bit;
       ++covered_count;
       const uint64_t end = set_offsets_[set_id + 1];
       for (uint64_t i = set_offsets_[set_id]; i < end; ++i) {

@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "common/run_options.h"
 #include "diffusion/cascade.h"
+#include "framework/mapped_arena.h"
 #include "framework/run_guard.h"
 #include "graph/graph_view.h"
 
@@ -218,9 +219,14 @@ std::unique_ptr<RrSampler> MakeRrEngine(const GraphView& graph,
 // same flattening the reference TIM/IMM implementations use): one
 // contiguous `members` array plus a `set_offsets` array for the forward
 // direction, and an on-demand CSR inverted index for node -> set ids.
-// Both directions are single contiguous allocations, so the greedy
-// max-cover inner loops — the hottest loops of TIM+/IMM/RIS — iterate
-// plain spans instead of chasing millions of per-set vector headers.
+// Both directions are single contiguous arrays, so the greedy max-cover
+// inner loops — the hottest loops of TIM+/IMM/RIS — iterate plain spans
+// instead of chasing millions of per-set vector headers.
+//
+// The three arrays that grow with the corpus (members, set offsets and the
+// index's set ids) are MappedArenas (framework/mapped_arena.h): they grow
+// in place by mremap, so no growth ever holds two copies of the corpus or
+// faults a touched page in again, and no caller needs to pre-size them.
 //
 // The inverted index is an append-only cache over the first
 // `indexed_sets_` sets, grouped per node in increasing set-id order (the
@@ -249,10 +255,10 @@ class RrCollection {
   void AppendBatch(std::span<const NodeId> members,
                    std::span<const uint32_t> sizes);
 
-  // Pre-sizes the arenas for `sets` additional-or-total sets holding
-  // `entries` total member ids (both are totals, not increments). Callers
-  // with a corpus-size estimate (TIM+'s θ from the KPT phase) use this so
-  // the final sampling phase doesn't re-grow the arena repeatedly.
+  // Maps room for `sets` sets holding `entries` member ids in total (both
+  // totals, not increments), exactly, page-rounded. Growth never copies, so
+  // the algorithms do not call this; it lets a caller that knows the final
+  // size (a benchmark timing the sampler alone) map it once up front.
   void Reserve(uint64_t sets, uint64_t entries);
 
   // Drops sets from the back until `size() == n`: an O(dropped) offset
@@ -285,14 +291,14 @@ class RrCollection {
   std::span<const NodeId> MembersArena() const { return members_; }
   std::span<const uint64_t> OffsetsArena() const { return set_offsets_; }
 
-  // Rebuilds a collection from serialized arenas (checkpoint recovery).
-  // Validates the CSR shape — offsets start at 0, ascend, end at
+  // Adopts serialized arenas (checkpoint recovery reads the file straight
+  // into them). Validates the CSR shape — offsets start at 0, ascend, end at
   // members.size(), and every member id is < num_nodes — and returns false
   // on malformed input without touching *out: a torn or tampered file must
   // fall back to a cold build, never produce a corpus that serves wrong
   // seeds.
-  static bool FromArenas(NodeId num_nodes, std::vector<NodeId> members,
-                         std::vector<uint64_t> offsets, RrCollection* out);
+  static bool FromArenas(NodeId num_nodes, MappedArena<NodeId> members,
+                         MappedArena<uint64_t> offsets, RrCollection* out);
 
   size_t size() const {
     // Empty-guard keeps a moved-from collection at size 0 instead of
@@ -305,9 +311,11 @@ class RrCollection {
                                    set_offsets_[i + 1] - set_offsets_[i]);
   }
 
-  // Exact heap bytes held by the corpus: the two forward arenas plus the
-  // inverted-index arenas (zero until first built) and the object header.
-  // This is the Fig. 8 memory metric for the RR-sketch family.
+  // Exact bytes held by the corpus: the page-rounded mapping lengths of the
+  // member, offset and index-set arenas, the index's per-node offsets (zero
+  // until first built) and the object header. These are the bytes the
+  // corpus adds to CurrentHeapBytes(). This is the Fig. 8 memory metric for
+  // the RR-sketch family.
   uint64_t MemoryBytes() const;
 
   // Greedy max cover: picks k nodes maximizing the number of covered sets.
@@ -331,9 +339,9 @@ class RrCollection {
 
  private:
   // Extends the node -> set-ids CSR (inv_offsets_ / inv_sets_) in place
-  // over the sets appended since the last call: counts only the tail,
-  // moves each old slice up (highest node first) and scatters the tail's
-  // set ids after it.
+  // over the sets appended since the last call: grows inv_sets_ to exactly
+  // the entry count, counts only the tail, moves each old slice up (highest
+  // node first) and scatters the tail's set ids after it.
   void EnsureInvertedIndex() const;
   // Drops the index back to "no set indexed", after a mutation that
   // rewrote or removed indexed sets.
@@ -342,14 +350,13 @@ class RrCollection {
   // Number of sets with id < limit containing v (prefix of v's slice).
   uint32_t PrefixDegree(NodeId v, size_t limit) const;
 
-
   NodeId num_nodes_;
-  std::vector<NodeId> members_;        // all sets, back to back
-  std::vector<uint64_t> set_offsets_;  // size()+1 offsets into members_
+  MappedArena<NodeId> members_;        // all sets, back to back
+  MappedArena<uint64_t> set_offsets_;  // size()+1 offsets into members_
   // Inverted-index cache over sets [0, indexed_sets_): set ids grouped by
   // node, ascending within each node's slice.
   mutable std::vector<uint64_t> inv_offsets_;  // num_nodes_+1 once built
-  mutable std::vector<uint32_t> inv_sets_;
+  mutable MappedArena<uint32_t> inv_sets_;
   mutable size_t indexed_sets_ = 0;
 };
 

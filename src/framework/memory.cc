@@ -12,9 +12,7 @@ namespace {
 std::atomic<uint64_t> g_current_bytes{0};
 std::atomic<uint64_t> g_peak_bytes{0};
 
-void AccountAlloc(void* ptr) {
-  if (ptr == nullptr) return;
-  const uint64_t size = malloc_usable_size(ptr);
+void AccountGrowth(uint64_t size) {
   const uint64_t current =
       g_current_bytes.fetch_add(size, std::memory_order_relaxed) + size;
   uint64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
@@ -22,6 +20,11 @@ void AccountAlloc(void* ptr) {
          !g_peak_bytes.compare_exchange_weak(peak, current,
                                              std::memory_order_relaxed)) {
   }
+}
+
+void AccountAlloc(void* ptr) {
+  if (ptr == nullptr) return;
+  AccountGrowth(malloc_usable_size(ptr));
 }
 
 void AccountFree(void* ptr) {
@@ -43,6 +46,15 @@ uint64_t PeakHeapBytes() {
 void ResetPeakHeapBytes() {
   g_peak_bytes.store(g_current_bytes.load(std::memory_order_relaxed),
                      std::memory_order_relaxed);
+}
+
+void AccountMappedBytes(int64_t delta) {
+  if (delta >= 0) {
+    AccountGrowth(static_cast<uint64_t>(delta));
+  } else {
+    g_current_bytes.fetch_sub(static_cast<uint64_t>(-delta),
+                              std::memory_order_relaxed);
+  }
 }
 
 }  // namespace imbench

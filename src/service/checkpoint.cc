@@ -1,9 +1,12 @@
 #include "service/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "framework/fault.h"
 
 namespace imbench {
@@ -12,6 +15,10 @@ namespace {
 
 constexpr char kMagic[8] = {'I', 'M', 'C', 'K', 'P', 'T', '0', '1'};
 constexpr uint32_t kVersion = 1;
+// Magic, version, kind, seed, epoch, epsilon, num_nodes, reserved,
+// fingerprint, set count, entry count, payload and header checksums.
+constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 8 + 8 +
+                                8 + 8;
 
 uint64_t Fnv1a(const uint8_t* data, size_t size, uint64_t h) {
   for (size_t i = 0; i < size; ++i) {
@@ -59,6 +66,10 @@ bool FailSave(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
+
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
 
 CheckpointStatus Refuse(CheckpointStatus status, std::string* error,
                         const std::string& message) {
@@ -137,6 +148,7 @@ bool SaveCorpusCheckpoint(const std::string& path, const CheckpointMeta& meta,
   const uint64_t header_checksum =
       Fnv1a(header.bytes.data(), header.bytes.size(), kFnvBasis);
   header.U64(header_checksum);
+  IMBENCH_CHECK(header.bytes.size() == kHeaderBytes);
 
   std::FILE* out = std::fopen(path.c_str(), "wb");
   if (out == nullptr) {
@@ -172,9 +184,9 @@ CheckpointStatus LoadCorpusCheckpoint(const std::string& path,
     return Refuse(CheckpointStatus::kMissing, error, "no checkpoint at " +
                                                          path);
   }
+  const std::unique_ptr<std::FILE, FileCloser> file(in);
   // Fault site: the read fails outright (disk error, permission flip).
   if (FaultFire(faultsite::kCheckpointRead)) {
-    std::fclose(in);
     return Refuse(CheckpointStatus::kIoError, error,
                   "injected checkpoint read fault");
   }
@@ -182,20 +194,19 @@ CheckpointStatus LoadCorpusCheckpoint(const std::string& path,
   const long file_size = std::ftell(in);
   std::fseek(in, 0, SEEK_SET);
   if (file_size < 0) {
-    std::fclose(in);
     return Refuse(CheckpointStatus::kIoError, error, "cannot stat " + path);
   }
-  std::vector<uint8_t> bytes(static_cast<size_t>(file_size));
-  const bool read_ok =
-      bytes.empty() ||
-      std::fread(bytes.data(), 1, bytes.size(), in) == bytes.size();
-  std::fclose(in);
-  if (!read_ok) {
+  // The header is read and validated on its own; the payload then goes
+  // from the file straight into the corpus arenas, with no staging copy.
+  uint8_t header[kHeaderBytes];
+  const size_t header_bytes =
+      std::min(sizeof header, static_cast<size_t>(file_size));
+  if (std::fread(header, 1, header_bytes, in) != header_bytes) {
     return Refuse(CheckpointStatus::kIoError, error, "short read from " +
                                                          path);
   }
 
-  ByteReader reader{bytes.data(), bytes.size()};
+  ByteReader reader{header, header_bytes};
   char magic[sizeof kMagic];
   reader.Raw(magic, sizeof magic);
   if (!reader.ok || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -218,7 +229,7 @@ CheckpointStatus LoadCorpusCheckpoint(const std::string& path,
   if (!reader.ok) {
     return Refuse(CheckpointStatus::kCorrupt, error, "truncated header");
   }
-  if (Fnv1a(bytes.data(), checksummed, kFnvBasis) != header_checksum) {
+  if (Fnv1a(header, checksummed, kFnvBasis) != header_checksum) {
     return Refuse(CheckpointStatus::kCorrupt, error,
                   "header checksum mismatch");
   }
@@ -234,22 +245,38 @@ CheckpointStatus LoadCorpusCheckpoint(const std::string& path,
                   "diffusion model");
   }
 
+  // Bounded by the payload size before any multiplication, so no count
+  // from the file can overflow the byte arithmetic or size an arena past
+  // the file.
+  const uint64_t payload_bytes = static_cast<uint64_t>(file_size) - reader.pos;
+  const bool sizes_fit = num_sets < payload_bytes / sizeof(uint64_t) &&
+                         num_entries <= payload_bytes / sizeof(NodeId);
   const uint64_t offsets_bytes = (num_sets + 1) * sizeof(uint64_t);
   const uint64_t members_bytes = num_entries * sizeof(NodeId);
-  if (reader.pos + offsets_bytes + members_bytes != bytes.size()) {
+  if (!sizes_fit || offsets_bytes + members_bytes != payload_bytes) {
     return Refuse(CheckpointStatus::kCorrupt, error,
                   "torn payload: file size does not match the header");
   }
-  if (Fnv1a(bytes.data() + reader.pos, offsets_bytes + members_bytes,
-            kFnvBasis) != payload_checksum) {
+  MappedArena<uint64_t> offsets;
+  MappedArena<NodeId> members;
+  const bool read_ok =
+      std::fread(offsets.Extend(num_sets + 1), 1, offsets_bytes, in) ==
+          offsets_bytes &&
+      (members_bytes == 0 ||
+       std::fread(members.Extend(num_entries), 1, members_bytes, in) ==
+           members_bytes);
+  if (!read_ok) {
+    return Refuse(CheckpointStatus::kIoError, error, "short read from " +
+                                                         path);
+  }
+  const uint64_t checksum =
+      Fnv1a(reinterpret_cast<const uint8_t*>(members.data()), members_bytes,
+            Fnv1a(reinterpret_cast<const uint8_t*>(offsets.data()),
+                  offsets_bytes, kFnvBasis));
+  if (checksum != payload_checksum) {
     return Refuse(CheckpointStatus::kCorrupt, error,
                   "payload checksum mismatch");
   }
-  std::vector<uint64_t> offsets(num_sets + 1);
-  std::memcpy(offsets.data(), bytes.data() + reader.pos, offsets_bytes);
-  std::vector<NodeId> members(num_entries);
-  std::memcpy(members.data(), bytes.data() + reader.pos + offsets_bytes,
-              members_bytes);
   if (!RrCollection::FromArenas(meta.num_nodes, std::move(members),
                                 std::move(offsets), corpus)) {
     return Refuse(CheckpointStatus::kCorrupt, error,

@@ -6,6 +6,8 @@
 // Tests inject private ThreadPool instances (threads - 1 workers) so real
 // concurrency runs even on single-core machines, where the shared pool has
 // zero workers and everything would silently degrade to inline execution.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -627,20 +629,20 @@ TEST(RrCollectionTest, TruncateToUnwindsInvertedIndex) {
 }
 
 TEST(RrCollectionTest, MemoryBytesCountsArenasAndInvertedIndex) {
-  // Flat-arena accounting (the Fig. 8 metric): an empty corpus holds two
-  // near-empty arrays — no per-node or per-set vector headers — and the
-  // CSR inverted index only materializes (and starts being counted) when
-  // the first GreedyMaxCover builds it.
+  // Flat-arena accounting (the Fig. 8 metric), exact: each arena counts its
+  // page-rounded mapping from the first byte it holds. An empty corpus maps
+  // only the offsets arena's leading 0 — no per-node or per-set vector
+  // headers — and the CSR inverted index only materializes (and starts
+  // being counted) when the first GreedyMaxCover builds it.
+  const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
   RrCollection c(1000);
-  const uint64_t empty_bytes = c.MemoryBytes();
-  EXPECT_LT(empty_bytes, 4096u);
+  EXPECT_EQ(c.MemoryBytes(), page + sizeof(RrCollection));
   c.Add({1, 2, 3, 4, 5});
-  EXPECT_GE(c.MemoryBytes(), empty_bytes + 5 * sizeof(NodeId));
-  const uint64_t before_cover = c.MemoryBytes();
+  EXPECT_EQ(c.MemoryBytes(), 2 * page + sizeof(RrCollection));
   c.GreedyMaxCover(1);
-  // Index arenas: 1001 offsets plus one slot per member entry.
-  EXPECT_GE(c.MemoryBytes(),
-            before_cover + 1001 * sizeof(uint64_t) + 5 * sizeof(uint32_t));
+  // Index: 1001 per-node offsets plus one page holding the 5 set ids.
+  EXPECT_EQ(c.MemoryBytes(),
+            3 * page + 1001 * sizeof(uint64_t) + sizeof(RrCollection));
 }
 
 }  // namespace

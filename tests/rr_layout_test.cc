@@ -4,6 +4,8 @@
 // greedy max-cover seeds and covered fractions (which pins the degree-bucket
 // cover to the legacy lazy heap's tie-breaking at every corpus size), and
 // the same TruncateTo semantics across parallel batch boundaries.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -19,6 +21,12 @@
 
 namespace imbench {
 namespace {
+
+// Page-rounded byte count: the length of an arena mapping.
+uint64_t Pages(uint64_t bytes) {
+  const uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  return (bytes + page - 1) / page * page;
+}
 
 Graph WcGraph() {
   Graph g = MakeDataset("nethept", DatasetScale::kTiny);
@@ -252,10 +260,13 @@ void ExpectIndexMatchesFreshCopy(const RrCollection& grown, NodeId n,
   SCOPED_TRACE(step);
   const auto members = grown.MembersArena();
   const auto offsets = grown.OffsetsArena();
+  MappedArena<NodeId> members_copy;
+  members_copy.append(members);
+  MappedArena<uint64_t> offsets_copy;
+  offsets_copy.append(offsets);
   RrCollection fresh(n);
-  ASSERT_TRUE(RrCollection::FromArenas(
-      n, std::vector<NodeId>(members.begin(), members.end()),
-      std::vector<uint64_t>(offsets.begin(), offsets.end()), &fresh));
+  ASSERT_TRUE(RrCollection::FromArenas(n, std::move(members_copy),
+                                       std::move(offsets_copy), &fresh));
   double grown_fraction = -1;
   double fresh_fraction = -2;
   EXPECT_EQ(grown.GreedyMaxCover(10, &grown_fraction),
@@ -340,10 +351,12 @@ TEST(RrLayoutTest, IncrementalIndexMatchesFreshBuildAfterEveryStep) {
 }
 
 TEST(RrLayoutTest, IndexGrowsToExactEntryCount) {
-  // Each extension sizes the index to exactly one slot per entry, so a
-  // corpus grown in uneven steps holds no idle index capacity (the Fig. 8
-  // metric). The arenas are reserved exactly up front, which pins every
-  // other term of MemoryBytes().
+  // Each extension maps the index to exactly one slot per entry, page-
+  // rounded, so a corpus grown in uneven steps holds no idle index capacity
+  // beyond the last page (the Fig. 8 metric). The forward arenas are
+  // reserved exactly up front, which pins every other term of
+  // MemoryBytes(): mapping lengths, the per-node index offsets and the
+  // object header.
   const Graph g = WcGraph();
   const NodeId n = g.num_nodes();
   RrSampler sampler(g, DiffusionKind::kIndependentCascade);
@@ -360,9 +373,11 @@ TEST(RrLayoutTest, IndexGrowsToExactEntryCount) {
     for (size_t i = 0; i < step; ++i) c.AppendSet(sets[next++]);
     c.SetsContainingAny({});  // extends the index
     EXPECT_EQ(c.MemoryBytes(),
-              entries * sizeof(NodeId) + (sets.size() + 1) * sizeof(uint64_t) +
+              Pages(entries * sizeof(NodeId)) +
+                  Pages((sets.size() + 1) * sizeof(uint64_t)) +
                   (uint64_t{n} + 1) * sizeof(uint64_t) +
-                  c.TotalEntries() * sizeof(uint32_t) + sizeof(RrCollection))
+                  Pages(c.TotalEntries() * sizeof(uint32_t)) +
+                  sizeof(RrCollection))
         << "after " << c.size() << " sets";
   }
   ASSERT_EQ(next, sets.size());

@@ -1,5 +1,7 @@
 #include "diffusion/rr_sets.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <set>
 
@@ -93,7 +95,10 @@ TEST(RrCollectionTest, TracksSizesAndMembership) {
   collection.Add({1, 2, 3});
   EXPECT_EQ(collection.size(), 2u);
   EXPECT_EQ(collection.TotalEntries(), 5u);
-  EXPECT_GT(collection.MemoryBytes(), 0u);
+  // One page each for the offset and member arenas; no index yet.
+  EXPECT_EQ(collection.MemoryBytes(),
+            2 * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) +
+                sizeof(RrCollection));
   const auto set0 = collection.Set(0);
   EXPECT_EQ(std::vector<NodeId>(set0.begin(), set0.end()),
             (std::vector<NodeId>{0, 1}));

@@ -25,18 +25,23 @@ TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   std::atomic<int> done{0};
   std::mutex mutex;
   std::condition_variable cv;
+  bool all_done = false;  // guarded by mutex
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == kTasks) {
         std::lock_guard<std::mutex> lock(mutex);
+        all_done = true;
         cv.notify_one();
       }
     });
   }
+  // The predicate reads only what the last task writes under the mutex, so
+  // the wait cannot return (and destroy cv) while that task is still
+  // between its increment and its notify.
   std::unique_lock<std::mutex> lock(mutex);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&] {
-    return done.load(std::memory_order_acquire) == kTasks;
-  }));
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                          [&] { return all_done; }));
+  EXPECT_EQ(done.load(std::memory_order_acquire), kTasks);
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
