@@ -29,6 +29,34 @@ constexpr uint64_t kFlushEntries = uint64_t{1} << 12;
 // before it is sampled, half a ring after its offsets were.
 constexpr uint32_t kStage2Distance = RrSampler::kLookahead / 2;
 
+// A contiguous range [begin, end) of an array whose elements move `shift`
+// positions.
+struct RunMove {
+  uint64_t begin;
+  uint64_t end;
+  int64_t shift;
+};
+
+// Moves each run of `runs` within `data`. Sources are listed ascending and
+// disjoint, and the destinations keep that order without overlapping (the
+// layout of an in-place splice). Runs moving down go front to back, then
+// runs moving up go back to front: a run moving down lands only on space
+// that earlier runs have already left, one moving up only on space later
+// runs have already left, so no source is overwritten before it moves.
+template <typename T>
+void MoveRuns(T* data, std::span<const RunMove> runs) {
+  auto move = [data](const RunMove& run) {
+    std::memmove(data + run.begin + run.shift, data + run.begin,
+                 (run.end - run.begin) * sizeof(T));
+  };
+  for (const RunMove& run : runs) {
+    if (run.shift < 0 && run.end > run.begin) move(run);
+  }
+  for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+    if (run->shift > 0 && run->end > run->begin) move(*run);
+  }
+}
+
 SamplerOptions OneLane(DiffusionKind kind, RunGuard* guard) {
   SamplerOptions options;
   options.kind = kind;
@@ -392,7 +420,27 @@ void RrCollection::TruncateTo(size_t n) {
   if (n >= size()) return;
   set_offsets_.resize(n + 1);
   members_.resize(set_offsets_.back());
-  ResetInvertedIndex();
+  if (indexed_sets_ <= n) return;
+  // Slices ascend, so the dropped ids are a tail of each slice. One front-
+  // to-back pass moves each slice's kept prefix down over the space the
+  // tails before it freed.
+  uint64_t kept_end = 0;
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    const uint32_t* begin = inv_sets_.data() + inv_offsets_[v];
+    const uint32_t* end = inv_sets_.data() + inv_offsets_[v + 1];
+    const uint64_t keep =
+        std::lower_bound(begin, end, static_cast<uint32_t>(n)) - begin;
+    if (keep != 0) {
+      std::memmove(inv_sets_.data() + kept_end, begin,
+                   keep * sizeof(uint32_t));
+    }
+    inv_offsets_[v] = kept_end;
+    kept_end += keep;
+  }
+  inv_offsets_[num_nodes_] = kept_end;
+  IMBENCH_CHECK(kept_end == members_.size());
+  inv_sets_.resize(kept_end);
+  indexed_sets_ = n;
 }
 
 void RrCollection::ReplaceSets(std::span<const uint32_t> set_ids,
@@ -401,44 +449,164 @@ void RrCollection::ReplaceSets(std::span<const uint32_t> set_ids,
   IMBENCH_CHECK(set_ids.size() == sizes.size());
   if (set_ids.empty()) return;
   for (const NodeId v : members) IMBENCH_CHECK(v < num_nodes_);
-  const size_t num_sets = size();
+  uint64_t batch_entries = 0;
   for (size_t i = 0; i < set_ids.size(); ++i) {
-    IMBENCH_CHECK(set_ids[i] < num_sets);
+    IMBENCH_CHECK(set_ids[i] < size());
     IMBENCH_CHECK(i == 0 || set_ids[i - 1] < set_ids[i]);
+    batch_entries += sizes[i];
   }
-  // Prefix-sum the replacement batch so set_ids[i]'s new members are
-  // members[rep_offsets[i] .. rep_offsets[i + 1]).
-  std::vector<uint64_t> rep_offsets(sizes.size() + 1, 0);
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    rep_offsets[i + 1] = rep_offsets[i] + sizes[i];
-  }
-  IMBENCH_CHECK(rep_offsets.back() == members.size());
+  IMBENCH_CHECK(batch_entries == members.size());
+  const std::vector<IndexEdit> edits = IndexEdits(set_ids, members, sizes);
+  SpliceSets(set_ids, members, sizes);
+  PatchInvertedIndex(edits);
+}
 
-  // One forward compaction pass: kept sets are block-copied from the old
-  // arena, replaced sets from the batch. Sizes differ in general, so the
-  // pass rebuilds both arenas rather than shifting in place.
-  MappedArena<NodeId> new_members;
-  new_members.reserve(members_.size() - (set_offsets_[set_ids.back() + 1] -
-                                         set_offsets_[set_ids.front()]) +
-                      members.size());
-  MappedArena<uint64_t> new_offsets;
-  new_offsets.reserve(set_offsets_.size());
-  new_offsets.push_back(0);
-  size_t next_replace = 0;
-  for (size_t id = 0; id < num_sets; ++id) {
-    if (next_replace < set_ids.size() && set_ids[next_replace] == id) {
-      new_members.append(members.subspan(
-          rep_offsets[next_replace],
-          rep_offsets[next_replace + 1] - rep_offsets[next_replace]));
-      ++next_replace;
-    } else {
-      new_members.append(Set(id));
+std::vector<RrCollection::IndexEdit> RrCollection::IndexEdits(
+    std::span<const uint32_t> set_ids, std::span<const NodeId> members,
+    std::span<const uint32_t> sizes) const {
+  std::vector<IndexEdit> edits;
+  if (inv_offsets_.empty()) return edits;
+  std::vector<NodeId> before;
+  std::vector<NodeId> after;
+  // Appends the members of `from` missing from `other` (both sorted, as
+  // multisets) as edits of set `id`.
+  auto missing = [&edits](const std::vector<NodeId>& from,
+                          const std::vector<NodeId>& other, uint32_t id,
+                          bool insert) {
+    size_t j = 0;
+    for (const NodeId v : from) {
+      while (j < other.size() && other[j] < v) ++j;
+      if (j < other.size() && other[j] == v) {
+        ++j;
+      } else {
+        edits.push_back({v, id, insert});
+      }
     }
-    new_offsets.push_back(new_members.size());
+  };
+  uint64_t at = 0;
+  // Ids at or above indexed_sets_ are not in the index; the next extension
+  // reads their new members.
+  for (size_t i = 0; i < set_ids.size() && set_ids[i] < indexed_sets_; ++i) {
+    const std::span<const NodeId> old_set = Set(set_ids[i]);
+    before.assign(old_set.begin(), old_set.end());
+    after.assign(members.begin() + at, members.begin() + at + sizes[i]);
+    at += sizes[i];
+    std::sort(before.begin(), before.end());
+    std::sort(after.begin(), after.end());
+    missing(before, after, set_ids[i], false);
+    missing(after, before, set_ids[i], true);
   }
-  members_ = std::move(new_members);
-  set_offsets_ = std::move(new_offsets);
-  ResetInvertedIndex();
+  // A node enters or leaves a given set, never both, so (node, set) orders
+  // the edits completely.
+  std::sort(edits.begin(), edits.end(),
+            [](const IndexEdit& a, const IndexEdit& b) {
+              return a.node != b.node ? a.node < b.node : a.set < b.set;
+            });
+  return edits;
+}
+
+void RrCollection::SpliceSets(std::span<const uint32_t> set_ids,
+                              std::span<const NodeId> members,
+                              std::span<const uint32_t> sizes) {
+  // runs[j]: the kept sets between replaced sets j and j + 1 (or the end),
+  // moved by the batch's size change over sets 0..j.
+  const uint64_t old_entries = members_.size();
+  std::vector<RunMove> runs(set_ids.size());
+  int64_t shift = 0;
+  for (size_t j = 0; j < set_ids.size(); ++j) {
+    const uint32_t id = set_ids[j];
+    shift += static_cast<int64_t>(sizes[j]) -
+             static_cast<int64_t>(set_offsets_[id + 1] - set_offsets_[id]);
+    const uint64_t next =
+        j + 1 < set_ids.size() ? set_offsets_[set_ids[j + 1]] : old_entries;
+    runs[j] = {set_offsets_[id + 1], next, shift};
+  }
+  const uint64_t new_entries = old_entries + shift;
+  if (shift > 0) {
+    members_.reserve(new_entries);  // exact: no slack beyond the last page
+    members_.Extend(static_cast<size_t>(shift));
+  }
+  MoveRuns<NodeId>(members_.data(), runs);
+  if (shift < 0) members_.resize(new_entries);
+
+  // Offsets before set_ids[0] keep their values. Walking up from there,
+  // set_offsets_[set_ids[j]] is already rewritten when replaced set j is
+  // reached: it is where that set's new members go.
+  const size_t num_sets = size();
+  uint64_t at = 0;
+  for (size_t j = 0; j < set_ids.size(); ++j) {
+    const uint32_t id = set_ids[j];
+    const uint64_t start = set_offsets_[id];
+    if (sizes[j] != 0) {
+      std::memcpy(members_.data() + start, members.data() + at,
+                  sizes[j] * sizeof(NodeId));
+    }
+    at += sizes[j];
+    set_offsets_[id + 1] = start + sizes[j];
+    const size_t last = j + 1 < set_ids.size() ? set_ids[j + 1] : num_sets;
+    if (runs[j].shift != 0) {
+      for (size_t i = id + 2; i <= last; ++i) set_offsets_[i] += runs[j].shift;
+    }
+  }
+}
+
+void RrCollection::PatchInvertedIndex(std::span<const IndexEdit> edits) {
+  if (edits.empty()) return;
+  // Locate every edit in the old index: a removal at its id's slot, an
+  // insertion before the first larger id of its slice. The old entries
+  // between consecutive edits form runs, each moved by the net count of
+  // the edits before it; inserted ids land in the gaps.
+  const uint64_t old_size = inv_sets_.size();
+  std::vector<RunMove> runs;
+  runs.reserve(edits.size() + 1);
+  std::vector<std::pair<uint64_t, uint32_t>> inserts;  // new slot, set id
+  uint64_t run_begin = 0;
+  int64_t shift = 0;
+  NodeId node = kInvalidNode;
+  uint64_t cursor = 0;  // first slot of `node`'s slice not yet passed
+  for (const IndexEdit& edit : edits) {
+    if (edit.node != node) {
+      node = edit.node;
+      cursor = inv_offsets_[node];
+    }
+    const uint32_t* slots = inv_sets_.data();
+    const uint64_t slice_end = inv_offsets_[node + 1];
+    const uint64_t pos =
+        std::lower_bound(slots + cursor, slots + slice_end, edit.set) - slots;
+    runs.push_back({run_begin, pos, shift});
+    if (edit.insert) {
+      inserts.emplace_back(pos + shift, edit.set);
+      ++shift;
+      run_begin = pos;
+      cursor = pos;
+    } else {
+      IMBENCH_CHECK(pos < slice_end && slots[pos] == edit.set);
+      --shift;
+      run_begin = pos + 1;
+      cursor = pos + 1;
+    }
+  }
+  runs.push_back({run_begin, old_size, shift});
+
+  const uint64_t new_size = old_size + shift;
+  if (shift > 0) {
+    inv_sets_.reserve(new_size);  // exact, as in EnsureInvertedIndex
+    inv_sets_.Extend(static_cast<size_t>(shift));
+  }
+  MoveRuns<uint32_t>(inv_sets_.data(), runs);
+  if (shift < 0) inv_sets_.resize(new_size);
+  for (const auto& [slot, set] : inserts) inv_sets_[slot] = set;
+
+  // Each slice boundary moves by the net count of the edits below it.
+  int64_t moved = 0;
+  size_t e = 0;
+  for (NodeId v = edits.front().node; v < num_nodes_; ++v) {
+    for (; e < edits.size() && edits[e].node == v; ++e) {
+      moved += edits[e].insert ? 1 : -1;
+    }
+    if (e == edits.size() && moved == 0) break;
+    inv_offsets_[v + 1] += moved;
+  }
 }
 
 std::vector<uint32_t> RrCollection::SetsContainingAny(
@@ -459,11 +627,6 @@ uint64_t RrCollection::MemoryBytes() const {
   return members_.MemoryBytes() + set_offsets_.MemoryBytes() +
          inv_offsets_.capacity() * sizeof(uint64_t) + inv_sets_.MemoryBytes() +
          sizeof(*this);
-}
-
-void RrCollection::ResetInvertedIndex() {
-  indexed_sets_ = 0;
-  inv_offsets_.clear();
 }
 
 void RrCollection::EnsureInvertedIndex() const {

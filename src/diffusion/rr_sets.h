@@ -215,10 +215,10 @@ using RrEngine = RrSampler;
 std::unique_ptr<RrSampler> MakeRrEngine(const GraphView& graph,
                                         const SamplerOptions& options);
 
-// A corpus of RR sets stored in flat append-only arenas (CSR layout, the
-// same flattening the reference TIM/IMM implementations use): one
-// contiguous `members` array plus a `set_offsets` array for the forward
-// direction, and an on-demand CSR inverted index for node -> set ids.
+// A corpus of RR sets stored in flat arenas (CSR layout, the same
+// flattening the reference TIM/IMM implementations use): one contiguous
+// `members` array plus a `set_offsets` array for the forward direction,
+// and an on-demand CSR inverted index for node -> set ids.
 // Both directions are single contiguous arrays, so the greedy max-cover
 // inner loops — the hottest loops of TIM+/IMM/RIS — iterate plain spans
 // instead of chasing millions of per-set vector headers.
@@ -228,16 +228,16 @@ std::unique_ptr<RrSampler> MakeRrEngine(const GraphView& graph,
 // in place by mremap, so no growth ever holds two copies of the corpus or
 // faults a touched page in again, and no caller needs to pre-size them.
 //
-// The inverted index is an append-only cache over the first
-// `indexed_sets_` sets, grouped per node in increasing set-id order (the
-// iteration order the greedy relies on for determinism). Appends leave it
-// alone; the next reader extends it in place over just the new tail (IMM's
-// martingale rounds each append a tail and cover the whole corpus).
-// TruncateTo and ReplaceSets change indexed sets, so they reset it to an
-// extension from 0, the state FromArenas starts from; there is no second
-// build path. Because the cache is filled lazily, concurrent const access
-// is NOT safe while the index is stale; the engines only touch a
-// collection from the coordinating thread.
+// The inverted index is a cache over the first `indexed_sets_` sets,
+// grouped per node in increasing set-id order (the iteration order the
+// greedy relies on for determinism). Appends leave it alone; the next
+// reader extends it in place over just the new tail (IMM's martingale
+// rounds each append a tail and cover the whole corpus). TruncateTo trims
+// each slice's tail and ReplaceSets patches the slices of the nodes that
+// entered or left a replaced set, both in place, so the index is built
+// from 0 only once per collection (fresh or FromArenas). Because the cache
+// is filled lazily, concurrent const access is NOT safe while the index is
+// stale; the engines only touch a collection from the coordinating thread.
 class RrCollection {
  public:
   explicit RrCollection(NodeId num_nodes);
@@ -262,18 +262,33 @@ class RrCollection {
   void Reserve(uint64_t sets, uint64_t entries);
 
   // Drops sets from the back until `size() == n`: an O(dropped) offset
-  // rollback of the arenas (the inverted-index cache is reset, not
-  // unwound). Lets RIS keep its exact per-set budget semantics under
-  // batched generation.
+  // rollback of the forward arenas, plus, if the index covers dropped sets,
+  // one front-to-back pass that cuts the dropped ids (a tail of each
+  // ascending slice) out of the index. Lets RIS keep its exact per-set
+  // budget semantics under batched generation.
   void TruncateTo(size_t n);
 
   // Replaces the sets named by `set_ids` (sorted ascending, unique) with
   // the flat batch `sizes[i]` consecutive entries of `members` — the same
-  // producer shape as AppendBatch. One compaction pass rebuilds both
-  // arenas, so the cost is O(TotalEntries) copies and zero resampling:
-  // this is the mutation-repair primitive of the query service, which
-  // regenerates only the invalidated sets and splices them back in place.
-  // Set ids keep their meaning (set i remains stream i of the sampler).
+  // producer shape as AppendBatch. Set ids keep their meaning (set i
+  // remains stream i of the sampler), and the arenas end byte-identical to
+  // a collection built from the new sets: this is the mutation-repair
+  // primitive of the query service, which regenerates only the invalidated
+  // sets and splices them back in place. All three arenas are edited in
+  // place, with no second copy of any:
+  //   * forward: the kept runs between replaced sets move by the batch's
+  //     running size change (one memmove each), the new members land in
+  //     the freed slots, and offsets are rewritten from the first replaced
+  //     id on;
+  //   * index: a replaced set's old and new members differ in a few nodes,
+  //     and only those nodes' slices change (a removal or an insertion of
+  //     the set id, keeping the slice ascending); the untouched slices
+  //     between them move as runs the same way. Sets past the indexed
+  //     prefix, and a collection with no index yet, need no index work.
+  // Cost: beyond the batch itself, one memmove of the members behind the
+  // first replaced set and of the index entries behind the first edited
+  // node, and one add per offset behind the first replaced set. Nothing is
+  // resampled and no arena is copied.
   void ReplaceSets(std::span<const uint32_t> set_ids,
                    std::span<const NodeId> members,
                    std::span<const uint32_t> sizes);
@@ -343,9 +358,29 @@ class RrCollection {
   // the entry count, counts only the tail, moves each old slice up (highest
   // node first) and scatters the tail's set ids after it.
   void EnsureInvertedIndex() const;
-  // Drops the index back to "no set indexed", after a mutation that
-  // rewrote or removed indexed sets.
-  void ResetInvertedIndex();
+  // One index change: `set` leaves (insert = false) or enters `node`'s
+  // slice.
+  struct IndexEdit {
+    NodeId node;
+    uint32_t set;
+    bool insert;
+  };
+  // The index edits a ReplaceSets batch makes, sorted by (node, set): the
+  // multiset differences between each indexed replaced set's old and new
+  // members. Empty when no index exists. Reads the old members, so it runs
+  // before the splice.
+  std::vector<IndexEdit> IndexEdits(std::span<const uint32_t> set_ids,
+                                    std::span<const NodeId> members,
+                                    std::span<const uint32_t> sizes) const;
+  // ReplaceSets' forward half: moves the kept runs, writes the batch into
+  // the freed slots and rewrites the offsets from set_ids[0] on.
+  void SpliceSets(std::span<const uint32_t> set_ids,
+                  std::span<const NodeId> members,
+                  std::span<const uint32_t> sizes);
+  // ReplaceSets' index half: applies `edits` (sorted by (node, set)) to
+  // inv_sets_ in place and shifts inv_offsets_ from the first edited node
+  // on.
+  void PatchInvertedIndex(std::span<const IndexEdit> edits);
 
   // Number of sets with id < limit containing v (prefix of v's slice).
   uint32_t PrefixDegree(NodeId v, size_t limit) const;

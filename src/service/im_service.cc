@@ -72,9 +72,14 @@ ImService::RepairOutcome ImService::TryRepair(
   // Regenerate each invalidated stream on the new snapshot. Per-set
   // streams make this exact: set i regenerated here is the set a cold
   // engine would produce at index i on this graph. Repair is sequential —
-  // the damage is proportional to the mutation, not the corpus. The splice
-  // happens only after every set regenerated cleanly, so any early return
-  // leaves the corpus bit-identical to before this attempt.
+  // the damage is proportional to the mutation, not the corpus: only the
+  // invalidated sets are sampled, and ReplaceSets splices them into the
+  // arenas in place and patches just the index slices of the nodes that
+  // entered or left them, so the cover that follows is a warm one. What
+  // still scales with the corpus is a memmove of the arenas behind the
+  // first replaced set. The splice happens only after every set
+  // regenerated cleanly, so any early return leaves the corpus
+  // bit-identical to before this attempt.
   RrSampler sampler(*snap.graph, options_.kind, guard);
   std::vector<NodeId> members;
   std::vector<uint32_t> sizes;

@@ -3,11 +3,14 @@
 // replaced (bench/legacy_rr_corpus.h) — same sets for the same seeds, same
 // greedy max-cover seeds and covered fractions (which pins the degree-bucket
 // cover to the legacy lazy heap's tie-breaking at every corpus size), and
-// the same TruncateTo semantics across parallel batch boundaries.
+// the same TruncateTo semantics across parallel batch boundaries — and the
+// in-place edits (ReplaceSets, TruncateTo) must leave the arenas and the
+// inverted index exactly as a fresh build of the edited sets would.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
+#include "framework/memory.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
@@ -252,7 +256,7 @@ TEST(RrLayoutTest, PrefixLimitedCoverEdgeCasesMatchAcrossEngines) {
 }
 
 // The inverted index is extended in place over each appended tail and
-// reset by TruncateTo / ReplaceSets. After every step of an uneven
+// edited in place by TruncateTo / ReplaceSets. After every step of an uneven
 // mutation history, every index reader must agree with a fresh
 // FromArenas copy of the same arenas, whose index is one build from 0.
 void ExpectIndexMatchesFreshCopy(const RrCollection& grown, NodeId n,
@@ -348,6 +352,297 @@ TEST(RrLayoutTest, IncrementalIndexMatchesFreshBuildAfterEveryStep) {
   ExpectIndexMatchesFreshCopy(c, n, "TruncateTo size - 1");
   sampler.Generate(5, 2, c, nullptr);
   ExpectIndexMatchesFreshCopy(c, n, "Generate 2");
+}
+
+// Drives ReplaceSets on a collection whose forward arenas were reserved
+// exactly up front, keeping the expected per-set contents alongside. After
+// each step the arenas must be byte-equal to a collection appended from the
+// expected sets, MemoryBytes() must be the exact mapping lengths (every
+// growth of a reserved arena, and of the index, is exact and page-rounded,
+// and no mapping ever shrinks), and Oracle() compares the index with a
+// fresh build.
+class SpliceHarness {
+ public:
+  SpliceHarness(NodeId n, std::vector<std::vector<NodeId>> sets,
+                size_t reserve_sets, uint64_t reserve_entries)
+      : n_(n),
+        sets_(std::move(sets)),
+        c_(n),
+        members_mapped_(Pages(reserve_entries * sizeof(NodeId))),
+        offsets_mapped_(Pages((reserve_sets + 1) * sizeof(uint64_t))) {
+    c_.Reserve(reserve_sets, reserve_entries);
+    for (const auto& set : sets_) c_.AppendSet(set);
+  }
+
+  RrCollection& corpus() { return c_; }
+  const std::vector<NodeId>& set(size_t i) const { return sets_[i]; }
+  size_t size() const { return sets_.size(); }
+
+  void Append(const std::vector<NodeId>& set) {
+    c_.AppendSet(set);
+    sets_.push_back(set);
+    Check("append");
+  }
+
+  void Replace(const std::vector<uint32_t>& ids,
+               const std::vector<std::vector<NodeId>>& new_sets,
+               const char* step) {
+    ASSERT_EQ(ids.size(), new_sets.size());
+    std::vector<NodeId> members;
+    std::vector<uint32_t> sizes;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      members.insert(members.end(), new_sets[i].begin(), new_sets[i].end());
+      sizes.push_back(static_cast<uint32_t>(new_sets[i].size()));
+      sets_[ids[i]] = new_sets[i];
+    }
+    c_.ReplaceSets(ids, members, sizes);
+    if (index_built_) {
+      // The patched index covers exactly the sets it covered before.
+      uint64_t indexed_entries = 0;
+      for (size_t i = 0; i < indexed_; ++i) {
+        indexed_entries += sets_[i].size();
+      }
+      index_mapped_ = std::max(index_mapped_,
+                               Pages(indexed_entries * sizeof(uint32_t)));
+    }
+    Check(step);
+  }
+
+  // Builds or extends the index and compares every reader with a fresh
+  // build.
+  void Oracle(const char* step) {
+    ExpectIndexMatchesFreshCopy(c_, n_, step);
+    index_built_ = true;
+    indexed_ = sets_.size();
+    index_mapped_ = std::max(index_mapped_,
+                             Pages(c_.TotalEntries() * sizeof(uint32_t)));
+    Check(step);
+  }
+
+ private:
+  void Check(const char* step) {
+    SCOPED_TRACE(step);
+    RrCollection rebuilt(n_);
+    for (const auto& set : sets_) rebuilt.AppendSet(set);
+    const auto members = c_.MembersArena();
+    const auto offsets = c_.OffsetsArena();
+    const auto want_members = rebuilt.MembersArena();
+    const auto want_offsets = rebuilt.OffsetsArena();
+    ASSERT_EQ(std::vector<NodeId>(members.begin(), members.end()),
+              std::vector<NodeId>(want_members.begin(), want_members.end()));
+    ASSERT_EQ(std::vector<uint64_t>(offsets.begin(), offsets.end()),
+              std::vector<uint64_t>(want_offsets.begin(), want_offsets.end()));
+    members_mapped_ = std::max(members_mapped_,
+                               Pages(c_.TotalEntries() * sizeof(NodeId)));
+    const uint64_t index_offsets =
+        index_built_ ? (uint64_t{n_} + 1) * sizeof(uint64_t) : 0;
+    EXPECT_EQ(c_.MemoryBytes(), members_mapped_ + offsets_mapped_ +
+                                    index_offsets + index_mapped_ +
+                                    sizeof(RrCollection));
+  }
+
+  NodeId n_;
+  std::vector<std::vector<NodeId>> sets_;
+  RrCollection c_;
+  uint64_t members_mapped_;
+  uint64_t offsets_mapped_;
+  bool index_built_ = false;
+  size_t indexed_ = 0;
+  uint64_t index_mapped_ = 0;
+};
+
+// `count` sets of stream `seed`, from index `first` on.
+std::vector<std::vector<NodeId>> StreamSets(const Graph& g, uint64_t seed,
+                                            uint64_t first, size_t count) {
+  RrSampler sampler(g, DiffusionKind::kIndependentCascade);
+  std::vector<std::vector<NodeId>> sets(count);
+  for (size_t i = 0; i < count; ++i) {
+    sampler.GenerateStream(seed, first + i, sets[i]);
+  }
+  return sets;
+}
+
+uint64_t EntriesOf(const std::vector<std::vector<NodeId>>& sets) {
+  uint64_t entries = 0;
+  for (const auto& set : sets) entries += set.size();
+  return entries;
+}
+
+// `set` plus `extra` nodes it does not hold, taken in a stride through
+// the node ids so they land in many slices.
+std::vector<NodeId> Grown(std::vector<NodeId> set, NodeId n, uint32_t extra,
+                          NodeId start) {
+  for (NodeId v = start % n; extra > 0; v = (v + 37) % n) {
+    if (std::find(set.begin(), set.end(), v) == set.end()) {
+      set.push_back(v);
+      --extra;
+    }
+  }
+  return set;
+}
+
+TEST(RrLayoutTest, ReplaceSetsSplicesEveryShapeInPlace) {
+  const Graph g = WcGraph();
+  const NodeId n = g.num_nodes();
+  std::vector<std::vector<NodeId>> base = StreamSets(g, 21, 0, 600);
+  // Room for the growing steps below, so the forward arenas never grow
+  // past the reservation by the geometric rule.
+  SpliceHarness h(n, base, base.size(), EntriesOf(base) + 4096);
+  h.Oracle("base");
+  uint64_t other = 0;  // cursor into the replacement stream
+  auto others = [&](size_t count) {
+    auto sets = StreamSets(g, 77, other, count);
+    other += count;
+    return sets;
+  };
+  const uint32_t last = static_cast<uint32_t>(h.size() - 1);
+
+  h.Replace({0}, others(1), "set 0");
+  h.Oracle("set 0");
+  h.Replace({last}, others(1), "last set");
+  h.Oracle("last set");
+  h.Replace({0, last}, {Grown(h.set(0), n, 3, 11), {}}, "first and last");
+  h.Oracle("first and last");
+  h.Replace({5}, {{}}, "set -> empty");
+  h.Oracle("set -> empty");
+  h.Replace({5}, others(1), "empty -> set");
+  h.Oracle("empty -> set");
+
+  std::vector<uint32_t> ids;
+  std::vector<std::vector<NodeId>> sets;
+  for (uint32_t id = 2; id < h.size(); id += 7) {
+    ids.push_back(id);
+    sets.push_back(Grown(h.set(id), n, 1 + id % 3, id));
+  }
+  h.Replace(ids, sets, "all growing");
+  h.Oracle("all growing");
+  // The same sets, each losing a member other than its root (every one
+  // holds at least two after growing).
+  for (size_t i = 0; i < ids.size(); ++i) {
+    sets[i] = h.set(ids[i]);
+    sets[i].erase(sets[i].begin() + 1 + ids[i] % (sets[i].size() - 1));
+  }
+  h.Replace(ids, sets, "all shrinking");
+  h.Oracle("all shrinking");
+
+  // Mixed: grown, shrunk to empty, unchanged, and fresh sets of any size,
+  // including adjacent ids.
+  ids.clear();
+  sets.clear();
+  for (uint32_t id = 1; id < h.size(); id += 3 + id % 4) {
+    ids.push_back(id);
+    switch (id % 4) {
+      case 0:
+        sets.push_back(Grown(h.set(id), n, 5, id * 7));
+        break;
+      case 1:
+        sets.push_back({});
+        break;
+      case 2:
+        sets.push_back(h.set(id));
+        break;
+      default:
+        sets.push_back(others(1)[0]);
+    }
+    if (id + 1 < h.size()) {
+      ids.push_back(++id);
+      sets.push_back(others(1)[0]);
+    }
+  }
+  h.Replace(ids, sets, "mixed");
+  h.Oracle("mixed");
+
+  ids.resize(h.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  h.Replace(ids, others(h.size()), "every set");
+  h.Oracle("every set");
+  h.Replace(ids, base, "every set back");
+  h.Oracle("every set back");
+}
+
+TEST(RrLayoutTest, ReplaceSetsBeforeAnyIndexExists) {
+  const Graph g = WcGraph();
+  const NodeId n = g.num_nodes();
+  const std::vector<std::vector<NodeId>> base = StreamSets(g, 21, 0, 500);
+  SpliceHarness h(n, base, base.size(), EntriesOf(base));
+  // Growing past the exact reservation: the members arena grows exactly.
+  h.Replace({0, 3, 4, 250, 499},
+            {Grown(h.set(0), n, 4, 1), {}, Grown(h.set(4), n, 9, 2),
+             Grown(h.set(250), n, 2, 3), Grown(h.set(499), n, 6, 4)},
+            "no index, growing");
+  h.Replace({1, 2, 3}, StreamSets(g, 77, 0, 3), "no index, mixed");
+  h.Oracle("index built after the splices");
+}
+
+TEST(RrLayoutTest, ReplaceSetsLeavesUnindexedTailToTheExtension) {
+  const Graph g = WcGraph();
+  const NodeId n = g.num_nodes();
+  const std::vector<std::vector<NodeId>> base = StreamSets(g, 21, 0, 400);
+  const std::vector<std::vector<NodeId>> tail = StreamSets(g, 21, 400, 200);
+  SpliceHarness h(n, base, base.size() + tail.size() + 3,
+                  EntriesOf(base) + EntriesOf(tail) + 1024);
+  h.Oracle("indexed prefix");
+  for (const auto& set : tail) h.Append(set);
+  // Ids on both sides of the indexed prefix: only those below it are
+  // patched, and the extension reads the rest.
+  h.Replace({7, 398, 399, 400, 401, 555, 599},
+            {Grown(h.set(7), n, 2, 5), {}, Grown(h.set(399), n, 4, 6), {},
+             Grown(h.set(401), n, 3, 7), StreamSets(g, 77, 0, 1)[0],
+             Grown(h.set(599), n, 1, 8)},
+            "both sides of the indexed prefix");
+  h.Oracle("extension after the splice");
+  for (int i = 0; i < 3; ++i) h.Append(StreamSets(g, 77, 10 + i, 1)[0]);
+  const uint32_t first_tail = static_cast<uint32_t>(h.size() - 3);
+  h.Replace({first_tail, first_tail + 2},
+            {Grown(h.set(first_tail), n, 2, 9), {}}, "tail only");
+  h.Oracle("extension after a tail-only splice");
+}
+
+TEST(RrLayoutTest, ReplaceSetsMapsNoSecondCopy) {
+  // The peak heap across a repair rises by at most the net growth of the
+  // three mappings plus ReplaceSets' own edit lists (per replaced entry an
+  // index edit, a moved run and an insertion slot, and sort scratch; per
+  // replaced set a forward run), never by a second copy of any arena.
+  const Graph g = WcGraph();
+  RrSampler sampler(g, DiffusionKind::kIndependentCascade);
+  RrCollection c(g.num_nodes());
+  ASSERT_EQ(sampler.Generate(5, 200000, c, nullptr).generated, 200000u);
+  c.SetsContainingAny({});  // builds the index over every set
+  std::vector<uint32_t> ids;
+  std::vector<NodeId> members;
+  std::vector<uint32_t> sizes;
+  uint64_t replaced_entries = 0;
+  for (uint32_t id = 13; id < c.size(); id += 4999) {
+    ids.push_back(id);
+    const auto old_set = c.Set(id);
+    const std::vector<NodeId> grown =
+        Grown(std::vector<NodeId>(old_set.begin(), old_set.end()),
+              g.num_nodes(), 24 + id % 4, id);
+    members.insert(members.end(), grown.begin(), grown.end());
+    sizes.push_back(static_cast<uint32_t>(grown.size()));
+    replaced_entries += old_set.size() + grown.size();
+  }
+  // 64 bytes covers every edit-list record of one entry (a 12-byte edit, a
+  // 24-byte run, a 16-byte insertion, 8 bytes of sort scratch); twice that
+  // for vector growth, plus allocator rounding of the few blocks.
+  const uint64_t edit_lists =
+      2 * 64 * (replaced_entries + ids.size() + 1) + 1024;
+  // A second copy of the forward arenas would not fit under the bound.
+  ASSERT_GT(c.TotalEntries() * sizeof(NodeId), 8 * edit_lists);
+
+  const uint64_t bytes_before = c.MemoryBytes();
+  const uint64_t heap_before = CurrentHeapBytes();
+  ResetPeakHeapBytes();
+  c.ReplaceSets(ids, members, sizes);
+  const uint64_t peak_rise = PeakHeapBytes() - heap_before;
+  const uint64_t kept = CurrentHeapBytes() - heap_before;
+  const uint64_t arena_growth = c.MemoryBytes() - bytes_before;
+  // The batch adds more than a page of entries, so the exactly sized index
+  // must grow.
+  EXPECT_GT(arena_growth, 0u);
+  EXPECT_LE(peak_rise, arena_growth + edit_lists);
+  EXPECT_EQ(kept, arena_growth);
+  ExpectIndexMatchesFreshCopy(c, g.num_nodes(), "after the repair");
 }
 
 TEST(RrLayoutTest, IndexGrowsToExactEntryCount) {
