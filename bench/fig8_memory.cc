@@ -45,7 +45,7 @@ void PrintSubstrateTable(Workbench& bench,
         continue;
       }
       CompactGraph compact;
-      if (CompactGraph::Open(path, &compact, &error) != GraphFileStatus::kOk) {
+      if (CompactGraph::Open(path, &compact, &error) != SealedStatus::kOk) {
         table.AddRow({dataset, WeightModelName(model),
                       TextTable::MegaBytes(mem.resident_bytes),
                       "open failed", error, ""});

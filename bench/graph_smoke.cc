@@ -28,7 +28,6 @@
 #include "graph/graph_file.h"
 #include "graph/graph_view.h"
 #include "graph/weights.h"
-#include "service/checkpoint.h"
 
 using namespace imbench;
 
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   CompactGraph compact;
-  if (CompactGraph::Open(*file, &compact, &error) != GraphFileStatus::kOk) {
+  if (CompactGraph::Open(*file, &compact, &error) != SealedStatus::kOk) {
     std::fprintf(stderr, "FATAL: cannot open %s: %s\n", file->c_str(),
                  error.c_str());
     return 1;

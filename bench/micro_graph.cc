@@ -98,7 +98,7 @@ struct CompactFixture {
     path = "/tmp/micro_graph_fixture.imgrf";
     std::string error;
     if (!WriteGraphFile(graph, WeightModel::kWc, path, &error) ||
-        CompactGraph::Open(path, &compact, &error) != GraphFileStatus::kOk) {
+        CompactGraph::Open(path, &compact, &error) != SealedStatus::kOk) {
       std::fprintf(stderr, "micro_graph: compact fixture failed: %s\n",
                    error.c_str());
       std::abort();

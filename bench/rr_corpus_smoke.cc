@@ -6,8 +6,7 @@
 // and archives the JSON (BENCH_rr_corpus.json) so the corpus-layout perf
 // trajectory is tracked commit over commit.
 //
-//   ./rr_corpus_smoke --nodes=100000 --sets=100000 --k=50 \
-//       --out=BENCH_rr_corpus.json
+//   ./rr_corpus_smoke --nodes=100000 --sets=100000 --k=50 --out=BENCH.json
 //
 // Determinism note: both layouts consume RrSampler::GenerateStream(seed, i)
 // with the same seed, so they hold byte-identical corpora; the seeds and

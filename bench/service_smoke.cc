@@ -5,8 +5,7 @@
 // correctness cross-checks as JSON; CI archives it (BENCH_service.json) so
 // the serve-path perf trajectory is tracked commit over commit.
 //
-//   ./service_smoke --nodes=20000 --k=20 --epsilon=4 \
-//       --out=BENCH_service.json
+//   ./service_smoke --nodes=20000 --k=20 --epsilon=4 --out=BENCH_service.json
 //
 // Every row is also a determinism assertion: the warm, repaired,
 // checkpoint-recovered, retried and degraded queries must all serve seeds
@@ -152,9 +151,9 @@ int main(int argc, char** argv) {
   EpochGraphStore store2(store.Current().graph->Clone());
   ImService recovered(store2, options);
   timer.Restart();
-  const CheckpointStatus status = recovered.LoadCheckpoint(ckpt_path, &detail);
+  const SealedStatus status = recovered.LoadCheckpoint(ckpt_path, &detail);
   const double load_seconds = timer.Seconds();
-  if (status != CheckpointStatus::kOk) {
+  if (status != SealedStatus::kOk) {
     std::fprintf(stderr, "FATAL: checkpoint recovery refused: %s\n",
                  detail.c_str());
     return 1;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "framework/sealed_file.h"
 
 namespace imbench {
 
@@ -12,12 +13,7 @@ namespace {
 // FNV-1a over the site name: folds the site into the RNG stream index so
 // two sites at the same hit number draw independent verdicts.
 uint64_t HashSite(std::string_view site) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return Fnv1a(site.data(), site.size());
 }
 
 bool ParseReason(const std::string& text, StopReason* reason) {

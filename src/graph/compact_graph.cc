@@ -1,8 +1,6 @@
 #include "graph/compact_graph.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,42 +16,7 @@ namespace imbench {
 namespace {
 
 using imgrf::DecodeVarint;
-using imgrf::Fnv1a;
 using imgrf::kBlockSize;
-using imgrf::kFnvBasis;
-
-GraphFileStatus Refuse(GraphFileStatus status, std::string* error,
-                       const std::string& message) {
-  if (error != nullptr) *error = message;
-  return status;
-}
-
-struct HeaderReader {
-  const uint8_t* data;
-  size_t size;
-  size_t pos = 0;
-  bool ok = true;
-
-  uint32_t U32() {
-    uint32_t v = 0;
-    Raw(&v, sizeof v);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Raw(&v, sizeof v);
-    return v;
-  }
-  void Raw(void* out, size_t n) {
-    if (pos + n > size) {
-      ok = false;
-      std::memset(out, 0, n);
-      return;
-    }
-    std::memcpy(out, data + pos, n);
-    pos += n;
-  }
-};
 
 }  // namespace
 
@@ -67,8 +30,7 @@ CompactGraph& CompactGraph::operator=(CompactGraph&& other) noexcept {
   if (this == &other) return *this;
   Reset();
   path_ = std::move(other.path_);
-  mapping_ = std::exchange(other.mapping_, nullptr);
-  mapped_size_ = std::exchange(other.mapped_size_, 0);
+  file_ = std::move(other.file_);
   num_nodes_ = std::exchange(other.num_nodes_, 0);
   num_edges_ = std::exchange(other.num_edges_, 0);
   model_ = other.model_;
@@ -87,11 +49,7 @@ CompactGraph& CompactGraph::operator=(CompactGraph&& other) noexcept {
 }
 
 void CompactGraph::Reset() {
-  if (mapping_ != nullptr) {
-    ::munmap(mapping_, mapped_size_);
-  }
-  mapping_ = nullptr;
-  mapped_size_ = 0;
+  file_.Reset();
   num_nodes_ = 0;
   num_edges_ = 0;
   fingerprint_ = 0;
@@ -105,155 +63,81 @@ void CompactGraph::Reset() {
   path_.clear();
 }
 
-GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
-                                   std::string* error,
-                                   const OpenOptions& options) {
-  StopReason fault_reason = StopReason::kNone;
-  if (FaultFire(faultsite::kGraphFileRead, &fault_reason)) {
-    return Refuse(GraphFileStatus::kIoError, error,
+SealedStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
+                                std::string* error,
+                                const OpenOptions& options) {
+  if (FaultFire(faultsite::kGraphFileRead)) {
+    return Refuse(SealedStatus::kIoError, error,
                   "injected graph_file_read fault");
   }
-
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Refuse(errno == ENOENT ? GraphFileStatus::kMissing
-                                  : GraphFileStatus::kIoError,
-                  error, "cannot open " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Refuse(GraphFileStatus::kIoError, error, "cannot stat " + path);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  if (file_size < imgrf::kHeaderBytes) {
-    ::close(fd);
-    return Refuse(GraphFileStatus::kCorrupt, error,
-                  "truncated graph file (no full header): " + path);
-  }
-
-  if (FaultFire(faultsite::kGraphFileMap, &fault_reason)) {
-    ::close(fd);
-    return Refuse(GraphFileStatus::kIoError, error,
-                  "injected graph_file_map fault");
-  }
-  void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping holds its own reference
-  if (map == MAP_FAILED) {
-    return Refuse(GraphFileStatus::kIoError, error, "mmap failed for " + path);
-  }
-  const uint8_t* bytes = static_cast<const uint8_t*>(map);
-  auto refuse_mapped = [&](GraphFileStatus status, const std::string& msg) {
-    ::munmap(map, file_size);
-    return Refuse(status, error, msg + ": " + path);
+  SealedFile file;
+  const SealedStatus status =
+      SealedFile::Open(path, imgrf::kFormat, &file, error);
+  if (status != SealedStatus::kOk) return status;
+  auto refuse = [&](SealedStatus refusal, const std::string& message) {
+    return Refuse(refusal, error, message + ": " + path);
   };
 
-  // Header: magic/version first, then the checksum over everything before
-  // the trailing checksum field, then the field contents.
-  HeaderReader header{bytes, imgrf::kHeaderBytes};
-  char magic[8];
-  header.Raw(magic, sizeof magic);
-  if (std::memcmp(magic, imgrf::kMagic, sizeof magic) != 0) {
-    return refuse_mapped(GraphFileStatus::kCorrupt, "not an IMGRF01 file");
-  }
-  const uint32_t version = header.U32();
-  if (version != imgrf::kVersion) {
-    return refuse_mapped(GraphFileStatus::kCorrupt,
-                         "unsupported graph file version");
-  }
-  const uint64_t stored_header_checksum = *reinterpret_cast<const uint64_t*>(
-      bytes + imgrf::kHeaderBytes - sizeof(uint64_t));
-  const uint64_t header_checksum =
-      Fnv1a(bytes, imgrf::kHeaderBytes - sizeof(uint64_t), kFnvBasis);
-  if (header_checksum != stored_header_checksum) {
-    return refuse_mapped(GraphFileStatus::kCorrupt, "header checksum mismatch");
-  }
-
-  const uint32_t model_raw = header.U32();
-  const NodeId num_nodes = header.U32();
-  const uint32_t flags = header.U32();
-  const uint64_t num_edges = header.U64();
-  const uint64_t fingerprint = header.U64();
-  uint64_t section_offset[imgrf::kNumSections];
-  uint64_t section_size[imgrf::kNumSections];
-  for (int s = 0; s < imgrf::kNumSections; ++s) {
-    section_offset[s] = header.U64();
-    section_size[s] = header.U64();
-  }
-  const uint64_t payload_checksum = header.U64();
-  IMBENCH_CHECK(header.ok);
+  FieldReader fields(file.fields());
+  const uint32_t model_raw = fields.Take<uint32_t>();
+  const NodeId num_nodes = fields.Take<NodeId>();
+  const uint32_t flags = fields.Take<uint32_t>();
+  const uint64_t num_edges = fields.Take<uint64_t>();
+  const uint64_t fingerprint = fields.Take<uint64_t>();
   if (model_raw > static_cast<uint32_t>(WeightModel::kLtParallel)) {
-    return refuse_mapped(GraphFileStatus::kCorrupt, "unknown weight model tag");
+    return refuse(SealedStatus::kCorrupt, "unknown weight model tag");
   }
 
-  // Section sanity: bounds within the file, 8-byte alignment for the typed
-  // arrays, and sizes consistent with the header counts.
+  // Section sizes consistent with the header counts. num_edges is bounded
+  // by the file size first, so the products cannot overflow.
   const uint64_t n1 = static_cast<uint64_t>(num_nodes) + 1;
+  const bool has_mults = (flags & imgrf::kFlagHasMultiplicities) != 0;
   const uint64_t expect_size[imgrf::kNumSections] = {
-      n1 * 8, n1 * 8, section_size[imgrf::kOutBlocks], num_edges * 8,
-      n1 * 8, n1 * 8, section_size[imgrf::kInBlocks],
-      (flags & imgrf::kFlagHasMultiplicities) != 0 ? num_edges * 4 : 0};
-  for (int s = 0; s < imgrf::kNumSections; ++s) {
-    if (section_size[s] != expect_size[s]) {
-      return refuse_mapped(GraphFileStatus::kCorrupt,
-                           "section table out of bounds");
-    }
-    // An empty section is never read; its offset may be the aligned cursor
-    // just past EOF (a trailing multiplicities section on a graph with no
-    // parallel arcs), so only non-empty sections get bounds checks.
-    if (section_size[s] == 0) continue;
-    if (section_offset[s] % 8 != 0 ||
-        section_offset[s] < imgrf::kHeaderBytes ||
-        section_offset[s] + section_size[s] > file_size) {
-      return refuse_mapped(GraphFileStatus::kCorrupt,
-                           "section table out of bounds");
-    }
+      n1 * 8, n1 * 8, file.section(imgrf::kOutBlocks).size(), num_edges * 8,
+      n1 * 8, n1 * 8, file.section(imgrf::kInBlocks).size(),
+      has_mults ? num_edges * 4 : 0};
+  bool sizes_ok = num_edges <= file.size() / 8;
+  for (int s = 0; sizes_ok && s < imgrf::kNumSections; ++s) {
+    sizes_ok = file.section(s).size() == expect_size[s];
   }
-
-  if (options.verify_payload) {
-    uint64_t computed = kFnvBasis;
-    for (int s = 0; s < imgrf::kNumSections; ++s) {
-      computed = Fnv1a(bytes + section_offset[s], section_size[s], computed);
-    }
-    if (computed != payload_checksum) {
-      return refuse_mapped(GraphFileStatus::kCorrupt,
-                           "payload checksum mismatch (torn file?)");
-    }
+  if (!sizes_ok) {
+    return refuse(SealedStatus::kCorrupt,
+                  "section sizes disagree with the header counts");
   }
   if (options.has_expected_fingerprint &&
       fingerprint != options.expected_fingerprint) {
-    return refuse_mapped(GraphFileStatus::kMismatch,
-                         "graph fingerprint mismatch (foreign file)");
+    return refuse(SealedStatus::kMismatch,
+                  "graph fingerprint mismatch (foreign file)");
   }
 
   // Structural invariants the decoders rely on (monotone offsets ending at
   // the section sizes). O(n) scan of the offset arrays only.
-  const uint64_t* out_eo =
-      reinterpret_cast<const uint64_t*>(bytes + section_offset[0]);
-  const uint64_t* out_bo =
-      reinterpret_cast<const uint64_t*>(bytes + section_offset[1]);
-  const uint64_t* in_eo =
-      reinterpret_cast<const uint64_t*>(bytes + section_offset[4]);
-  const uint64_t* in_bo =
-      reinterpret_cast<const uint64_t*>(bytes + section_offset[5]);
+  auto u64_section = [&file](int s) {
+    return reinterpret_cast<const uint64_t*>(file.section(s).data());
+  };
+  const uint64_t* out_eo = u64_section(imgrf::kOutEdgeOffsets);
+  const uint64_t* out_bo = u64_section(imgrf::kOutByteOffsets);
+  const uint64_t* in_eo = u64_section(imgrf::kInEdgeOffsets);
+  const uint64_t* in_bo = u64_section(imgrf::kInByteOffsets);
+  const uint8_t* out_blocks = file.section(imgrf::kOutBlocks).data();
+  const uint8_t* in_blocks = file.section(imgrf::kInBlocks).data();
+  const double* weights = reinterpret_cast<const double*>(
+      file.section(imgrf::kWeights).data());
   bool offsets_ok = out_eo[0] == 0 && out_bo[0] == 0 && in_eo[0] == 0 &&
                     in_bo[0] == 0 && out_eo[num_nodes] == num_edges &&
                     in_eo[num_nodes] == num_edges &&
-                    out_bo[num_nodes] == section_size[imgrf::kOutBlocks] &&
-                    in_bo[num_nodes] == section_size[imgrf::kInBlocks];
+                    out_bo[num_nodes] == expect_size[imgrf::kOutBlocks] &&
+                    in_bo[num_nodes] == expect_size[imgrf::kInBlocks];
   for (NodeId u = 0; offsets_ok && u < num_nodes; ++u) {
     offsets_ok = out_eo[u] <= out_eo[u + 1] && out_bo[u] <= out_bo[u + 1] &&
                  in_eo[u] <= in_eo[u + 1] && in_bo[u] <= in_bo[u + 1];
   }
   if (!offsets_ok) {
-    return refuse_mapped(GraphFileStatus::kCorrupt,
-                         "malformed offset sections");
+    return refuse(SealedStatus::kCorrupt, "malformed offset sections");
   }
 
   out->Reset();
   out->path_ = path;
-  out->mapping_ = map;
-  out->mapped_size_ = file_size;
   out->num_nodes_ = num_nodes;
   out->num_edges_ = num_edges;
   out->model_ = static_cast<WeightModel>(model_raw);
@@ -269,10 +153,7 @@ GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
       break;
     case WeightModel::kIcConstant:
       out->synthesize_in_weights_ = true;
-      out->constant_weight_ =
-          num_edges > 0 ? *reinterpret_cast<const double*>(
-                              bytes + section_offset[imgrf::kWeights])
-                        : 0.0;
+      out->constant_weight_ = num_edges > 0 ? weights[0] : 0.0;
       break;
     default:
       out->synthesize_in_weights_ = false;
@@ -280,19 +161,18 @@ GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
   }
   out->out_edge_offsets_ = out_eo;
   out->out_byte_offsets_ = out_bo;
-  out->out_blocks_ = bytes + section_offset[imgrf::kOutBlocks];
-  out->weights_ =
-      reinterpret_cast<const double*>(bytes + section_offset[imgrf::kWeights]);
+  out->out_blocks_ = out_blocks;
+  out->weights_ = weights;
   out->in_edge_offsets_ = in_eo;
   out->in_byte_offsets_ = in_bo;
-  out->in_blocks_ = bytes + section_offset[imgrf::kInBlocks];
+  out->in_blocks_ = in_blocks;
   out->multiplicities_ =
-      (flags & imgrf::kFlagHasMultiplicities) != 0
-          ? reinterpret_cast<const uint32_t*>(
-                bytes + section_offset[imgrf::kMultiplicities])
-          : nullptr;
-  TraceAdd(options.trace, TraceCounter::kGraphBytesMapped, file_size);
-  return GraphFileStatus::kOk;
+      has_mults ? reinterpret_cast<const uint32_t*>(
+                      file.section(imgrf::kMultiplicities).data())
+                : nullptr;
+  TraceAdd(options.trace, TraceCounter::kGraphBytesMapped, file.size());
+  out->file_ = std::move(file);
+  return SealedStatus::kOk;
 }
 
 void CompactGraph::DecodeOut(NodeId u, AdjScratch& scratch,
@@ -381,22 +261,24 @@ double CompactGraph::InWeightSum(NodeId v, AdjScratch& scratch) const {
 }
 
 uint64_t CompactGraph::ResidentBytes() const {
-  if (mapping_ == nullptr) return 0;
+  if (!file_.mapped()) return 0;
   const long page_long = ::sysconf(_SC_PAGESIZE);
   const uint64_t page = page_long > 0 ? static_cast<uint64_t>(page_long) : 4096;
-  const uint64_t num_pages = (mapped_size_ + page - 1) / page;
+  const uint64_t mapped = file_.size();
+  const uint64_t num_pages = (mapped + page - 1) / page;
   std::vector<unsigned char> vec(num_pages);
-  if (::mincore(mapping_, mapped_size_, vec.data()) != 0) return 0;
+  void* base = const_cast<uint8_t*>(file_.data());
+  if (::mincore(base, mapped, vec.data()) != 0) return 0;
   uint64_t resident = 0;
   for (const unsigned char c : vec) resident += (c & 1u);
   // mincore counts whole pages; clamp so a fully-resident file never
   // reports more resident than mapped bytes.
-  return std::min(resident * page, mapped_size_);
+  return std::min(resident * page, mapped);
 }
 
 void CompactGraph::DropPages() const {
-  if (mapping_ == nullptr) return;
-  ::madvise(mapping_, mapped_size_, MADV_DONTNEED);
+  if (!file_.mapped()) return;
+  ::madvise(const_cast<uint8_t*>(file_.data()), file_.size(), MADV_DONTNEED);
 }
 
 }  // namespace imbench

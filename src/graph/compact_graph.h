@@ -10,10 +10,12 @@
 // pure, so concurrent readers with private scratches need no locking and
 // the PR 3 determinism contract is untouched.
 //
-// Integrity: Open() refuses torn/truncated/foreign files via the header and
-// payload FNV-1a checksums and (optionally) an expected GraphFingerprint.
-// The open path is a fault site (graph_file_read / graph_file_map) so chaos
-// plans can drive the im_run --keep-going degradation to edge-list loading.
+// Integrity: Open() reads the file through the sealed-file reader
+// (framework/sealed_file.h), which refuses torn, truncated or foreign bytes
+// by the header and payload checksums, then checks the IMGRF01 fields, the
+// offset sections and (optionally) an expected GraphFingerprint. The open
+// path is a fault site (graph_file_read / graph_file_map) so chaos plans
+// can drive the im_run --keep-going degradation to edge-list loading.
 #ifndef IMBENCH_GRAPH_COMPACT_GRAPH_H_
 #define IMBENCH_GRAPH_COMPACT_GRAPH_H_
 
@@ -43,10 +45,6 @@ struct AdjScratch {
 class CompactGraph {
  public:
   struct OpenOptions {
-    // Verify the payload checksum (one sequential read of the whole file).
-    // Leave on: a torn tail in a section the run never decodes would
-    // otherwise go unnoticed.
-    bool verify_payload = true;
     // When set, refuse (kMismatch) a file whose fingerprint differs —
     // the "foreign file" guard for callers that know the expected graph.
     bool has_expected_fingerprint = false;
@@ -64,15 +62,14 @@ class CompactGraph {
 
   // Opens and validates `path`. On any status but kOk, *out is left empty
   // and *error (when non-null) describes the refusal.
-  static GraphFileStatus Open(const std::string& path, CompactGraph* out,
-                              std::string* error,
-                              const OpenOptions& options);
-  static GraphFileStatus Open(const std::string& path, CompactGraph* out,
-                              std::string* error) {
+  static SealedStatus Open(const std::string& path, CompactGraph* out,
+                           std::string* error, const OpenOptions& options);
+  static SealedStatus Open(const std::string& path, CompactGraph* out,
+                           std::string* error) {
     return Open(path, out, error, OpenOptions());
   }
 
-  bool mapped() const { return mapping_ != nullptr; }
+  bool mapped() const { return file_.mapped(); }
   const std::string& path() const { return path_; }
   NodeId num_nodes() const { return num_nodes_; }
   EdgeId num_edges() const { return num_edges_; }
@@ -135,7 +132,7 @@ class CompactGraph {
   // Memory accounting (see EXPERIMENTS.md): the mapping is file-backed and
   // reclaimable, so "mapped" is the address-space reservation while
   // "resident" (via mincore) is what currently occupies RAM.
-  uint64_t MappedBytes() const { return mapped_size_; }
+  uint64_t MappedBytes() const { return file_.size(); }
   uint64_t ResidentBytes() const;
 
   // Drops the mapping's resident pages (madvise MADV_DONTNEED) so benches
@@ -146,8 +143,7 @@ class CompactGraph {
   void Reset();
 
   std::string path_;
-  void* mapping_ = nullptr;
-  uint64_t mapped_size_ = 0;
+  SealedFile file_;
 
   NodeId num_nodes_ = 0;
   EdgeId num_edges_ = 0;

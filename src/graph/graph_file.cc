@@ -11,62 +11,42 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "framework/fault.h"
 
 namespace imbench {
 
-const char* GraphFileStatusName(GraphFileStatus status) {
-  switch (status) {
-    case GraphFileStatus::kOk:
-      return "ok";
-    case GraphFileStatus::kMissing:
-      return "missing";
-    case GraphFileStatus::kIoError:
-      return "io_error";
-    case GraphFileStatus::kCorrupt:
-      return "corrupt";
-    case GraphFileStatus::kMismatch:
-      return "mismatch";
+namespace imgrf {
+
+const SealedFormat kFormat = {
+    .magic = {'I', 'M', 'G', 'R', 'F', '0', '1', '\0'},
+    .family_bytes = 5,
+    .version = 1,
+    .field_bytes = 4 + 4 + 4 + 8 + 8,
+    .num_sections = kNumSections,
+    .map_fault = faultsite::kGraphFileMap,
+};
+
+}  // namespace imgrf
+
+uint64_t GraphFingerprint(const Graph& graph) {
+  GraphFingerprinter fingerprint(graph.num_nodes(), graph.num_edges());
+  std::vector<uint32_t> mults;
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const std::span<const NodeId> targets = graph.OutTargets(u);
+    const EdgeId base = graph.OutEdgeBase(u);
+    mults.resize(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      mults[i] = graph.EdgeMultiplicity(base + i);
+    }
+    fingerprint.Node(targets, graph.OutWeights(u), mults);
   }
-  return "?";
+  return fingerprint.Digest();
 }
 
 namespace {
 
 using imgrf::AppendVarint;
-using imgrf::Fnv1a;
 using imgrf::kBlockSize;
-using imgrf::kFnvBasis;
-
-uint64_t Align8(uint64_t x) { return (x + 7) & ~uint64_t{7}; }
-
-// Streamed GraphFingerprint(): byte-identical to the checkpoint digest in
-// service/checkpoint.cc (pinned by tests/compact_graph_test.cc) but fed
-// node by node, so the streaming writer never needs the whole CSR.
-class FingerprintAcc {
- public:
-  void Begin(NodeId num_nodes, uint64_t num_edges) {
-    h_ = kFnvBasis;
-    h_ = Fnv1a(&num_nodes, sizeof num_nodes, h_);
-    h_ = Fnv1a(&num_edges, sizeof num_edges, h_);
-  }
-  // Call once per node in ascending order; targets/weights are the node's
-  // full out-adjacency, mults its per-edge multiplicities (all 1 when the
-  // graph has no parallel arcs).
-  void Node(std::span<const NodeId> targets, std::span<const double> weights,
-            std::span<const uint32_t> mults) {
-    const uint32_t degree = static_cast<uint32_t>(targets.size());
-    h_ = Fnv1a(&degree, sizeof degree, h_);
-    h_ = Fnv1a(targets.data(), targets.size_bytes(), h_);
-    h_ = Fnv1a(weights.data(), weights.size_bytes(), h_);
-    for (const uint32_t mult : mults) {
-      h_ = Fnv1a(&mult, sizeof mult, h_);
-    }
-  }
-  uint64_t Digest() const { return h_; }
-
- private:
-  uint64_t h_ = kFnvBasis;
-};
 
 // Encodes one node's strictly ascending out-targets as fixed-64 delta
 // blocks (block-leading value absolute) and appends to `out`.
@@ -94,85 +74,21 @@ void EncodeInBlocks(std::span<const NodeId> sources,
   }
 }
 
-struct SectionTable {
-  uint64_t offset[imgrf::kNumSections] = {};
-  uint64_t size[imgrf::kNumSections] = {};
-
-  // Lays sections out back to back, 8-byte aligned, after the header.
-  uint64_t Layout() {
-    uint64_t pos = imgrf::kHeaderBytes;
-    for (int s = 0; s < imgrf::kNumSections; ++s) {
-      pos = Align8(pos);
-      offset[s] = pos;
-      pos += size[s];
-    }
-    return pos;  // total file size (before trailing alignment, none needed)
-  }
-};
-
-std::vector<uint8_t> BuildHeader(WeightModel model, NodeId num_nodes,
-                                 uint64_t num_edges, uint32_t flags,
-                                 uint64_t fingerprint,
-                                 const SectionTable& sections,
-                                 uint64_t payload_checksum) {
-  std::vector<uint8_t> bytes;
-  bytes.reserve(imgrf::kHeaderBytes);
-  auto raw = [&bytes](const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    bytes.insert(bytes.end(), b, b + n);
-  };
-  auto u32 = [&raw](uint32_t v) { raw(&v, sizeof v); };
-  auto u64 = [&raw](uint64_t v) { raw(&v, sizeof v); };
-  raw(imgrf::kMagic, sizeof imgrf::kMagic);
-  u32(imgrf::kVersion);
-  u32(static_cast<uint32_t>(model));
-  u32(num_nodes);
-  u32(flags);
-  u64(num_edges);
-  u64(fingerprint);
-  for (int s = 0; s < imgrf::kNumSections; ++s) {
-    u64(sections.offset[s]);
-    u64(sections.size[s]);
-  }
-  u64(payload_checksum);
-  u64(Fnv1a(bytes.data(), bytes.size(), kFnvBasis));  // header checksum
-  IMBENCH_CHECK(bytes.size() == imgrf::kHeaderBytes);
-  return bytes;
+// The IMGRF01 format fields, in header order.
+std::span<const uint8_t> GraphFields(FieldWriter& fields, WeightModel model,
+                                     NodeId num_nodes, uint32_t flags,
+                                     uint64_t num_edges, uint64_t fingerprint) {
+  fields.Put(static_cast<uint32_t>(model));
+  fields.Put(num_nodes);
+  fields.Put(flags);
+  fields.Put(num_edges);
+  fields.Put(fingerprint);
+  return fields.bytes();
 }
-
-// Sequential file writer tracking position and first failure.
-struct FileOut {
-  std::FILE* f = nullptr;
-  uint64_t pos = 0;
-  bool ok = true;
-
-  void Write(const void* data, size_t size) {
-    if (!ok || size == 0) return;
-    ok = std::fwrite(data, 1, size, f) == size;
-    pos += size;
-  }
-  void PadTo(uint64_t offset) {
-    static constexpr uint8_t kZeros[8] = {};
-    IMBENCH_CHECK(offset >= pos && offset - pos < 8);
-    Write(kZeros, offset - pos);
-  }
-};
 
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-// Copies `file` (rewound) into `out`, accumulating the FNV checksum.
-bool CopyInto(std::FILE* file, FileOut& out, uint64_t* checksum) {
-  std::rewind(file);
-  uint8_t buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, file)) > 0) {
-    *checksum = Fnv1a(buf, got, *checksum);
-    out.Write(buf, got);
-  }
-  return std::ferror(file) == 0 && out.ok;
 }
 
 }  // namespace
@@ -190,21 +106,12 @@ bool WriteGraphFile(const Graph& graph, WeightModel model,
   std::vector<uint8_t> in_blocks;
   std::vector<uint32_t> mults;
   std::vector<uint32_t> ranks;
-  FingerprintAcc fingerprint;
-  fingerprint.Begin(n, m);
 
-  std::vector<uint32_t> node_mults;
   for (NodeId u = 0; u < n; ++u) {
     const auto targets = graph.OutTargets(u);
     out_edge_offsets[u + 1] = out_edge_offsets[u] + targets.size();
     EncodeOutBlocks(targets, out_blocks);
     out_byte_offsets[u + 1] = out_blocks.size();
-    node_mults.resize(targets.size());
-    const EdgeId base = graph.OutEdgeBase(u);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      node_mults[i] = graph.EdgeMultiplicity(base + i);
-    }
-    fingerprint.Node(targets, graph.OutWeights(u), node_mults);
   }
   if (graph.has_parallel_arcs()) {
     mults.resize(m);
@@ -226,49 +133,22 @@ bool WriteGraphFile(const Graph& graph, WeightModel model,
   }
 
   const std::span<const double> weights = graph.weights();
-  SectionTable sections;
-  sections.size[imgrf::kOutEdgeOffsets] = out_edge_offsets.size() * 8;
-  sections.size[imgrf::kOutByteOffsets] = out_byte_offsets.size() * 8;
-  sections.size[imgrf::kOutBlocks] = out_blocks.size();
-  sections.size[imgrf::kWeights] = weights.size_bytes();
-  sections.size[imgrf::kInEdgeOffsets] = in_edge_offsets.size() * 8;
-  sections.size[imgrf::kInByteOffsets] = in_byte_offsets.size() * 8;
-  sections.size[imgrf::kInBlocks] = in_blocks.size();
-  sections.size[imgrf::kMultiplicities] = mults.size() * 4;
-  sections.Layout();
-
-  const void* section_data[imgrf::kNumSections] = {
-      out_edge_offsets.data(), out_byte_offsets.data(), out_blocks.data(),
-      weights.data(),          in_edge_offsets.data(),  in_byte_offsets.data(),
-      in_blocks.data(),        mults.data()};
-  uint64_t payload_checksum = kFnvBasis;
-  for (int s = 0; s < imgrf::kNumSections; ++s) {
-    payload_checksum =
-        Fnv1a(section_data[s], sections.size[s], payload_checksum);
-  }
-
-  const std::vector<uint8_t> header =
-      BuildHeader(model, n, m,
+  const SealedSection sections[imgrf::kNumSections] = {
+      {out_edge_offsets.data(), out_edge_offsets.size() * 8},
+      {out_byte_offsets.data(), out_byte_offsets.size() * 8},
+      {out_blocks.data(), out_blocks.size()},
+      {weights.data(), weights.size_bytes()},
+      {in_edge_offsets.data(), in_edge_offsets.size() * 8},
+      {in_byte_offsets.data(), in_byte_offsets.size() * 8},
+      {in_blocks.data(), in_blocks.size()},
+      {mults.data(), mults.size() * 4}};
+  FieldWriter fields;
+  return WriteSealedFile(
+      path, imgrf::kFormat,
+      GraphFields(fields, model, n,
                   graph.has_parallel_arcs() ? imgrf::kFlagHasMultiplicities : 0,
-                  fingerprint.Digest(), sections, payload_checksum);
-
-  FileOut out;
-  out.f = std::fopen(path.c_str(), "wb");
-  if (out.f == nullptr) {
-    return Fail(error, "cannot open " + path + " for writing");
-  }
-  out.Write(header.data(), header.size());
-  for (int s = 0; s < imgrf::kNumSections; ++s) {
-    out.PadTo(sections.offset[s]);
-    out.Write(section_data[s], sections.size[s]);
-  }
-  const bool write_ok = out.ok;
-  const bool ok = std::fclose(out.f) == 0 && write_ok;
-  if (!ok) {
-    std::remove(path.c_str());
-    return Fail(error, "write failed for " + path);
-  }
-  return true;
+                  m, GraphFingerprint(graph)),
+      sections, error);
 }
 
 // ---------------------------------------------------------------------------
@@ -526,8 +406,7 @@ bool GraphFileStreamWriter::Finish(std::string* error) {
     return fail_passes("cannot create encode temps (disk full?)");
   }
 
-  FingerprintAcc fingerprint;
-  fingerprint.Begin(n, num_edges);
+  GraphFingerprinter fingerprint(n, num_edges);
   Rng tv_rng(im.options.weight_rng_seed);
   static constexpr double kTvLevels[3] = {0.001, 0.01, 0.1};
   {
@@ -640,94 +519,29 @@ bool GraphFileStreamWriter::Finish(std::string* error) {
     }
     by_target.Destroy();
 
-    // Assemble the final file: header, then sections in order, streaming
-    // the big ones from their temps with a running payload checksum.
-    SectionTable sections;
-    sections.size[imgrf::kOutEdgeOffsets] = (n + 1) * 8ull;
-    sections.size[imgrf::kOutByteOffsets] = (n + 1) * 8ull;
-    sections.size[imgrf::kOutBlocks] = out_byte_offsets[n];
-    sections.size[imgrf::kWeights] = num_edges * 8;
-    sections.size[imgrf::kInEdgeOffsets] = (n + 1) * 8ull;
-    sections.size[imgrf::kInByteOffsets] = (n + 1) * 8ull;
-    sections.size[imgrf::kInBlocks] = in_byte_offsets_local[n];
-    sections.size[imgrf::kMultiplicities] = any_mult ? num_edges * 4 : 0;
-    sections.Layout();
-
-    uint64_t payload_checksum = kFnvBasis;
-    payload_checksum = Fnv1a(out_edge_offsets.data(),
-                             sections.size[imgrf::kOutEdgeOffsets],
-                             payload_checksum);
-    payload_checksum = Fnv1a(out_byte_offsets.data(),
-                             sections.size[imgrf::kOutByteOffsets],
-                             payload_checksum);
-    // Temp checksums folded in section order below during the copy; FNV is
-    // sequential, so checksum while copying in one pass per temp requires
-    // the in-RAM sections to be folded at the right positions. Compute the
-    // temp checksums first so the header (which precedes the payload in the
-    // file) can be written before the copies.
-    auto file_checksum = [](std::FILE* f, uint64_t h) {
-      std::rewind(f);
-      uint8_t buf[1 << 16];
-      size_t got;
-      while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        h = Fnv1a(buf, got, h);
-      }
-      return h;
-    };
-    payload_checksum = file_checksum(out_blocks_tmp.f, payload_checksum);
-    payload_checksum = file_checksum(weights_tmp.f, payload_checksum);
-    payload_checksum = Fnv1a(in_edge_offsets.data(),
-                             sections.size[imgrf::kInEdgeOffsets],
-                             payload_checksum);
-    payload_checksum = Fnv1a(in_byte_offsets_local.data(),
-                             sections.size[imgrf::kInByteOffsets],
-                             payload_checksum);
-    payload_checksum = file_checksum(in_blocks_tmp.f, payload_checksum);
-    if (any_mult) {
-      payload_checksum = file_checksum(mult_tmp.f, payload_checksum);
-    }
-
-    const std::vector<uint8_t> header = BuildHeader(
-        im.options.model, n, num_edges,
-        any_mult ? imgrf::kFlagHasMultiplicities : 0, fingerprint.Digest(),
-        sections, payload_checksum);
-
-    FileOut out;
-    out.f = std::fopen(im.path.c_str(), "wb");
-    if (out.f == nullptr) {
-      return fail_passes("cannot open " + im.path + " for writing");
-    }
-    uint64_t ignored = kFnvBasis;
-    out.Write(header.data(), header.size());
-    out.PadTo(sections.offset[imgrf::kOutEdgeOffsets]);
-    out.Write(out_edge_offsets.data(), sections.size[imgrf::kOutEdgeOffsets]);
-    out.PadTo(sections.offset[imgrf::kOutByteOffsets]);
-    out.Write(out_byte_offsets.data(), sections.size[imgrf::kOutByteOffsets]);
-    out.PadTo(sections.offset[imgrf::kOutBlocks]);
-    bool copies_ok = CopyInto(out_blocks_tmp.f, out, &ignored);
-    out.PadTo(sections.offset[imgrf::kWeights]);
-    copies_ok = copies_ok && CopyInto(weights_tmp.f, out, &ignored);
-    out.PadTo(sections.offset[imgrf::kInEdgeOffsets]);
-    out.Write(in_edge_offsets.data(), sections.size[imgrf::kInEdgeOffsets]);
-    out.PadTo(sections.offset[imgrf::kInByteOffsets]);
-    out.Write(in_byte_offsets_local.data(),
-              sections.size[imgrf::kInByteOffsets]);
-    out.PadTo(sections.offset[imgrf::kInBlocks]);
-    copies_ok = copies_ok && CopyInto(in_blocks_tmp.f, out, &ignored);
-    if (any_mult) {
-      out.PadTo(sections.offset[imgrf::kMultiplicities]);
-      copies_ok = copies_ok && CopyInto(mult_tmp.f, out, &ignored);
-    }
-    const bool write_ok = copies_ok && out.ok;
-    const bool ok = std::fclose(out.f) == 0 && write_ok;
+    // Assemble the final file: the in-RAM offset arrays and the encode
+    // temps, in section order.
+    const SealedSection sections[imgrf::kNumSections] = {
+        {out_edge_offsets.data(), (n + 1) * 8ull},
+        {out_byte_offsets.data(), (n + 1) * 8ull},
+        {nullptr, out_byte_offsets[n], out_blocks_tmp.f},
+        {nullptr, num_edges * 8, weights_tmp.f},
+        {in_edge_offsets.data(), (n + 1) * 8ull},
+        {in_byte_offsets_local.data(), (n + 1) * 8ull},
+        {nullptr, in_byte_offsets_local[n], in_blocks_tmp.f},
+        {nullptr, any_mult ? num_edges * 4 : 0, mult_tmp.f}};
+    FieldWriter fields;
+    const bool ok = WriteSealedFile(
+        im.path, imgrf::kFormat,
+        GraphFields(fields, im.options.model, n,
+                    any_mult ? imgrf::kFlagHasMultiplicities : 0, num_edges,
+                    fingerprint.Digest()),
+        sections, error);
     out_blocks_tmp.Destroy();
     weights_tmp.Destroy();
     mult_tmp.Destroy();
     in_blocks_tmp.Destroy();
-    if (!ok) {
-      std::remove(im.path.c_str());
-      return Fail(error, "final assembly failed for " + im.path);
-    }
+    if (!ok) return false;
   }
   return true;
 }

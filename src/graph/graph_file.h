@@ -5,7 +5,7 @@
 // CompactGraph can mmap it and serve every Graph query without ever building
 // the heap CSR. Layout (all sections 8-byte aligned, in file order):
 //
-//   header            fixed imgrf::kHeaderBytes, see graph_file.cc
+//   header            imgrf::kFormat.HeaderBytes() = 184 bytes
 //   out_edge_offsets  (n+1) x u64   forward edge-id prefix (degree + id base)
 //   out_byte_offsets  (n+1) x u64   byte offset of each node's out blocks
 //   out_blocks        varints       out-targets, 64-neighbor delta blocks
@@ -26,38 +26,70 @@
 // mantissas (TV/LT-random draws), the samplers index them randomly via the
 // gather, and an aligned mmap'd lane keeps that gather one load.
 //
-// Integrity: dual FNV-1a checksums (header, payload) exactly like
-// service/checkpoint.cc, plus the same GraphFingerprint() digest of the
-// full topology and weights, so a torn, truncated or foreign file is
-// refused at open and a checkpointed RR corpus can be validated against a
-// graph file without rebuilding the heap CSR.
+// Integrity: the file is a sealed file (framework/sealed_file.h) with the
+// eight sections above, so CompactGraph::Open refuses a torn, truncated or
+// foreign file with the same header and payload checksums as a corpus
+// checkpoint. The header's format fields carry the weight model, node and
+// edge counts, flags and the GraphFingerprint() of the full topology and
+// weights, so a checkpointed RR corpus can be validated against a graph
+// file without rebuilding the heap CSR.
 #ifndef IMBENCH_GRAPH_GRAPH_FILE_H_
 #define IMBENCH_GRAPH_GRAPH_FILE_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "framework/sealed_file.h"
 #include "graph/graph.h"
 #include "graph/weights.h"
 
 namespace imbench {
 
-enum class GraphFileStatus : uint8_t {
-  kOk = 0,     // file opened and validated
-  kMissing,    // no file at the path
-  kIoError,    // open/read/map failed
-  kCorrupt,    // torn file, checksum mismatch, or malformed sections
-  kMismatch,   // valid file for a different graph/weight model
+// Order-sensitive FNV-1a digest of a graph's topology and weights: node
+// and arc counts, then per node its out-degree, targets, weight bit
+// patterns and arc multiplicities. Two graphs with equal fingerprints are
+// the same sampling substrate: RR streams drawn on them are identical.
+// The streaming form lets GraphFileStreamWriter digest a graph it never
+// holds in memory; GraphFingerprint(graph) runs it over a heap Graph.
+class GraphFingerprinter {
+ public:
+  GraphFingerprinter(NodeId num_nodes, uint64_t num_edges) {
+    h_ = Fnv1a(&num_nodes, sizeof num_nodes, h_);
+    h_ = Fnv1a(&num_edges, sizeof num_edges, h_);
+  }
+  // Once per node, ascending: the node's whole out-adjacency and its
+  // per-arc multiplicities (all 1 when the graph has no parallel arcs).
+  void Node(std::span<const NodeId> targets, std::span<const double> weights,
+            std::span<const uint32_t> mults) {
+    const uint32_t degree = static_cast<uint32_t>(targets.size());
+    h_ = Fnv1a(&degree, sizeof degree, h_);
+    h_ = Fnv1a(targets.data(), targets.size_bytes(), h_);
+    h_ = Fnv1a(weights.data(), weights.size_bytes(), h_);
+    h_ = Fnv1a(mults.data(), mults.size_bytes(), h_);
+  }
+  uint64_t Digest() const { return h_; }
+
+ private:
+  uint64_t h_ = kFnvBasis;
 };
 
-const char* GraphFileStatusName(GraphFileStatus status);
+uint64_t GraphFingerprint(const Graph& graph);
+
+// perfbench/perfbench.cc still spells the names the graph file had before
+// the sealed-file container; they name its one status and one FNV-1a.
+using GraphFileStatus = SealedStatus;
+inline const char* GraphFileStatusName(SealedStatus status) {
+  return SealedStatusName(status);
+}
 
 namespace imgrf {
 
-inline constexpr char kMagic[8] = {'I', 'M', 'G', 'R', 'F', '0', '1', '\0'};
-inline constexpr uint32_t kVersion = 1;
+using ::imbench::Fnv1a;
+using ::imbench::kFnvBasis;
+
 // Neighbors per decode block: the first value of every block is absolute,
 // so a decoder can start at any block boundary and FusedCascadeContext's
 // 64-lane kernels decode exactly one block per scan window.
@@ -76,21 +108,10 @@ enum Section : int {
   kNumSections,
 };
 
-// magic + version + model + num_nodes + flags + num_edges + fingerprint +
-// section table + payload checksum + header checksum.
-inline constexpr size_t kHeaderBytes =
-    8 + 4 + 4 + 4 + 4 + 8 + 8 + kNumSections * 16 + 8 + 8;
-
-inline constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-inline uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+// IMGRF01: format fields model (u32), num_nodes (u32), flags (u32),
+// num_edges (u64), fingerprint (u64); the sections above. Opening maps
+// through the graph_file_map fault site.
+extern const SealedFormat kFormat;
 
 // LEB128 append/decode. Values are unsigned: adjacency deltas are >= 1 and
 // ranks are >= 0, so no zigzag is needed.

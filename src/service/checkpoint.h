@@ -1,12 +1,15 @@
 // Warm-corpus checkpointing: the RR arena, the service's most expensive
 // state, survives a restart.
 //
-// A checkpoint is the flat CSR corpus written as-is — one header, the
-// set-offsets arena, the members arena — plus enough metadata to prove it
-// still describes THIS service: the diffusion kind and sampler seed (the
-// corpus identity: set i is Rng::ForStream(seed, i) on the graph), the
-// node count, and a fingerprint of the graph's full topology and weights.
-// Two FNV-1a checksums (header, payload) reject torn or tampered files.
+// A checkpoint (IMCKPT02) is a sealed file (framework/sealed_file.h), the
+// container `.imgrf` graphs use too: two sections, the set-offsets arena
+// and the members arena, written as-is, under format fields that prove the
+// corpus still describes THIS service: the diffusion kind and sampler seed
+// (the corpus identity: set i is Rng::ForStream(seed, i) on the graph), the
+// node count, and the GraphFingerprint() of the graph's full topology and
+// weights. The header and payload checksums reject torn or tampered files.
+// An IMCKPT01 file (the earlier, unsectioned layout) is refused as
+// kMismatch; the service then builds cold.
 //
 // The recovery contract: LoadCorpusCheckpoint either returns a corpus that
 // is bit-identical to what the running service held at save time, or it
@@ -14,7 +17,8 @@
 // cold build. It never returns a plausible-but-wrong corpus — a service
 // that silently served seeds from a stale graph would be worse than one
 // that resamples. tests/checkpoint_test.cc pins this with a flip-one-byte
-// test and a mutate-the-graph test.
+// test and a mutate-the-graph test, tests/sealed_file_test.cc with every
+// flip, truncation and splice of a small checkpoint.
 #ifndef IMBENCH_SERVICE_CHECKPOINT_H_
 #define IMBENCH_SERVICE_CHECKPOINT_H_
 
@@ -23,7 +27,9 @@
 
 #include "diffusion/cascade.h"
 #include "diffusion/rr_sets.h"
+#include "framework/sealed_file.h"
 #include "graph/graph.h"
+#include "graph/graph_file.h"  // GraphFingerprint
 
 namespace imbench {
 
@@ -40,21 +46,12 @@ struct CheckpointMeta {
   uint64_t graph_fingerprint = 0;  // GraphFingerprint() of the snapshot
 };
 
-enum class CheckpointStatus : uint8_t {
-  kOk = 0,     // corpus recovered
-  kMissing,    // no file at the path (normal cold start)
-  kIoError,    // open/read/write failed
-  kCorrupt,    // torn file, checksum mismatch, or malformed arenas
-  kMismatch,   // valid file for a different graph/seed/model
-};
-
-const char* CheckpointStatusName(CheckpointStatus status);
-
-// Order-sensitive FNV-1a digest of the graph's topology and weights
-// (node count, arc counts, targets, weight bit patterns, multiplicities).
-// Two graphs with equal fingerprints are — for checkpoint purposes — the
-// same sampling substrate: RR streams drawn on them are identical.
-uint64_t GraphFingerprint(const Graph& graph);
+// perfbench/perfbench.cc still spells the checkpoint's own status names;
+// they name the one sealed-file status.
+using CheckpointStatus = SealedStatus;
+inline const char* CheckpointStatusName(SealedStatus status) {
+  return SealedStatusName(status);
+}
 
 // Writes `corpus` + `meta` to `path`. Returns false on IO failure (or an
 // injected checkpoint_write fault, which tears the file on purpose),
@@ -67,11 +64,11 @@ bool SaveCorpusCheckpoint(const std::string& path, const CheckpointMeta& meta,
 // graph_fingerprint). On kOk fills *corpus and, when non-null, *saved_meta
 // with the file's informational fields. On any other status *corpus is
 // untouched and *error describes the refusal.
-CheckpointStatus LoadCorpusCheckpoint(const std::string& path,
-                                      const CheckpointMeta& expected,
-                                      RrCollection* corpus,
-                                      CheckpointMeta* saved_meta,
-                                      std::string* error);
+SealedStatus LoadCorpusCheckpoint(const std::string& path,
+                                  const CheckpointMeta& expected,
+                                  RrCollection* corpus,
+                                  CheckpointMeta* saved_meta,
+                                  std::string* error);
 
 }  // namespace imbench
 

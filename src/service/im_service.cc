@@ -223,8 +223,8 @@ ImQueryResult ImService::Query(const ImQuery& query) {
   return result;
 }
 
-CheckpointStatus ImService::LoadCheckpoint(const std::string& path,
-                                           std::string* detail) {
+SealedStatus ImService::LoadCheckpoint(const std::string& path,
+                                       std::string* detail) {
   const EpochGraphStore::Snapshot snap = store_.Current();
   CheckpointMeta expected;
   expected.kind = options_.kind;
@@ -232,9 +232,9 @@ CheckpointStatus ImService::LoadCheckpoint(const std::string& path,
   expected.num_nodes = snap.graph->num_nodes();
   expected.graph_fingerprint = GraphFingerprint(*snap.graph);
   RrCollection loaded(expected.num_nodes);
-  const CheckpointStatus status =
+  const SealedStatus status =
       LoadCorpusCheckpoint(path, expected, &loaded, nullptr, detail);
-  if (status == CheckpointStatus::kOk) {
+  if (status == SealedStatus::kOk) {
     corpus_ = std::move(loaded);
     corpus_graph_ = snap.graph;
     corpus_epoch_ = snap.epoch;

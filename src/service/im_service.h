@@ -133,8 +133,8 @@ class ImService {
   // snapshot; on any refusal the service state is untouched and the next
   // query simply builds cold. *detail (when non-null) gets a one-line
   // explanation either way.
-  CheckpointStatus LoadCheckpoint(const std::string& path,
-                                  std::string* detail = nullptr);
+  SealedStatus LoadCheckpoint(const std::string& path,
+                              std::string* detail = nullptr);
 
   // Writes the warm corpus to `path`, stamped with the corpus' own
   // snapshot identity. Best-effort: returns false (with *detail) on an IO

@@ -419,7 +419,7 @@ TEST(ChaosTest, GraphFileFaultDegradesToEdgeListLoadingWithSameSeeds) {
 
   // Healthy run on the compact backend: the baseline answer.
   CompactGraph compact;
-  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), SealedStatus::kOk)
       << error;
   const std::vector<NodeId> baseline = seeds_on(nullptr, &compact);
   ASSERT_EQ(baseline.size(), 5u);
@@ -431,7 +431,7 @@ TEST(ChaosTest, GraphFileFaultDegradesToEdgeListLoadingWithSameSeeds) {
                                    /*fires=*/1));
     CompactGraph faulted;
     EXPECT_EQ(CompactGraph::Open(path, &faulted, &error),
-              GraphFileStatus::kIoError);
+              SealedStatus::kIoError);
     EXPECT_EQ(seeds_on(&base, nullptr), baseline);
   }
 
@@ -451,7 +451,7 @@ TEST(ChaosTest, GraphFileFaultDegradesToEdgeListLoadingWithSameSeeds) {
     ASSERT_EQ(std::fwrite(bytes.data(), 1, size / 2, f), size / 2);
     std::fclose(f);
     CompactGraph torn;
-    EXPECT_NE(CompactGraph::Open(path, &torn, &error), GraphFileStatus::kOk);
+    EXPECT_NE(CompactGraph::Open(path, &torn, &error), SealedStatus::kOk);
     EXPECT_EQ(seeds_on(&base, nullptr), baseline);
   }
   std::remove(path.c_str());

@@ -1,11 +1,13 @@
 // Warm-corpus checkpoint/recovery contract: a load either returns the
 // bit-identical corpus that was saved, or refuses — torn files, flipped
-// bytes, and wrong-identity files are all detected and the service falls
-// back to a cold build that still serves the correct seeds.
+// bytes, wrong-identity files and IMCKPT01 files are all detected and the
+// service falls back to a cold build that still serves the correct seeds.
+// tests/sealed_file_test.cc mutates every byte of a small checkpoint.
 #include "service/checkpoint.h"
 
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 
 #include "framework/datasets.h"
 #include "framework/fault.h"
+#include "framework/sealed_file.h"
 #include "graph/weights.h"
 #include "service/epoch_graph_store.h"
 #include "service/im_service.h"
@@ -70,7 +73,7 @@ TEST(CheckpointTest, RoundtripRecoversWarmCorpusExactly) {
   // A restarted process: fresh store on the same graph, fresh service.
   EpochGraphStore store2(CheckpointTestGraph());
   ImService service2(store2, BaseOptions());
-  EXPECT_EQ(service2.LoadCheckpoint(path, &detail), CheckpointStatus::kOk)
+  EXPECT_EQ(service2.LoadCheckpoint(path, &detail), SealedStatus::kOk)
       << detail;
   ASSERT_EQ(service2.corpus().size(), service.corpus().size());
   for (size_t i = 0; i < service.corpus().size(); ++i) {
@@ -93,7 +96,7 @@ TEST(CheckpointTest, RoundtripRecoversWarmCorpusExactly) {
   looser.epsilon = 8.0;
   EpochGraphStore store3(CheckpointTestGraph());
   ImService service3(store3, looser);
-  EXPECT_EQ(service3.LoadCheckpoint(path), CheckpointStatus::kOk);
+  EXPECT_EQ(service3.LoadCheckpoint(path), SealedStatus::kOk);
 }
 
 TEST(CheckpointTest, FlippedByteIsDetectedAndColdBuildStillCorrect) {
@@ -115,7 +118,7 @@ TEST(CheckpointTest, FlippedByteIsDetectedAndColdBuildStillCorrect) {
   ImService service2(store2, BaseOptions());
   std::string detail;
   EXPECT_EQ(service2.LoadCheckpoint(path, &detail),
-            CheckpointStatus::kCorrupt);
+            SealedStatus::kCorrupt);
   EXPECT_EQ(service2.corpus().size(), 0u);  // refusal leaves the service cold
   // Cold fallback still serves the exact same answer.
   EXPECT_EQ(service2.Query(query).seeds, original.seeds);
@@ -125,7 +128,7 @@ TEST(CheckpointTest, FlippedByteIsDetectedAndColdBuildStillCorrect) {
   header_flip[9] = static_cast<char>(header_flip[9] ^ 0x40);
   bytes.back() = static_cast<char>(bytes.back() ^ 0x01);  // restore payload
   WriteAll(path, header_flip);
-  EXPECT_EQ(service2.LoadCheckpoint(path), CheckpointStatus::kCorrupt);
+  EXPECT_EQ(service2.LoadCheckpoint(path), SealedStatus::kCorrupt);
 }
 
 TEST(CheckpointTest, TruncatedFileIsCorrupt) {
@@ -141,10 +144,10 @@ TEST(CheckpointTest, TruncatedFileIsCorrupt) {
   ASSERT_GT(bytes.size(), 64u);
   // Torn payload: header intact, tail missing.
   WriteAll(path, std::vector<char>(bytes.begin(), bytes.end() - 16));
-  EXPECT_EQ(service.LoadCheckpoint(path), CheckpointStatus::kCorrupt);
+  EXPECT_EQ(service.LoadCheckpoint(path), SealedStatus::kCorrupt);
   // Torn header.
   WriteAll(path, std::vector<char>(bytes.begin(), bytes.begin() + 10));
-  EXPECT_EQ(service.LoadCheckpoint(path), CheckpointStatus::kCorrupt);
+  EXPECT_EQ(service.LoadCheckpoint(path), SealedStatus::kCorrupt);
 }
 
 TEST(CheckpointTest, WrongIdentityIsMismatchNotCorrupt) {
@@ -161,14 +164,14 @@ TEST(CheckpointTest, WrongIdentityIsMismatchNotCorrupt) {
   other_seed.seed = kSeed + 1;
   EpochGraphStore store2(CheckpointTestGraph());
   ImService reseeded(store2, other_seed);
-  EXPECT_EQ(reseeded.LoadCheckpoint(path), CheckpointStatus::kMismatch);
+  EXPECT_EQ(reseeded.LoadCheckpoint(path), SealedStatus::kMismatch);
 
   // Different diffusion model.
   ServiceOptions other_kind = BaseOptions();
   other_kind.kind = DiffusionKind::kLinearThreshold;
   EpochGraphStore store3(CheckpointTestGraph());
   ImService rekinded(store3, other_kind);
-  EXPECT_EQ(rekinded.LoadCheckpoint(path), CheckpointStatus::kMismatch);
+  EXPECT_EQ(rekinded.LoadCheckpoint(path), SealedStatus::kMismatch);
 
   // Same options, mutated graph: the fingerprint binds the checkpoint to
   // the exact topology + weights it was sampled on.
@@ -177,14 +180,14 @@ TEST(CheckpointTest, WrongIdentityIsMismatchNotCorrupt) {
   WeightedArc existing{0, snap.graph->OutTargets(0)[0], 0.123};
   store4.UpdateWeights({{existing}});
   ImService mutated(store4, BaseOptions());
-  EXPECT_EQ(mutated.LoadCheckpoint(path), CheckpointStatus::kMismatch);
+  EXPECT_EQ(mutated.LoadCheckpoint(path), SealedStatus::kMismatch);
 }
 
 TEST(CheckpointTest, MissingFileIsNormalColdStart) {
   EpochGraphStore store(CheckpointTestGraph());
   ImService service(store, BaseOptions());
   EXPECT_EQ(service.LoadCheckpoint(TempPath("ckpt_does_not_exist.bin")),
-            CheckpointStatus::kMissing);
+            SealedStatus::kMissing);
   EXPECT_EQ(service.corpus().size(), 0u);
 }
 
@@ -209,10 +212,12 @@ TEST(CheckpointTest, InjectedTornWriteIsRejectedOnRecovery) {
     EXPECT_NE(detail.find("torn"), std::string::npos);
   }
 
-  // The torn file is on disk — and the checksums refuse it.
+  // The torn file is on disk — and the section table refuses it.
   EpochGraphStore store2(CheckpointTestGraph());
   ImService service2(store2, BaseOptions());
-  EXPECT_EQ(service2.LoadCheckpoint(path), CheckpointStatus::kCorrupt);
+  std::string detail;
+  EXPECT_EQ(service2.LoadCheckpoint(path, &detail), SealedStatus::kCorrupt);
+  EXPECT_NE(detail.find("truncated"), std::string::npos) << detail;
   EXPECT_EQ(service2.Query(query).seeds, original.seeds);
 }
 
@@ -233,9 +238,58 @@ TEST(CheckpointTest, InjectedReadFaultIsIoError) {
   ScopedFaultPlan scoped(plan);
   EpochGraphStore store2(CheckpointTestGraph());
   ImService service2(store2, BaseOptions());
-  EXPECT_EQ(service2.LoadCheckpoint(path), CheckpointStatus::kIoError);
+  EXPECT_EQ(service2.LoadCheckpoint(path), SealedStatus::kIoError);
   // The fault window is spent; a retry succeeds.
-  EXPECT_EQ(service2.LoadCheckpoint(path), CheckpointStatus::kOk);
+  EXPECT_EQ(service2.LoadCheckpoint(path), SealedStatus::kOk);
+}
+
+// IMCKPT01, the unsectioned layout before the sealed-file container, has
+// no reader: a well-formed IMCKPT01 file of the exact corpus is refused as
+// another version, the service stays cold, and it serves the cold seeds.
+TEST(CheckpointTest, Imckpt01FileIsRefusedAndServiceBuildsCold) {
+  const std::string path = TempPath("ckpt_v1.bin");
+  EpochGraphStore store(CheckpointTestGraph());
+  ImService service(store, BaseOptions());
+  ImQuery query;
+  query.k = 5;
+  const ImQueryResult original = service.Query(query);
+  const std::span<const uint64_t> offsets = service.corpus().OffsetsArena();
+  const std::span<const NodeId> members = service.corpus().MembersArena();
+
+  // magic, version, kind, seed, epoch, epsilon, num_nodes, reserved,
+  // fingerprint, set and entry counts, payload and header checksums.
+  std::string file("IMCKPT01", 8);
+  auto put = [&file](const auto& value) {
+    file.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  put(uint32_t{1});
+  put(static_cast<uint32_t>(BaseOptions().kind));
+  put(BaseOptions().seed);
+  put(uint64_t{0});
+  put(BaseOptions().epsilon);
+  put(store.Current().graph->num_nodes());
+  put(uint32_t{0});
+  put(GraphFingerprint(*store.Current().graph));
+  put(static_cast<uint64_t>(service.corpus().size()));
+  put(static_cast<uint64_t>(members.size()));
+  put(Fnv1a(members.data(), members.size_bytes(),
+            Fnv1a(offsets.data(), offsets.size_bytes())));
+  put(Fnv1a(file.data(), file.size()));
+  file.append(reinterpret_cast<const char*>(offsets.data()),
+              offsets.size_bytes());
+  file.append(reinterpret_cast<const char*>(members.data()),
+              members.size_bytes());
+  WriteAll(path, std::vector<char>(file.begin(), file.end()));
+
+  EpochGraphStore store2(CheckpointTestGraph());
+  ImService service2(store2, BaseOptions());
+  std::string detail;
+  EXPECT_EQ(service2.LoadCheckpoint(path, &detail), SealedStatus::kMismatch);
+  EXPECT_NE(detail.find("IMCKPT01"), std::string::npos) << detail;
+  EXPECT_EQ(service2.corpus().size(), 0u);
+  const ImQueryResult cold = service2.Query(query);
+  EXPECT_GT(cold.sets_sampled, 0u);
+  EXPECT_EQ(cold.seeds, original.seeds);
 }
 
 TEST(CheckpointTest, GraphFingerprintTracksTopologyAndWeights) {
@@ -255,11 +309,11 @@ TEST(CheckpointTest, GraphFingerprintTracksTopologyAndWeights) {
 }
 
 TEST(CheckpointTest, StatusNamesAreStable) {
-  EXPECT_STREQ(CheckpointStatusName(CheckpointStatus::kOk), "ok");
-  EXPECT_STREQ(CheckpointStatusName(CheckpointStatus::kMissing), "missing");
-  EXPECT_STREQ(CheckpointStatusName(CheckpointStatus::kIoError), "io_error");
-  EXPECT_STREQ(CheckpointStatusName(CheckpointStatus::kCorrupt), "corrupt");
-  EXPECT_STREQ(CheckpointStatusName(CheckpointStatus::kMismatch), "mismatch");
+  EXPECT_STREQ(SealedStatusName(SealedStatus::kOk), "ok");
+  EXPECT_STREQ(SealedStatusName(SealedStatus::kMissing), "missing");
+  EXPECT_STREQ(SealedStatusName(SealedStatus::kIoError), "io_error");
+  EXPECT_STREQ(SealedStatusName(SealedStatus::kCorrupt), "corrupt");
+  EXPECT_STREQ(SealedStatusName(SealedStatus::kMismatch), "mismatch");
 }
 
 }  // namespace

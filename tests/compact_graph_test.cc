@@ -1,7 +1,9 @@
 // CompactGraph / `.imgrf` tests: build → write → mmap roundtrip equality
 // against the in-memory Graph for every query on all six weight models,
-// streaming-writer equivalence with WriteGraphFile, and the integrity
-// refusals (torn, truncated, foreign, injected IO faults).
+// streaming-writer equivalence with WriteGraphFile, IMGRF01 bytes pinned by
+// golden digests, and the integrity refusals (torn, truncated, foreign,
+// other version, injected IO faults). tests/sealed_file_test.cc mutates
+// every byte.
 #include "graph/compact_graph.h"
 
 #include <cstdio>
@@ -12,19 +14,31 @@
 
 #include "common/rng.h"
 #include "framework/fault.h"
+#include "framework/sealed_file.h"
 #include "framework/trace.h"
 #include "graph/graph.h"
 #include "graph/graph_file.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "graph/weights.h"
-#include "service/checkpoint.h"
 
 namespace imbench {
 namespace {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string Slurp(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::string bytes;
+  if (f == nullptr) return bytes;
+  char buf[1 << 14];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
 }
 
 // A graph with hubs, sinks, isolated nodes, parallel arcs and self loops —
@@ -120,7 +134,7 @@ TEST_P(CompactGraphModelTest, WriteOpenRoundtripMatchesInMemoryGraph) {
   ASSERT_TRUE(WriteGraphFile(graph, GetParam(), path, &error)) << error;
 
   CompactGraph compact;
-  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), SealedStatus::kOk)
       << error;
   EXPECT_EQ(compact.weight_model(), GetParam());
   ExpectSameGraph(graph, compact);
@@ -165,22 +179,72 @@ TEST(GraphFileStreamWriterTest, MatchesWriteGraphFileByteForByte) {
     for (const Arc& arc : arcs) writer.AddArc(arc.source, arc.target);
     ASSERT_TRUE(writer.Finish(&error)) << error;
 
-    auto slurp = [](const std::string& path) {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      EXPECT_NE(f, nullptr);
-      std::string bytes;
-      char buf[1 << 14];
-      size_t got;
-      while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        bytes.append(buf, got);
-      }
-      std::fclose(f);
-      return bytes;
-    };
-    EXPECT_EQ(slurp(streamed), slurp(whole))
+    EXPECT_EQ(Slurp(streamed), Slurp(whole))
         << "model " << WeightModelName(model);
     std::remove(whole.c_str());
     std::remove(streamed.c_str());
+  }
+}
+
+// IMGRF01 bytes pinned across commits: the FNV-1a of both writers' output
+// per streamable weight model, on a graph with parallel arcs and on one
+// without. Writer-vs-writer agreement alone would miss a format drift in
+// both writers at once. The digests were recorded from the writers as they
+// were before they shared WriteSealedFile. WriteGraphFile then padded the
+// file without parallel arcs with 5 zero bytes before its empty
+// multiplicities section (the reader still accepts that padding); both
+// writers now end the file at its last byte of data, as the streaming
+// writer always did, so `plain` is the streaming writer's old digest.
+TEST(GraphFileStreamWriterTest, BothWritersMatchPinnedDigests) {
+  struct Golden {
+    WeightModel model;
+    uint64_t plain;
+    uint64_t parallel;
+  };
+  const Golden goldens[] = {
+      {WeightModel::kIcConstant, 0x0432ffbb241f6598ULL, 0x073f341d687ddaadULL},
+      {WeightModel::kWc, 0xf69408fcf0cf6e5dULL, 0xb9bd930e7fa15103ULL},
+      {WeightModel::kTrivalency, 0x806c1a268cfddc16ULL, 0xbe1f1504d539c692ULL},
+      {WeightModel::kLtUniform, 0x83936de38a7bb1d9ULL, 0x9da2a28a9df97067ULL},
+      {WeightModel::kLtParallel, 0x40f710dda0961242ULL, 0x0defaca086c4d1e9ULL},
+  };
+  Rng ba_rng(9);
+  const EdgeList ba = BarabasiAlbert(300, 3, ba_rng);
+  std::vector<Arc> parallel;
+  for (NodeId u = 0; u < 60; ++u) {
+    parallel.push_back(Arc{u, (u + 1) % 60});
+    parallel.push_back(Arc{u, (u * 7 + 3) % 60});
+    if (u % 11 == 0) parallel.push_back(Arc{u, (u + 1) % 60});
+  }
+  for (const Golden& golden : goldens) {
+    for (const bool with_parallel : {false, true}) {
+      const NodeId n = with_parallel ? 60 : ba.num_nodes;
+      const std::vector<Arc>& arcs = with_parallel ? parallel : ba.arcs;
+      Graph graph = Graph::FromArcs(n, arcs);
+      ASSERT_EQ(graph.has_parallel_arcs(), with_parallel);
+      Rng rng(0x77);
+      AssignWeights(graph, golden.model, 0.25, rng);
+      const std::string whole = TempPath("golden_whole.imgrf");
+      const std::string streamed = TempPath("golden_streamed.imgrf");
+      std::string error;
+      ASSERT_TRUE(WriteGraphFile(graph, golden.model, whole, &error)) << error;
+      GraphFileStreamWriter::Options options;
+      options.model = golden.model;
+      options.ic_p = 0.25;
+      options.weight_rng_seed = 0x77;
+      GraphFileStreamWriter writer(streamed, n, options);
+      for (const Arc& arc : arcs) writer.AddArc(arc.source, arc.target);
+      ASSERT_TRUE(writer.Finish(&error)) << error;
+
+      const uint64_t want = with_parallel ? golden.parallel : golden.plain;
+      for (const std::string& path : {whole, streamed}) {
+        const std::string bytes = Slurp(path);
+        EXPECT_EQ(Fnv1a(bytes.data(), bytes.size()), want)
+            << path << " model " << WeightModelName(golden.model)
+            << (with_parallel ? " parallel" : " plain");
+        std::remove(path.c_str());
+      }
+    }
   }
 }
 
@@ -205,7 +269,7 @@ TEST(GraphFileStreamWriterTest, GeneratorStreamMatchesEdgeListPipeline) {
 
   CompactGraph compact;
   ASSERT_EQ(CompactGraph::Open(streamed, &compact, &error),
-            GraphFileStatus::kOk)
+            SealedStatus::kOk)
       << error;
   ExpectSameGraph(graph, compact);
   std::remove(whole.c_str());
@@ -245,7 +309,7 @@ TEST(GraphFileStreamWriterTest, BidirectionalAndSelfLoopOptionsMatchFromArcs) {
   ASSERT_TRUE(writer.Finish(&error)) << error;
 
   CompactGraph compact;
-  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), SealedStatus::kOk)
       << error;
   ExpectSameGraph(graph, compact);
   std::remove(path.c_str());
@@ -260,7 +324,7 @@ TEST(CompactGraphTest, EmptyAndEdgelessGraphsRoundtrip) {
         << error;
     CompactGraph compact;
     ASSERT_EQ(CompactGraph::Open(path, &compact, &error),
-              GraphFileStatus::kOk)
+              SealedStatus::kOk)
         << error;
     ExpectSameGraph(graph, compact);
     std::remove(path.c_str());
@@ -277,7 +341,7 @@ TEST(CompactGraphTest, OpenReportsMappedBytesToTrace) {
   options.trace = &trace;
   CompactGraph compact;
   ASSERT_EQ(CompactGraph::Open(path, &compact, &error, options),
-            GraphFileStatus::kOk);
+            SealedStatus::kOk);
   EXPECT_EQ(trace.Total(TraceCounter::kGraphBytesMapped),
             compact.MappedBytes());
   EXPECT_GT(compact.MappedBytes(), 0u);
@@ -294,14 +358,7 @@ class CorruptionTest : public ::testing::Test {
     path_ = TempPath("corrupt.imgrf");
     std::string error;
     ASSERT_TRUE(WriteGraphFile(graph_, WeightModel::kWc, path_, &error));
-    std::FILE* f = std::fopen(path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[1 << 14];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      bytes_.append(buf, got);
-    }
-    std::fclose(f);
+    bytes_ = Slurp(path_);
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -324,7 +381,7 @@ TEST_F(CorruptionTest, FlippedPayloadByteIsRefused) {
   CompactGraph compact;
   std::string error;
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-            GraphFileStatus::kCorrupt);
+            SealedStatus::kCorrupt);
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
@@ -335,7 +392,7 @@ TEST_F(CorruptionTest, FlippedHeaderByteIsRefused) {
   CompactGraph compact;
   std::string error;
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-            GraphFileStatus::kCorrupt);
+            SealedStatus::kCorrupt);
 }
 
 TEST_F(CorruptionTest, TruncatedFileIsRefused) {
@@ -343,7 +400,7 @@ TEST_F(CorruptionTest, TruncatedFileIsRefused) {
   CompactGraph compact;
   std::string error;
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-            GraphFileStatus::kCorrupt);
+            SealedStatus::kCorrupt);
 }
 
 TEST_F(CorruptionTest, HeaderOnlyFileIsRefused) {
@@ -351,7 +408,7 @@ TEST_F(CorruptionTest, HeaderOnlyFileIsRefused) {
   CompactGraph compact;
   std::string error;
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-            GraphFileStatus::kCorrupt);
+            SealedStatus::kCorrupt);
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 }
 
@@ -362,8 +419,21 @@ TEST_F(CorruptionTest, NotAnImgrfFileIsRefused) {
   CompactGraph compact;
   std::string error;
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-            GraphFileStatus::kCorrupt);
+            SealedStatus::kCorrupt);
   EXPECT_NE(error.find("IMGRF"), std::string::npos) << error;
+}
+
+// Another version of the format is a valid file this build cannot read:
+// mismatch, the status a checkpoint of another version gets too.
+TEST_F(CorruptionTest, UnsupportedVersionIsRefusedAsMismatch) {
+  std::string newer = bytes_;
+  newer[6] = '2';  // "IMGRF02"
+  Rewrite(newer);
+  CompactGraph compact;
+  std::string error;
+  EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
+            SealedStatus::kMismatch);
+  EXPECT_NE(error.find("IMGRF02"), std::string::npos) << error;
 }
 
 TEST_F(CorruptionTest, ForeignFingerprintIsRefusedAsMismatch) {
@@ -373,17 +443,17 @@ TEST_F(CorruptionTest, ForeignFingerprintIsRefusedAsMismatch) {
   options.has_expected_fingerprint = true;
   options.expected_fingerprint = GraphFingerprint(graph_) ^ 1;
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error, options),
-            GraphFileStatus::kMismatch);
+            SealedStatus::kMismatch);
   options.expected_fingerprint = GraphFingerprint(graph_);
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error, options),
-            GraphFileStatus::kOk);
+            SealedStatus::kOk);
 }
 
 TEST_F(CorruptionTest, MissingFile) {
   CompactGraph compact;
   std::string error;
   EXPECT_EQ(CompactGraph::Open(TempPath("nope.imgrf"), &compact, &error),
-            GraphFileStatus::kMissing);
+            SealedStatus::kMissing);
 }
 
 TEST_F(CorruptionTest, InjectedReadAndMapFaultsRefuseAsIoError) {
@@ -397,12 +467,12 @@ TEST_F(CorruptionTest, InjectedReadAndMapFaultsRefuseAsIoError) {
     CompactGraph compact;
     std::string error;
     EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-              GraphFileStatus::kIoError)
+              SealedStatus::kIoError)
         << site;
     EXPECT_NE(error.find("injected"), std::string::npos) << error;
     // The plan is spent; the next open succeeds.
     EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
-              GraphFileStatus::kOk)
+              SealedStatus::kOk)
         << site;
     FaultInjector::Global().Disarm();
   }

@@ -26,6 +26,7 @@
 #include "framework/datasets.h"
 #include "framework/fault.h"
 #include "framework/run_guard.h"
+#include "framework/sealed_file.h"
 #include "framework/trace.h"
 #include "graph/compact_graph.h"
 #include "graph/generators.h"
@@ -202,7 +203,7 @@ class BackendDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(WriteGraphFile(graph_, WeightModel::kWc, path_, &error))
         << error;
     ASSERT_EQ(CompactGraph::Open(path_, &compact_, &error),
-              GraphFileStatus::kOk)
+              SealedStatus::kOk)
         << error;
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -255,7 +256,7 @@ TEST_F(BackendDifferentialTest, LtCorpusIdenticalAcrossBackends) {
       WriteGraphFile(lt_graph, WeightModel::kLtUniform, lt_path, &error));
   CompactGraph lt_compact;
   ASSERT_EQ(CompactGraph::Open(lt_path, &lt_compact, &error),
-            GraphFileStatus::kOk);
+            SealedStatus::kOk);
 
   SamplerOptions options;
   options.kind = DiffusionKind::kLinearThreshold;
@@ -341,9 +342,8 @@ TEST(SamplingDeterminismTest, LtCorpusInvariantUnderThreads) {
 uint64_t ArenaDigest(const RrCollection& c) {
   const auto members = c.MembersArena();
   const auto offsets = c.OffsetsArena();
-  uint64_t h =
-      imgrf::Fnv1a(members.data(), members.size_bytes(), imgrf::kFnvBasis);
-  return imgrf::Fnv1a(offsets.data(), offsets.size_bytes(), h);
+  const uint64_t h = Fnv1a(members.data(), members.size_bytes());
+  return Fnv1a(offsets.data(), offsets.size_bytes(), h);
 }
 
 Graph BaGraph(NodeId nodes, uint32_t attach, DiffusionKind kind) {
@@ -378,7 +378,7 @@ class LookaheadBoundaryTest
         &error))
         << error;
     ASSERT_EQ(CompactGraph::Open(path_, &compact_, &error),
-              GraphFileStatus::kOk)
+              SealedStatus::kOk)
         << error;
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -190,7 +190,7 @@ TEST(FusedKernelTest, LtEstimateIdenticalAcrossBackends) {
     ASSERT_TRUE(WriteGraphFile(graph, model, path, &error)) << error;
     CompactGraph compact;
     ASSERT_EQ(CompactGraph::Open(path, &compact, &error),
-              GraphFileStatus::kOk)
+              SealedStatus::kOk)
         << error;
 
     Trace heap_trace;
@@ -254,7 +254,7 @@ TEST(FusedKernelExactPathTest, ForcedExactSweepMatchesReplayAndDefault) {
     ASSERT_TRUE(WriteGraphFile(graph, model, path, &error)) << error;
     CompactGraph compact;
     ASSERT_EQ(CompactGraph::Open(path, &compact, &error),
-              GraphFileStatus::kOk)
+              SealedStatus::kOk)
         << error;
     const std::vector<NodeId> seeds = {7, 0, graph.OutTargets(0)[0], 7};
     constexpr uint64_t kBlock = 2;

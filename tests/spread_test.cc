@@ -189,7 +189,7 @@ TEST(ParallelSpreadTest, ScalarDecodeCountInvariantUnderThreads) {
   std::string error;
   ASSERT_TRUE(WriteGraphFile(g, WeightModel::kWc, path, &error)) << error;
   CompactGraph compact;
-  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), SealedStatus::kOk)
       << error;
   const std::vector<NodeId> seeds = {1, 5, 9};
   uint64_t reference = 0;

@@ -182,9 +182,9 @@ int main(int argc, char** argv) {
       CompactGraph::OpenOptions open_options;
       open_options.trace = tr;
       std::string error;
-      const GraphFileStatus status =
+      const SealedStatus status =
           CompactGraph::Open(*graph_file, &compact, &error, open_options);
-      if (status == GraphFileStatus::kOk) {
+      if (status == SealedStatus::kOk) {
         if (compact.weight_model() != model) {
           std::fprintf(stderr,
                        "%s carries %s weights baked in; rerun with "
@@ -199,13 +199,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "warning: cannot open %s (%s: %s); degrading to "
                      "edge-list loading\n",
-                     graph_file->c_str(), GraphFileStatusName(status),
+                     graph_file->c_str(), SealedStatusName(status),
                      error.c_str());
       } else {
         std::fprintf(stderr,
                      "cannot open %s (%s): %s\n"
                      "(--keep-going degrades to --graph/--dataset loading)\n",
-                     graph_file->c_str(), GraphFileStatusName(status),
+                     graph_file->c_str(), SealedStatusName(status),
                      error.c_str());
         return 1;
       }
@@ -288,12 +288,12 @@ int main(int argc, char** argv) {
 
     if (!checkpoint_path->empty()) {
       std::string detail;
-      const CheckpointStatus status =
+      const SealedStatus status =
           service.LoadCheckpoint(*checkpoint_path, &detail);
       std::printf(
           "{\"op\":\"checkpoint\",\"action\":\"recover\",\"status\":\"%s\","
           "\"warm_sets\":%zu,\"detail\":\"%s\"}\n",
-          CheckpointStatusName(status), service.corpus().size(),
+          SealedStatusName(status), service.corpus().size(),
           detail.c_str());
     }
 
