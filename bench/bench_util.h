@@ -5,10 +5,6 @@
 //   --scale=tiny|bench|paper   dataset size (default bench)
 //   --seed=N                   RNG seed for graphs and algorithms
 //   --mc=N                     MC simulations for final spread evaluation
-//   --mc-engine=auto|scalar|fused
-//                              MC kernel for the evaluation phase (auto
-//                              picks the bit-parallel fused kernel when the
-//                              simulation count allows it)
 //   --budget=SECONDS           enforced per-cell time budget (over => DNF)
 //   --mem-budget=MB            enforced per-cell heap cap (over => Crashed)
 //   --threads=N                worker threads for the parallel sampling and
@@ -43,7 +39,6 @@ struct CommonFlags {
   std::string* scale;
   int64_t* seed;
   int64_t* mc;
-  std::string* mc_engine;
   double* budget;
   double* mem_budget;
   int64_t* threads;
@@ -61,10 +56,6 @@ inline CommonFlags AddCommonFlags(FlagSet& flags, int64_t default_mc = 1000,
                             "dataset scale: tiny|bench|paper");
   c.seed = flags.AddInt("seed", 7, "RNG seed");
   c.mc = flags.AddInt("mc", default_mc, "MC simulations for spread evaluation");
-  c.mc_engine = flags.AddString(
-      "mc-engine", "auto",
-      "MC kernel for spread evaluation: auto|scalar|fused (auto picks the "
-      "bit-parallel fused kernel when the simulation count allows it)");
   c.budget = flags.AddDouble(
       "budget", default_budget,
       "enforced per-cell time budget in seconds (over => DNF with partial "
@@ -97,11 +88,6 @@ inline WorkbenchOptions ToWorkbenchOptions(const CommonFlags& c) {
   options.seed = static_cast<uint64_t>(*c.seed);
   options.evaluation_simulations =
       *c.full ? kReferenceSimulations : static_cast<uint32_t>(*c.mc);
-  if (!ParseMcEngine(*c.mc_engine, &options.mc_engine)) {
-    std::fprintf(stderr, "unknown --mc-engine '%s' (want auto|scalar|fused)\n",
-                 c.mc_engine->c_str());
-    std::exit(2);
-  }
   options.time_budget_seconds = *c.budget;
   options.memory_budget_bytes =
       static_cast<uint64_t>(*c.mem_budget * 1024.0 * 1024.0);

@@ -1,7 +1,8 @@
 // Perf smoke for the bit-parallel fused MC kernels: builds a BA graph
 // under WC weights, estimates the spread of the top-degree seed set with
-// the scalar and the fused engine, and writes the timings and speedup as
-// JSON. CI runs this on BA-100K and archives the JSON
+// a scalar baseline (one CascadeContext::Simulate per simulation i on
+// Rng::ForStream(seed, i)) and with EstimateSpread's fused kernel, and
+// writes the timings and speedup as JSON. CI runs this on BA-100K and archives the JSON
 // (BENCH_mc_kernels.json) so the kernel perf trajectory is tracked commit
 // over commit, with a hard floor on the fused speedup.
 //
@@ -14,8 +15,10 @@
 //     tests/fused_cascade_test.cc).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "diffusion/cascade.h"
 #include "diffusion/fused_cascade.h"
 #include "diffusion/spread.h"
 #include "graph/generators.h"
@@ -50,17 +54,30 @@ std::vector<NodeId> TopDegreeSeeds(const Graph& graph, uint32_t k) {
   return nodes;
 }
 
-double MeasureSeconds(const Graph& graph, std::span<const NodeId> seeds,
-                      const SpreadOptions& options, int64_t reps,
-                      SpreadEstimate* est) {
+// The scalar baseline: simulation i runs one cascade on its own stream
+// Rng::ForStream(seed, i), and the samples aggregate in index order.
+SpreadEstimate ScalarEstimate(const Graph& graph,
+                              std::span<const NodeId> seeds,
+                              uint32_t simulations, uint64_t seed) {
+  CascadeContext context(graph.num_nodes());
+  std::vector<NodeId> samples;
+  samples.reserve(simulations);
+  for (uint32_t i = 0; i < simulations; ++i) {
+    Rng rng = Rng::ForStream(seed, i);
+    samples.push_back(context.Simulate(
+        graph, DiffusionKind::kIndependentCascade, seeds, rng));
+  }
+  return SpreadEstimate::FromSamples(samples);
+}
+
+double MeasureSeconds(const std::function<SpreadEstimate()>& estimate,
+                      int64_t reps, SpreadEstimate* est) {
   Timer timer;
-  *est = EstimateSpread(graph, DiffusionKind::kIndependentCascade, seeds,
-                        options);
+  *est = estimate();
   double best = timer.Seconds();
   for (int64_t rep = 1; rep < reps; ++rep) {
     timer.Restart();
-    const SpreadEstimate again = EstimateSpread(
-        graph, DiffusionKind::kIndependentCascade, seeds, options);
+    const SpreadEstimate again = estimate();
     best = std::min(best, timer.Seconds());
     if (again.mean != est->mean) {
       std::fprintf(stderr, "FATAL: estimate not reproducible across reps\n");
@@ -129,18 +146,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  SpreadOptions scalar_options;
-  scalar_options.simulations = simulations;
-  scalar_options.seed = mc_seed;
-  scalar_options.engine = McEngine::kScalar;
-
-  SpreadOptions fused_options = scalar_options;
-  fused_options.engine = McEngine::kFused64;
+  SpreadOptions fused_options;
+  fused_options.simulations = simulations;
+  fused_options.seed = mc_seed;
 
   // --- Gate 2: fused estimate is thread-count invariant. ---
   SpreadEstimate fused_seq;
-  const double fused_seconds =
-      MeasureSeconds(graph, seeds, fused_options, *reps, &fused_seq);
+  const double fused_seconds = MeasureSeconds(
+      [&] {
+        return EstimateSpread(graph, DiffusionKind::kIndependentCascade,
+                              seeds, fused_options);
+      },
+      *reps, &fused_seq);
   {
     ThreadPool pool(3);
     SpreadOptions threaded = fused_options;
@@ -159,10 +176,11 @@ int main(int argc, char** argv) {
   }
 
   SpreadEstimate scalar_est;
-  const double scalar_seconds =
-      MeasureSeconds(graph, seeds, scalar_options, *reps, &scalar_est);
+  const double scalar_seconds = MeasureSeconds(
+      [&] { return ScalarEstimate(graph, seeds, simulations, mc_seed); },
+      *reps, &scalar_est);
 
-  // Both engines are unbiased estimators of the same σ(S); they draw
+  // Both kernels are unbiased estimators of the same σ(S); they draw
   // different coin streams, so agree statistically, not bitwise.
   const double scalar_stderr = scalar_est.StdError();
   const double fused_stderr = fused_seq.StdError();

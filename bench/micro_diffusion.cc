@@ -1,12 +1,20 @@
 // Micro benchmarks for the diffusion engine: cascade simulation and
 // RR-set generation throughput, including the ablation called out in
-// DESIGN.md (epoch-stamped scratch vs a fresh context per simulation).
+// DESIGN.md (epoch-stamped scratch vs a fresh context per simulation), and
+// the CELF-shaped probe of the live-stream estimator against the fused one
+// (EXPERIMENTS.md, Fig. 9).
+
+#include <map>
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "diffusion/cascade.h"
 #include "diffusion/fused_cascade.h"
 #include "diffusion/rr_sets.h"
+#include "diffusion/spread.h"
+#include "diffusion/streaming.h"
 #include "framework/datasets.h"
 #include "graph/weights.h"
 
@@ -136,6 +144,77 @@ void BM_FusedBlockLt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFusedLanes);
 }
 BENCHMARK(BM_FusedBlockLt);
+
+// CELF-shaped estimates: one iteration is a sweep of σ({0, v}) estimates
+// at r simulations over 32 candidates v spread evenly across the node
+// range, the call a CELF-family selection makes per marginal gain. Both
+// sides sweep the same candidates. The scalar side is the live-stream
+// estimator those selections use (StreamingScratch::Estimate); the fused
+// side is EstimateSpread on one thread, per-call context set-up included.
+// Args: dataset (0 nethept, 1 hepph, 2 dblp; bench scale), model (0 WC,
+// 1 LT-uniform), r.
+constexpr NodeId kCelfProbeCandidates = 32;
+
+const Graph& CelfProbeGraph(int64_t dataset, int64_t lt) {
+  static auto& cache = *new std::map<int64_t, std::unique_ptr<Graph>>();
+  std::unique_ptr<Graph>& graph = cache[dataset * 2 + lt];
+  if (graph == nullptr) {
+    const char* const names[] = {"nethept", "hepph", "dblp"};
+    graph = std::make_unique<Graph>(
+        MakeDataset(names[dataset], DatasetScale::kBench));
+    if (lt != 0) {
+      AssignLtUniform(*graph);
+    } else {
+      AssignWeightedCascade(*graph);
+    }
+  }
+  return *graph;
+}
+
+template <typename EstimateFn>
+void RunCelfProbe(benchmark::State& state, const EstimateFn& estimate) {
+  const Graph& graph = CelfProbeGraph(state.range(0), state.range(1));
+  const DiffusionKind kind = state.range(1) != 0
+                                 ? DiffusionKind::kLinearThreshold
+                                 : DiffusionKind::kIndependentCascade;
+  const auto simulations = static_cast<uint32_t>(state.range(2));
+  const NodeId stride = (graph.num_nodes() - 1) / kCelfProbeCandidates;
+  std::vector<NodeId> seeds = {0, 0};
+  for (auto _ : state) {
+    for (NodeId i = 0; i < kCelfProbeCandidates; ++i) {
+      seeds[1] = 1 + i * stride;
+      benchmark::DoNotOptimize(
+          estimate(graph, kind, seeds, simulations).mean);
+    }
+  }
+}
+
+void BM_CelfGainScalarStream(benchmark::State& state) {
+  const Graph& graph = CelfProbeGraph(state.range(0), state.range(1));
+  StreamingScratch scratch(graph.num_nodes(), 1);
+  RunCelfProbe(state, [&](const Graph& g, DiffusionKind kind,
+                          const std::vector<NodeId>& seeds, uint32_t r) {
+    return scratch.Estimate(g, kind, seeds, r, nullptr, nullptr);
+  });
+}
+
+void BM_CelfGainFused(benchmark::State& state) {
+  SpreadOptions options;
+  options.seed = 1;
+  RunCelfProbe(state, [&](const Graph& g, DiffusionKind kind,
+                          const std::vector<NodeId>& seeds, uint32_t r) {
+    options.simulations = r;
+    return EstimateSpread(g, kind, seeds, options);
+  });
+}
+
+void CelfProbeArgs(benchmark::internal::Benchmark* b) {
+  b->Args({0, 0, 200})->Args({1, 0, 200})->Args({2, 0, 200});
+  b->Args({2, 0, 1024})->Args({2, 1, 200});
+  b->Unit(benchmark::kMillisecond);
+}
+BENCHMARK(BM_CelfGainScalarStream)->Apply(CelfProbeArgs);
+BENCHMARK(BM_CelfGainFused)->Apply(CelfProbeArgs);
 
 void BM_RrSetIcWc(benchmark::State& state) {
   const Graph& graph = WcGraph();

@@ -2,7 +2,7 @@
 
 #include "algorithms/lazy_queue.h"
 #include "common/check.h"
-#include "diffusion/spread.h"
+#include "diffusion/streaming.h"
 #include "framework/trace.h"
 
 namespace imbench {
@@ -10,35 +10,29 @@ namespace imbench {
 SelectionResult Celf::Select(const SelectionInput& input) {
   const Graph& graph = *input.graph;
   IMBENCH_CHECK(input.k <= graph.num_nodes());
-  // Streaming mode: one live Rng across all lazy re-evaluations.
+  // One live Rng across all lazy re-evaluations.
   StreamingScratch scratch(graph.num_nodes(), input.seed);
-  SpreadOptions mc;
-  mc.simulations = options_.simulations;
-  mc.guard = input.guard;
-  mc.streaming = &scratch;
-  mc.trace = input.trace;
 
   SelectionResult result;
   std::vector<NodeId> seeds;
   std::vector<NodeId> candidate;
   double current_spread = 0;
 
-  auto marginal_gain = [&](NodeId v) {
+  // σ(S ∪ {v}) on the live stream, counting the simulations that ran.
+  auto estimate = [&](NodeId v) {
     candidate = seeds;
     candidate.push_back(v);
-    CountSimulations(input.counters, options_.simulations);
-    const SpreadEstimate estimate =
-        EstimateSpread(graph, input.diffusion, candidate, mc);
-    return estimate.mean - current_spread;
+    const SpreadEstimate est =
+        scratch.Estimate(graph, input.diffusion, candidate,
+                         options_.simulations, input.guard, input.trace);
+    CountSimulations(input.counters, est.simulations);
+    return est.mean;
   };
+  auto marginal_gain = [&](NodeId v) { return estimate(v) - current_spread; };
   auto commit = [&](NodeId v) {
-    candidate = seeds;
-    candidate.push_back(v);
     // Re-estimate σ(S) once per selection so gains stay anchored; cheaper
     // than storing each candidate's absolute spread.
-    CountSimulations(input.counters, options_.simulations);
-    current_spread =
-        EstimateSpread(graph, input.diffusion, candidate, mc).mean;
+    current_spread = estimate(v);
     seeds.push_back(v);
   };
   {

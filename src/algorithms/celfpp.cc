@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "diffusion/spread.h"
+#include "diffusion/streaming.h"
 #include "framework/trace.h"
 
 namespace imbench {
@@ -28,12 +28,8 @@ struct Entry {
 SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
   const Graph& graph = *input.graph;
   IMBENCH_CHECK(input.k <= graph.num_nodes());
-  // The scratch handle owns the live Rng and cascade context this loop
-  // streams simulations through (the Simulate/Continue pairing below has
-  // no EstimateSpread equivalent, so it drives the scratch directly).
+  // One live stream through the scalar cascade serves every estimate.
   StreamingScratch scratch(graph.num_nodes(), input.seed);
-  CascadeContext& context = scratch.context();
-  Rng& rng = scratch.rng();
 
   std::vector<NodeId> seeds;
   double current_spread = 0;  // σ(S)
@@ -44,30 +40,24 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
   // then *continues* the same cascade from cur_best, so the second value
   // is a valid sample of Γ(S∪{v}∪{cur_best}) at marginal extra cost (the
   // trick the reference implementation uses; without it CELF++ would do
-  // twice CELF's work per lookup and M1 could never hold).
+  // twice CELF's work per lookup and M1 could never hold). With no
+  // cur_best the continuation is empty and both values are σ(S∪{v}).
+  // Means are over the simulations that actually ran, so a truncated
+  // batch still yields an unbiased (just noisier) estimate.
   std::vector<NodeId> candidate;
-  std::vector<NodeId> continuation(1);
-  auto estimate_pair = [&](NodeId v, bool with_best, double& spread_v,
+  auto estimate_pair = [&](NodeId v, double& spread_v,
                            double& spread_v_best) {
     candidate = seeds;
     candidate.push_back(v);
-    double sum1 = 0, sum2 = 0;
-    uint32_t done = 0;
-    for (uint32_t i = 0; i < options_.simulations; ++i) {
-      if (GuardShouldStop(input.guard)) break;
-      sum1 += context.Simulate(graph, input.diffusion, candidate, rng);
-      if (with_best) {
-        continuation[0] = cur_best;
-        sum2 += context.Continue(graph, input.diffusion, continuation, rng);
-      }
-      ++done;
-    }
-    CountSimulations(input.counters, done);
-    TraceAdd(input.trace, TraceCounter::kSimulations, done);
-    // Normalize by the simulations that actually ran so a truncated batch
-    // still yields an unbiased (just noisier) estimate.
-    spread_v = done > 0 ? sum1 / done : 0;
-    spread_v_best = with_best && done > 0 ? sum2 / done : spread_v;
+    const std::span<const NodeId> continuation =
+        cur_best != kInvalidNode ? std::span<const NodeId>(&cur_best, 1)
+                                 : std::span<const NodeId>();
+    const SpreadPair pair = scratch.EstimatePair(
+        graph, input.diffusion, candidate, continuation, options_.simulations,
+        input.guard, input.trace);
+    CountSimulations(input.counters, pair.base.simulations);
+    spread_v = pair.base.mean;
+    spread_v_best = pair.extended.mean;
   };
 
   // Initial pass: mg1 = σ({v}); mg2 = σ({v, cur_best}) − σ({cur_best})
@@ -82,7 +72,7 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
     TraceAdd(input.trace, TraceCounter::kNodeLookups);
     const bool with_best = cur_best != kInvalidNode;
     double spread_v = 0, spread_v_best = 0;
-    estimate_pair(v, with_best, spread_v, spread_v_best);
+    estimate_pair(v, spread_v, spread_v_best);
     const double mg1 = spread_v;
     const double mg2 = with_best ? spread_v_best - cur_best_mg1 : mg1;
     heap.push_back(Entry{mg1, mg2, v, cur_best, 0});
@@ -110,14 +100,11 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       // selected gains: the max of noisy estimates is biased upward, and
       // letting that bias build up deflates every subsequent re-evaluated
       // gain, degrading the lazy queue into near-exhaustive search.
-      CountSimulations(input.counters, options_.simulations);
-      TraceAdd(input.trace, TraceCounter::kSimulations, options_.simulations);
-      candidate = seeds;
-      double sum = 0;
-      for (uint32_t i = 0; i < options_.simulations; ++i) {
-        sum += context.Simulate(graph, input.diffusion, candidate, rng);
-      }
-      current_spread = sum / options_.simulations;
+      const SpreadEstimate anchor =
+          scratch.Estimate(graph, input.diffusion, seeds,
+                           options_.simulations, input.guard, input.trace);
+      CountSimulations(input.counters, anchor.simulations);
+      current_spread = anchor.mean;
       cur_best = kInvalidNode;
       cur_best_mg1 = -1;
       continue;
@@ -132,7 +119,7 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       TraceAdd(input.trace, TraceCounter::kQueueReevaluations);
       const bool with_best = cur_best != kInvalidNode;
       double spread_v = 0, spread_v_best = 0;
-      estimate_pair(top.node, with_best, spread_v, spread_v_best);
+      estimate_pair(top.node, spread_v, spread_v_best);
       top.mg1 = spread_v - current_spread;
       top.prev_best = cur_best;
       // σ(S ∪ {cur_best}) = σ(S) + cur_best's mg1 — already known.

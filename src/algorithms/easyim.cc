@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "diffusion/spread.h"
+#include "diffusion/streaming.h"
 #include "framework/trace.h"
 
 namespace imbench {
@@ -13,13 +13,8 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
   const Graph& graph = *input.graph;
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const NodeId n = graph.num_nodes();
-  // Streaming mode for the candidate-validation simulations.
+  // One live Rng for the candidate-validation simulations.
   StreamingScratch scratch(n, input.seed);
-  SpreadOptions mc;
-  mc.simulations = options_.simulations;
-  mc.guard = input.guard;
-  mc.streaming = &scratch;
-  mc.trace = input.trace;
 
   std::vector<uint8_t> is_seed(n, 0);
   // One score per node — the entire working state of the algorithm.
@@ -103,9 +98,10 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
         with_candidate.push_back(v);
         CountSpreadEvaluation(input.counters);
         TraceAdd(input.trace, TraceCounter::kNodeLookups);
-        CountSimulations(input.counters, options_.simulations);
         const SpreadEstimate est =
-            EstimateSpread(graph, input.diffusion, with_candidate, mc);
+            scratch.Estimate(graph, input.diffusion, with_candidate,
+                             options_.simulations, input.guard, input.trace);
+        CountSimulations(input.counters, est.simulations);
         if (est.mean > best_spread) {
           best_spread = est.mean;
           best = v;

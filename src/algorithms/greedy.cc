@@ -1,7 +1,7 @@
 #include "algorithms/greedy.h"
 
 #include "common/check.h"
-#include "diffusion/spread.h"
+#include "diffusion/streaming.h"
 #include "framework/trace.h"
 
 namespace imbench {
@@ -9,14 +9,9 @@ namespace imbench {
 SelectionResult Greedy::Select(const SelectionInput& input) {
   const Graph& graph = *input.graph;
   IMBENCH_CHECK(input.k <= graph.num_nodes());
-  // Streaming mode: one live Rng across the whole greedy scan, reusing the
+  // One live Rng across the whole greedy scan, reusing the
   // cascade scratch (the classic Kempe et al. estimator).
   StreamingScratch scratch(graph.num_nodes(), input.seed);
-  SpreadOptions mc;
-  mc.simulations = options_.simulations;
-  mc.guard = input.guard;
-  mc.streaming = &scratch;
-  mc.trace = input.trace;
 
   SelectionResult result;
   Span select_span(input.trace, "select");
@@ -35,9 +30,10 @@ SelectionResult Greedy::Select(const SelectionInput& input) {
       candidate.push_back(v);
       CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
-      CountSimulations(input.counters, options_.simulations);
       const SpreadEstimate estimate =
-          EstimateSpread(graph, input.diffusion, candidate, mc);
+          scratch.Estimate(graph, input.diffusion, candidate,
+                           options_.simulations, input.guard, input.trace);
+      CountSimulations(input.counters, estimate.simulations);
       const double gain = estimate.mean - current_spread;
       if (gain > best_gain) {
         best_gain = gain;

@@ -1,7 +1,5 @@
 #include "diffusion/cascade.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace imbench {
@@ -20,14 +18,7 @@ CascadeContext::CascadeContext(NodeId num_nodes)
     : active_stamp_(num_nodes, 0),
       touched_stamp_(num_nodes, 0),
       threshold_(num_nodes, 0.0),
-      accumulated_(num_nodes, 0.0),
-      blocked_(num_nodes, 0) {}
-
-void CascadeContext::Block(NodeId node) { blocked_[node] = 1; }
-
-void CascadeContext::ClearBlocked() {
-  std::fill(blocked_.begin(), blocked_.end(), 0);
-}
+      accumulated_(num_nodes, 0.0) {}
 
 NodeId CascadeContext::Simulate(const GraphView& graph, DiffusionKind kind,
                                 std::span<const NodeId> seeds, Rng& rng) {
@@ -47,7 +38,7 @@ NodeId CascadeContext::Run(const GraphView& graph, DiffusionKind kind,
                            std::span<const NodeId> seeds, size_t resume_head,
                            Rng& rng) {
   for (const NodeId s : seeds) {
-    if (blocked_[s] || active_stamp_[s] == epoch_) continue;
+    if (active_stamp_[s] == epoch_) continue;
     active_stamp_[s] = epoch_;
     active_.push_back(s);
   }
@@ -60,7 +51,7 @@ NodeId CascadeContext::Run(const GraphView& graph, DiffusionKind kind,
       const auto [targets, weights] = graph.Out(u, scratch_);
       for (size_t i = 0; i < targets.size(); ++i) {
         const NodeId v = targets[i];
-        if (active_stamp_[v] == epoch_ || blocked_[v]) continue;
+        if (active_stamp_[v] == epoch_) continue;
         if (rng.NextDouble() < weights[i]) {
           active_stamp_[v] = epoch_;
           active_.push_back(v);
@@ -76,7 +67,7 @@ NodeId CascadeContext::Run(const GraphView& graph, DiffusionKind kind,
       const auto [targets, weights] = graph.Out(u, scratch_);
       for (size_t i = 0; i < targets.size(); ++i) {
         const NodeId v = targets[i];
-        if (active_stamp_[v] == epoch_ || blocked_[v]) continue;
+        if (active_stamp_[v] == epoch_) continue;
         if (touched_stamp_[v] != epoch_) {
           touched_stamp_[v] = epoch_;
           threshold_[v] = rng.NextDouble();

@@ -29,9 +29,7 @@ class CascadeContext {
   explicit CascadeContext(NodeId num_nodes);
 
   // Runs one cascade from `seeds` and returns Γ(S), the number of active
-  // nodes including the seeds (Definition 6). Nodes in `blocked` epochs are
-  // never counted nor spread (used by greedy marginal-gain evaluation).
-  // `graph` may be either backend (GraphView converts implicitly from
+  // nodes including the seeds (Definition 6). `graph` may be either backend (GraphView converts implicitly from
   // Graph); the compact path decodes each frontier node's out-block into
   // this context's scratch.
   NodeId Simulate(const GraphView& graph, DiffusionKind kind,
@@ -45,8 +43,8 @@ class CascadeContext {
   // for both models: under the live-edge view, activating extra seeds
   // later yields the same distribution as seeding them up front, and the
   // LT threshold/accumulator state is preserved within the epoch. Used by
-  // CELF++ to estimate σ(S∪{v}) and σ(S∪{v}∪{cur_best}) from one batch of
-  // simulations.
+  // StreamingScratch::EstimatePair, which gives CELF++ σ(S∪{v}) and
+  // σ(S∪{v}∪{cur_best}) from one batch of simulations.
   NodeId Continue(const GraphView& graph, DiffusionKind kind,
                   std::span<const NodeId> extra_seeds, Rng& rng);
 
@@ -58,15 +56,7 @@ class CascadeContext {
     return n;
   }
 
-  // Marks `node` as permanently inactive for subsequent Simulate() calls
-  // until ClearBlocked(); blocked nodes cannot be activated or activate
-  // others, and do not count toward the returned spread.
-  void Block(NodeId node);
-  void ClearBlocked();
-
  private:
-  bool IsBlocked(NodeId v) const { return blocked_[v]; }
-
   // Enqueues not-yet-active seeds and drains the BFS queue from
   // `resume_head`, returning the total active count.
   NodeId Run(const GraphView& graph, DiffusionKind kind,
@@ -78,7 +68,6 @@ class CascadeContext {
   std::vector<double> threshold_;        // LT: θ_v for this epoch
   std::vector<double> accumulated_;      // LT: sum of active in-weights
   std::vector<NodeId> active_;           // BFS queue == active set
-  std::vector<uint8_t> blocked_;
   AdjScratch scratch_;                   // compact-backend decode buffer
 };
 

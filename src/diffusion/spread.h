@@ -1,21 +1,20 @@
 // Monte-Carlo estimation of the expected spread σ(S) = E[Γ(S)] (Sec. 2).
 //
-// One entry point: EstimateSpread(graph, kind, seeds, SpreadOptions).
-// Deterministic in (seed, simulations, engine): the scalar engine draws
-// simulation i from Rng::ForStream(seed, i); the fused engine runs 64
-// simulations per block with block-keyed streams (diffusion/fused_cascade.h).
-// Either way samples are aggregated in index order, so the estimate is
-// bit-identical for every thread count.
+// One entry point: EstimateSpread(graph, kind, seeds, SpreadOptions), run
+// on the fused kernel (diffusion/fused_cascade.h): 64 simulations per block
+// with block-keyed streams, a partial block for a count that is not a
+// multiple of 64. Deterministic in (seed, simulations): blocks are
+// aggregated in index order, so the estimate is bit-identical for every
+// thread count. The CELF family's marginal-gain loops draw one live stream
+// through the scalar cascade instead (diffusion/streaming.h).
 #ifndef IMBENCH_DIFFUSION_SPREAD_H_
 #define IMBENCH_DIFFUSION_SPREAD_H_
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/run_options.h"
 #include "diffusion/cascade.h"
-#include "diffusion/mc_engine.h"
 #include "graph/graph_view.h"
 
 namespace imbench {
@@ -32,43 +31,20 @@ struct SpreadEstimate {
   // Standard error of the mean; 0 when fewer than two samples were
   // aggregated (a guard-tripped run can finish with a single sample).
   double StdError() const;
-};
 
-// Streaming mode for tight greedy/CELF loops: one scratch handle owning
-// both the reusable cascade context and the live Rng the simulations draw
-// from, so the two can never be half-set. The default stream 0 matches
-// what every greedy loop historically used (Rng::ForStream(seed, 0)).
-// Estimation through a StreamingScratch is always sequential and always
-// scalar — a live stream cannot be split across threads or fused blocks.
-class StreamingScratch {
- public:
-  StreamingScratch(NodeId num_nodes, uint64_t seed, uint64_t stream = 0)
-      : context_(num_nodes), rng_(Rng::ForStream(seed, stream)) {}
-
-  CascadeContext& context() { return context_; }
-  Rng& rng() { return rng_; }
-
- private:
-  CascadeContext context_;
-  Rng rng_;
+  // Aggregates Γ samples in index order: the fixed summation order keeps
+  // the result bit-identical whichever lanes produced the samples.
+  static SpreadEstimate FromSamples(std::span<const NodeId> samples);
 };
 
 // How to run one spread estimation. The shared run controls (seed, threads,
 // guard, trace, pool) come from CommonRunOptions; the guard is polled once
-// per simulation (scalar) or once per 64-simulation block (fused) and a
-// tripped budget aggregates the partial sample prefix; the trace's
-// kSimulations counter is bumped per completed simulation and kFusedBlocks
-// per completed fused block (thread-count-invariant; no spans are opened
-// here because tight greedy loops call EstimateSpread thousands of times).
+// per 64-simulation block and a tripped budget aggregates the completed
+// prefix of blocks; the trace's kSimulations counter is bumped per
+// completed simulation and kFusedBlocks per completed block (thread-count
+// invariant; no spans are opened here).
 struct SpreadOptions : CommonRunOptions {
   uint32_t simulations = kReferenceSimulations;
-  // Which MC kernel to run. kAuto resolves to kFused64 when
-  // simulations >= 64 and no streaming scratch is attached, else kScalar.
-  // Requesting kFused64 together with `streaming` is a usage error.
-  McEngine engine = McEngine::kAuto;
-  // When set, simulations run sequentially on the caller's scratch and
-  // draw from its live Rng instead of per-simulation streams.
-  StreamingScratch* streaming = nullptr;
 };
 
 // Runs options.simulations cascades of `seeds` and aggregates Γ(S). An

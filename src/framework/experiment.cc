@@ -32,7 +32,6 @@ Workbench::Workbench(const WorkbenchOptions& options) : options_(options) {
   }
   if (!options_.trace_out_path.empty()) {
     trace_ = std::make_unique<Trace>();
-    trace_->Annotate("mc_engine", McEngineName(options_.mc_engine));
   }
 }
 
@@ -68,11 +67,10 @@ std::string Workbench::CellKey(const std::string& algorithm,
                                double ic_probability) const {
   char suffix[160];
   std::snprintf(suffix, sizeof(suffix),
-                "/k=%u/param=%.9g/p=%.9g/scale=%d/seed=%llu/mc=%u/eng=%s", k,
+                "/k=%u/param=%.9g/p=%.9g/scale=%d/seed=%llu/mc=%u", k,
                 parameter, ic_probability, static_cast<int>(options_.scale),
                 static_cast<unsigned long long>(options_.seed),
-                options_.evaluation_simulations,
-                McEngineName(options_.mc_engine));
+                options_.evaluation_simulations);
   return algorithm + "/" + dataset + "/" + WeightModelName(model) + suffix;
 }
 
@@ -172,7 +170,6 @@ CellResult Workbench::RunCell(ImAlgorithm& algorithm,
   if (result.status != CellResult::Status::kCancelled) {
     SpreadOptions eval;
     eval.simulations = options_.evaluation_simulations;
-    eval.engine = options_.mc_engine;
     eval.seed = options_.seed ^ 0x5f12ead0c0ffeeULL;
     eval.threads = options_.threads;
     eval.trace = trace_.get();

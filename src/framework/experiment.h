@@ -61,10 +61,6 @@ struct WorkbenchOptions : CommonRunOptions {
   // r for final spread evaluation. The paper uses 10K; harness defaults
   // lower it so every binary finishes quickly (override with --mc).
   uint32_t evaluation_simulations = 1000;
-  // MC kernel for the evaluation phase (--mc-engine). Part of the cell
-  // journal key: scalar and fused estimates draw different coin streams,
-  // so cells evaluated under different engines must never alias.
-  McEngine mc_engine = McEngine::kAuto;
   // Enforced per-cell selection deadline: the run guard stops selection
   // cooperatively once it is exceeded and the cell is reported DNF with its
   // partial seeds. The paper's cutoff is 40 hours; harnesses use seconds.

@@ -37,8 +37,6 @@ FrameworkResult RunImFramework(const Graph& graph, const AlgorithmSpec& spec,
     SpreadOptions eval;
     static_cast<CommonRunOptions&>(eval) = options;
     eval.simulations = options.evaluation_simulations;
-    // The base-class copy above does not cover derived fields.
-    eval.engine = options.mc_engine;
     eval.seed = options.seed ^ 0x5f12ead0c0ffeeULL;
     Span evaluate_span(options.trace, "evaluate");
     trial.spread = EstimateSpread(graph, kind, trial.seeds, eval);

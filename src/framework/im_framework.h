@@ -30,8 +30,6 @@ struct FrameworkOptions : CommonRunOptions {
   uint32_t k = 50;
   // r for the spread-computation phase (10K in the paper, Sec. 5.1).
   uint32_t evaluation_simulations = kReferenceSimulations;
-  // MC kernel for the spread-computation phase (--mc-engine).
-  McEngine mc_engine = McEngine::kAuto;
   // Convergence slack in standard deviations (1.0 per Sec. 5.1.1).
   double tolerance_stddevs = 1.0;
 };

@@ -149,14 +149,14 @@ void ResultJournal::Append(const std::string& key, const CellResult& result) {
     if (!seeds.empty()) seeds += ',';
     seeds += std::to_string(s);
   }
-  if (seeds.empty()) seeds = "-";
   std::fprintf(file_,
                "%s\t%s\t%s\t%.17g\t%" PRIu64 "\t%.17g\t%.17g\t%u\t%.17g\t%s\n",
                key.c_str(), CellStatusName(result.status),
                StopReasonName(result.stop_reason), result.select_seconds,
                result.peak_heap_bytes, result.spread.mean,
                result.spread.stddev, result.spread.simulations,
-               result.internal_estimate, seeds.c_str());
+               result.internal_estimate,
+               seeds.empty() ? "-" : seeds.c_str());
   // One flush per cell: a crash between cells never loses a finished one.
   std::fflush(file_);
   results_[key] = result;

@@ -94,16 +94,6 @@ const char* TraceCounterName(TraceCounter counter) {
   return kCounterNames[static_cast<int>(counter)];
 }
 
-void Trace::Annotate(std::string_view key, std::string_view value) {
-  for (auto& [k, v] : annotations_) {
-    if (k == key) {
-      v.assign(value.data(), value.size());
-      return;
-    }
-  }
-  annotations_.emplace_back(std::string(key), std::string(value));
-}
-
 int32_t Trace::OpenSpan(std::string_view name) {
   const int32_t id = static_cast<int32_t>(spans_.size());
   TraceSpan span;
@@ -140,17 +130,6 @@ std::string Trace::ToJson(bool include_timings) const {
   IMBENCH_CHECK_MSG(stack_.empty(), "Trace: ToJson with open spans");
   std::string out;
   out += "{\n  \"version\": 1,\n";
-  if (!annotations_.empty()) {
-    out += "  \"annotations\": {";
-    for (size_t i = 0; i < annotations_.size(); ++i) {
-      out += i == 0 ? "\n" : ",\n";
-      out += "    ";
-      AppendEscaped(out, annotations_[i].first);
-      out += ": ";
-      AppendEscaped(out, annotations_[i].second);
-    }
-    out += "\n  },\n";
-  }
   out += "  \"counters\": {";
   for (int c = 0; c < kNumTraceCounters; ++c) {
     out += c == 0 ? "\n" : ",\n";

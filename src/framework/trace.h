@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -99,14 +98,6 @@ class Trace {
     return totals_[static_cast<int>(counter)];
   }
 
-  // Records a run-level key/value annotation ("mc_engine": "fused", ...).
-  // Re-annotating a key overwrites its value. Annotations are emitted as a
-  // JSON "annotations" object — only when at least one was recorded, so
-  // traces that never annotate keep their exact historical shape. Values
-  // are deterministic configuration facts, never measurements, so they are
-  // included in the deterministic ToJson(false) form too.
-  void Annotate(std::string_view key, std::string_view value);
-
   // Opens a nested span; returns its index. Prefer the Span RAII guard.
   int32_t OpenSpan(std::string_view name);
   // Closes the innermost open span; `id` must match it (LIFO, CHECKed).
@@ -140,9 +131,6 @@ class Trace {
   TraceCounterArray totals_{};
   std::vector<TraceSpan> spans_;
   std::vector<OpenFrame> stack_;
-  // Insertion-ordered (key, value) pairs; small enough that overwrite is a
-  // linear scan.
-  std::vector<std::pair<std::string, std::string>> annotations_;
 };
 
 // RAII phase guard. Null-tolerant: with trace == nullptr construction and

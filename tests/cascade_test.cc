@@ -60,30 +60,6 @@ TEST(CascadeTest, EpochReuseDoesNotLeakStateAcrossSimulations) {
             1u);
 }
 
-TEST(CascadeTest, BlockedNodesStopTheCascade) {
-  Graph g = testutil::PathGraph(10, 1.0);
-  CascadeContext ctx(10);
-  ctx.Block(5);
-  Rng rng(6);
-  const std::vector<NodeId> seeds = {0};
-  EXPECT_EQ(ctx.Simulate(g, DiffusionKind::kIndependentCascade, seeds, rng),
-            5u);  // 0..4; node 5 blocks the rest
-  ctx.ClearBlocked();
-  Rng rng2(6);
-  EXPECT_EQ(ctx.Simulate(g, DiffusionKind::kIndependentCascade, seeds, rng2),
-            10u);
-}
-
-TEST(CascadeTest, BlockedSeedIsIgnored) {
-  Graph g = testutil::PathGraph(4, 1.0);
-  CascadeContext ctx(4);
-  ctx.Block(0);
-  Rng rng(7);
-  const std::vector<NodeId> seeds = {0};
-  EXPECT_EQ(ctx.Simulate(g, DiffusionKind::kIndependentCascade, seeds, rng),
-            0u);
-}
-
 TEST(CascadeTest, LtFullWeightChainActivates) {
   // LT with in-weight 1.0: threshold <= 1 always, so every hop fires.
   Graph g = testutil::PathGraph(8, 1.0);

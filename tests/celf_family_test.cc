@@ -1,8 +1,17 @@
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algorithms/celf.h"
 #include "algorithms/celfpp.h"
+#include "algorithms/easyim.h"
 #include "algorithms/greedy.h"
+#include "framework/run_guard.h"
+#include "framework/trace.h"
+#include "graph/generators.h"
+#include "graph/weights.h"
 #include "tests/test_util.h"
 
 namespace imbench {
@@ -116,6 +125,107 @@ TEST(CelfFamilyTest, WorksUnderLinearThreshold) {
       celfpp.Select(InputFor(g, 2, nullptr, DiffusionKind::kLinearThreshold));
   EXPECT_EQ(a.seeds[0], 0u);
   EXPECT_EQ(b.seeds[0], 0u);
+}
+
+// BA(120, 3) with WC weights for IC and LT-uniform weights for LT.
+Graph PinnedGraph(DiffusionKind kind) {
+  Rng rng(23);
+  EdgeList list = BarabasiAlbert(120, 3, rng);
+  Graph g = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+  if (kind == DiffusionKind::kIndependentCascade) {
+    AssignWeightedCascade(g);
+  } else {
+    AssignLtUniform(g);
+  }
+  return g;
+}
+
+std::unique_ptr<ImAlgorithm> MakePinned(const std::string& name) {
+  if (name == "GREEDY") return std::make_unique<Greedy>(GreedyOptions{100});
+  if (name == "CELF") return std::make_unique<Celf>(CelfOptions{200});
+  if (name == "CELF++") {
+    return std::make_unique<CelfPlusPlus>(CelfPlusPlusOptions{200});
+  }
+  return std::make_unique<EasyIm>(EasyImOptions{});
+}
+
+// Pins the seeds, internal estimate and counters of each technique that
+// estimates gains on the live-stream scalar cascade (StreamingScratch).
+// The values were recorded from the original estimator loops; a change to
+// the stream, the draw order or the summation order moves them.
+TEST(CelfFamilyTest, PinnedSeedsAndEstimates) {
+  struct Pinned {
+    const char* name;
+    DiffusionKind kind;
+    std::vector<NodeId> seeds;
+    double internal_spread_estimate;
+    uint64_t simulations;
+    uint64_t spread_evaluations;
+  };
+  constexpr DiffusionKind IC = DiffusionKind::kIndependentCascade;
+  constexpr DiffusionKind LT = DiffusionKind::kLinearThreshold;
+  const Pinned pinned[] = {
+      {"GREEDY", IC, {109, 115, 108, 79}, 0x1.2deb851eb851fp+4, 47400, 474},
+      {"CELF", IC, {109, 115, 108, 104}, 0x1.29851eb851eb8p+4, 26600, 129},
+      {"CELF++", IC, {109, 115, 108, 79}, 0x1.2e8f5c28f5c29p+4, 25600, 124},
+      {"EaSyIM", IC, {109, 115, 108, 79}, 0x1.33d70a3d70a3dp+4, 800, 16},
+      {"GREEDY", LT, {109, 115, 113, 108}, 0x1.38a3d70a3d70ap+4, 47400, 474},
+      {"CELF", LT, {109, 115, 108, 113}, 0x1.350a3d70a3d71p+4, 25800, 125},
+      {"CELF++", LT, {109, 115, 108, 79}, 0x1.2eccccccccccdp+4, 25800, 125},
+      {"EaSyIM", LT, {109, 108, 115, 113}, 0x1.3a3d70a3d70a4p+4, 800, 16},
+  };
+  for (const Pinned& p : pinned) {
+    const Graph g = PinnedGraph(p.kind);
+    Counters counters;
+    const SelectionResult result =
+        MakePinned(p.name)->Select(InputFor(g, 4, &counters, p.kind));
+    const std::string label =
+        std::string(p.name) + "/" + DiffusionKindName(p.kind);
+    EXPECT_EQ(result.seeds, p.seeds) << label;
+    EXPECT_EQ(result.internal_spread_estimate, p.internal_spread_estimate)
+        << label;
+    EXPECT_EQ(counters.simulations, p.simulations) << label;
+    EXPECT_EQ(counters.spread_evaluations, p.spread_evaluations) << label;
+  }
+}
+
+// A guard trip inside an estimate cuts it short; the counters must report
+// the simulations that ran, as the trace does. Where the deadline lands is
+// up to the clock, so each technique retries with a longer deadline until
+// one trip falls inside an estimate (one not a multiple of r).
+TEST(CelfFamilyTest, GuardTripCountsCompletedSimulations) {
+  constexpr uint32_t kSimulations = 1000;
+  const Graph g = PinnedGraph(DiffusionKind::kIndependentCascade);
+  const std::vector<std::unique_ptr<ImAlgorithm>> algorithms = [] {
+    std::vector<std::unique_ptr<ImAlgorithm>> v;
+    v.push_back(std::make_unique<Greedy>(GreedyOptions{kSimulations}));
+    v.push_back(std::make_unique<Celf>(CelfOptions{kSimulations}));
+    v.push_back(
+        std::make_unique<CelfPlusPlus>(CelfPlusPlusOptions{kSimulations}));
+    EasyImOptions easyim;
+    easyim.simulations = kSimulations;
+    v.push_back(std::make_unique<EasyIm>(easyim));
+    return v;
+  }();
+  for (const auto& algorithm : algorithms) {
+    bool tripped_inside = false;
+    for (int attempt = 1; attempt <= 5 && !tripped_inside; ++attempt) {
+      RunBudget budget;
+      budget.deadline_seconds = 0.002 * attempt;
+      RunGuard guard(budget);
+      Trace trace;
+      Counters counters;
+      SelectionInput input = InputFor(g, 4, &counters);
+      input.guard = &guard;
+      input.trace = &trace;
+      algorithm->Select(input);
+      const uint64_t traced = trace.Total(TraceCounter::kSimulations);
+      EXPECT_EQ(counters.simulations, traced)
+          << algorithm->name() << " attempt " << attempt;
+      tripped_inside = guard.stopped() && traced % kSimulations != 0;
+    }
+    EXPECT_TRUE(tripped_inside) << algorithm->name();
+  }
 }
 
 }  // namespace

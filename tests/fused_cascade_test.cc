@@ -159,14 +159,12 @@ TEST(FusedKernelTest, EstimateBitIdenticalAcrossThreadCounts) {
     const std::vector<NodeId> seeds = {0, 9};
 
     SpreadOptions sequential = testutil::SpreadOpts(512, 11);
-    sequential.engine = McEngine::kFused64;
     const SpreadEstimate base = EstimateSpread(graph, kind, seeds, sequential);
     EXPECT_EQ(base.simulations, 512u);
 
     for (const uint32_t threads : {2u, 3u, 8u}) {
       ThreadPool pool(threads - 1);
       SpreadOptions parallel = testutil::SpreadOpts(512, 11, threads, &pool);
-      parallel.engine = McEngine::kFused64;
       const SpreadEstimate est = EstimateSpread(graph, kind, seeds, parallel);
       EXPECT_DOUBLE_EQ(est.mean, base.mean)
           << WeightModelName(model) << " threads=" << threads;
@@ -195,7 +193,6 @@ TEST(FusedKernelTest, LtEstimateIdenticalAcrossBackends) {
 
     Trace heap_trace;
     SpreadOptions heap_options = testutil::SpreadOpts(200, 17);
-    heap_options.engine = McEngine::kFused64;
     heap_options.trace = &heap_trace;
     const SpreadEstimate heap = EstimateSpread(
         graph, DiffusionKind::kLinearThreshold, kHubSeeds, heap_options);
@@ -207,7 +204,6 @@ TEST(FusedKernelTest, LtEstimateIdenticalAcrossBackends) {
       Trace trace;
       SpreadOptions options = testutil::SpreadOpts(
           200, 17, threads, threads > 1 ? &pool : nullptr);
-      options.engine = McEngine::kFused64;
       options.trace = &trace;
       const SpreadEstimate est = EstimateSpread(
           GraphView(compact), DiffusionKind::kLinearThreshold, kHubSeeds,
@@ -383,31 +379,28 @@ TEST(FusedKernelMarginTest, NonFiniteInputsForceTheExactPath) {
   EXPECT_EQ(DecideLt(1.0, kInf), LtDecision::kExact);
 }
 
-TEST(FusedKernelTest, AutoDispatchesBySimulationCount) {
+TEST(FusedKernelTest, FewerThanSixtyFourSimulationsRunOnePartialBlock) {
+  // A count below 64 is one partial block: the estimate aggregates exactly
+  // the first `simulations` lanes of block 0.
   Graph graph = testutil::HubGraph();
   const std::vector<NodeId> seeds = {0};
-
-  // >= 64 simulations: auto == fused, bitwise.
-  SpreadOptions auto_many = testutil::SpreadOpts(128, 5);
-  SpreadOptions fused = testutil::SpreadOpts(128, 5);
-  fused.engine = McEngine::kFused64;
-  const SpreadEstimate a = EstimateSpread(
-      graph, DiffusionKind::kIndependentCascade, seeds, auto_many);
-  const SpreadEstimate f =
-      EstimateSpread(graph, DiffusionKind::kIndependentCascade, seeds, fused);
-  EXPECT_DOUBLE_EQ(a.mean, f.mean);
-  EXPECT_DOUBLE_EQ(a.stddev, f.stddev);
-
-  // < 64 simulations: auto == scalar, bitwise.
-  SpreadOptions auto_few = testutil::SpreadOpts(32, 5);
-  SpreadOptions scalar = testutil::SpreadOpts(32, 5);
-  scalar.engine = McEngine::kScalar;
-  const SpreadEstimate af =
-      EstimateSpread(graph, DiffusionKind::kIndependentCascade, seeds, auto_few);
-  const SpreadEstimate s =
-      EstimateSpread(graph, DiffusionKind::kIndependentCascade, seeds, scalar);
-  EXPECT_DOUBLE_EQ(af.mean, s.mean);
-  EXPECT_DOUBLE_EQ(af.stddev, s.stddev);
+  for (const uint32_t simulations : {1u, 23u, 63u}) {
+    FusedCascadeContext context(graph);
+    NodeId gamma[kFusedLanes];
+    context.RunBlock(DiffusionKind::kIndependentCascade, seeds, 5, 0,
+                     simulations, gamma);
+    const SpreadEstimate expected = SpreadEstimate::FromSamples(
+        std::span<const NodeId>(gamma, simulations));
+    Trace trace;
+    SpreadOptions options = testutil::SpreadOpts(simulations, 5);
+    options.trace = &trace;
+    const SpreadEstimate est = EstimateSpread(
+        graph, DiffusionKind::kIndependentCascade, seeds, options);
+    EXPECT_EQ(est.simulations, simulations);
+    EXPECT_EQ(est.mean, expected.mean) << simulations;
+    EXPECT_EQ(est.stddev, expected.stddev) << simulations;
+    EXPECT_EQ(trace.Total(TraceCounter::kFusedBlocks), 1u);
+  }
 }
 
 TEST(FusedKernelTest, PreTrippedGuardYieldsZeroSimulations) {
@@ -415,7 +408,6 @@ TEST(FusedKernelTest, PreTrippedGuardYieldsZeroSimulations) {
   RunGuard guard{RunBudget{}};
   guard.Trip(StopReason::kDeadline);
   SpreadOptions options = testutil::SpreadOpts(256, 3);
-  options.engine = McEngine::kFused64;
   options.guard = &guard;
   const SpreadEstimate est = EstimateSpread(
       graph, DiffusionKind::kIndependentCascade, {{NodeId{0}}}, options);
@@ -434,7 +426,6 @@ TEST(FusedKernelTest, GuardTripTruncatesOnBlockBoundary) {
     ThreadPool pool(3);
     SpreadOptions options = testutil::SpreadOpts(
         200, 13, threads, threads > 1 ? &pool : nullptr);
-    options.engine = McEngine::kFused64;
     options.guard = &guard;
     const SpreadEstimate est = EstimateSpread(
         graph, DiffusionKind::kIndependentCascade, seeds, options);
@@ -450,33 +441,11 @@ TEST(FusedKernelTest, TraceCountsFusedBlocksAndSimulations) {
   Graph graph = testutil::HubGraph();
   Trace trace;
   SpreadOptions options = testutil::SpreadOpts(256, 9);
-  options.engine = McEngine::kFused64;
   options.trace = &trace;
   EstimateSpread(graph, DiffusionKind::kIndependentCascade, {{NodeId{0}}},
                  options);
   EXPECT_EQ(trace.Total(TraceCounter::kFusedBlocks), 4u);
   EXPECT_EQ(trace.Total(TraceCounter::kSimulations), 256u);
-
-  // The scalar engine never counts fused blocks.
-  Trace scalar_trace;
-  SpreadOptions scalar = testutil::SpreadOpts(256, 9);
-  scalar.engine = McEngine::kScalar;
-  scalar.trace = &scalar_trace;
-  EstimateSpread(graph, DiffusionKind::kIndependentCascade, {{NodeId{0}}},
-                 scalar);
-  EXPECT_EQ(scalar_trace.Total(TraceCounter::kFusedBlocks), 0u);
-  EXPECT_EQ(scalar_trace.Total(TraceCounter::kSimulations), 256u);
-}
-
-TEST(FusedKernelDeathTest, StreamingWithFusedEngineChecks) {
-  Graph graph = testutil::HubGraph();
-  StreamingScratch scratch(graph.num_nodes(), 1);
-  SpreadOptions options = testutil::SpreadOpts(128, 1);
-  options.engine = McEngine::kFused64;
-  options.streaming = &scratch;
-  EXPECT_DEATH(EstimateSpread(graph, DiffusionKind::kIndependentCascade,
-                              {{NodeId{0}}}, options),
-               "streaming");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Differential tests against the exact live-edge oracle: the MC spread
-// estimator and the RR-set estimator must agree with the closed-form σ(S)
-// within sampling noise, and the approximation algorithms must return seed
-// sets whose *oracle* spread is within the greedy guarantee of the true
-// optimum found by exhaustive search.
+// Differential tests against the exact live-edge oracle: both MC spread
+// estimators (the CELF family's live-stream scalar cascade and the fused
+// kernel behind EstimateSpread) and the RR-set estimator must agree with
+// the closed-form σ(S) within sampling noise, and the approximation
+// algorithms must return seed sets whose *oracle* spread is within the
+// greedy guarantee of the true optimum found by exhaustive search.
 #include "tests/oracle_util.h"
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "algorithms/algorithm.h"
 #include "diffusion/rr_sets.h"
 #include "diffusion/spread.h"
+#include "diffusion/streaming.h"
 #include "framework/exact_opt.h"
 #include "framework/registry.h"
 #include "graph/weights.h"
@@ -46,6 +48,8 @@ void ExpectWithinThreeSigma(double estimate, double exact, double std_error,
 }
 
 TEST(OracleTest, McEstimatorMatchesExactSpreadOnAllWeightModels) {
+  // The live-stream scalar cascade every CELF-family selection estimates
+  // its marginal gains with (StreamingScratch::Estimate).
   const WeightModel models[] = {WeightModel::kIcConstant,
                                 WeightModel::kWc,
                                 WeightModel::kTrivalency,
@@ -60,10 +64,10 @@ TEST(OracleTest, McEstimatorMatchesExactSpreadOnAllWeightModels) {
     const DiffusionKind kind = DiffusionKindFor(model);
     for (const auto& seeds : seed_sets) {
       const double exact = ExactSpread(graph, kind, seeds);
-      SpreadOptions options;
-      options.simulations = 200000;
-      options.seed = 99;
-      const SpreadEstimate est = EstimateSpread(graph, kind, seeds, options);
+      StreamingScratch scratch(graph.num_nodes(), 99);
+      const SpreadEstimate est =
+          scratch.Estimate(graph, kind, seeds, 200000, /*guard=*/nullptr,
+                           /*trace=*/nullptr);
       ExpectWithinThreeSigma(est.mean, exact, est.StdError(),
                              WeightModelName(model).c_str());
     }
@@ -71,7 +75,7 @@ TEST(OracleTest, McEstimatorMatchesExactSpreadOnAllWeightModels) {
 }
 
 TEST(OracleTest, FusedMcEstimatorMatchesExactSpreadOnAllWeightModels) {
-  // Same oracle agreement as above, through the bit-parallel fused engine.
+  // Same oracle agreement as above, through EstimateSpread's fused kernel.
   // The fused kernels quantize edge probabilities to kCoinBits binary
   // digits (bias <= 2^-17 per edge), far below 3 sigma at 200K samples.
   const WeightModel models[] = {WeightModel::kIcConstant,
@@ -91,7 +95,6 @@ TEST(OracleTest, FusedMcEstimatorMatchesExactSpreadOnAllWeightModels) {
       SpreadOptions options;
       options.simulations = 200000;
       options.seed = 99;
-      options.engine = McEngine::kFused64;
       const SpreadEstimate est = EstimateSpread(graph, kind, seeds, options);
       ExpectWithinThreeSigma(est.mean, exact, est.StdError(),
                              WeightModelName(model).c_str());

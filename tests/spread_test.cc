@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include "common/thread_pool.h"
+#include "diffusion/streaming.h"
 #include "framework/datasets.h"
 #include "framework/trace.h"
 #include "graph/compact_graph.h"
@@ -75,11 +76,9 @@ TEST(SpreadTest, ScratchOverloadAgreesWithStreamOverload) {
   Graph g = testutil::HubGraph();
   const std::vector<NodeId> seeds = {0};
   StreamingScratch scratch(g.num_nodes(), 17);
-  SpreadOptions streaming;
-  streaming.simulations = 3000;
-  streaming.streaming = &scratch;
   const SpreadEstimate a =
-      EstimateSpread(g, DiffusionKind::kIndependentCascade, seeds, streaming);
+      scratch.Estimate(g, DiffusionKind::kIndependentCascade, seeds, 3000,
+                       /*guard=*/nullptr, /*trace=*/nullptr);
   const SpreadEstimate b = EstimateSpread(
       g, DiffusionKind::kIndependentCascade, seeds, SpreadOpts(3000, 17));
   EXPECT_NEAR(a.mean, b.mean, 0.2);  // same distribution, different streams
@@ -179,10 +178,10 @@ TEST(ParallelSpreadTest, DefaultThreadCount) {
   EXPECT_GT(est.mean, 1.0);
 }
 
-TEST(ParallelSpreadTest, ScalarDecodeCountInvariantUnderThreads) {
-  // Scalar lanes record each simulation's decode count next to its sample,
-  // and the count is summed over the completed prefix in index order, so
-  // the trace on an .imgrf graph is the same for every thread count.
+TEST(ParallelSpreadTest, DecodeCountInvariantUnderThreads) {
+  // Each fused block's decode count is recorded next to its samples and
+  // summed over the completed prefix in index order, so the trace on an
+  // .imgrf graph is the same for every thread count.
   Graph g = MakeDataset("nethept", DatasetScale::kTiny);
   AssignWeightedCascade(g);
   const std::string path = ::testing::TempDir() + "/spread_decode.imgrf";
@@ -198,7 +197,6 @@ TEST(ParallelSpreadTest, ScalarDecodeCountInvariantUnderThreads) {
     Trace trace;
     SpreadOptions options =
         SpreadOpts(300, 7, threads, threads > 1 ? &pool : nullptr);
-    options.engine = McEngine::kScalar;
     options.trace = &trace;
     EstimateSpread(GraphView(compact), DiffusionKind::kIndependentCascade,
                    seeds, options);

@@ -123,21 +123,6 @@ TEST(TraceTest, JsonGoldenDeterministicDocument) {
   EXPECT_NE(timed.find("\"elapsed_seconds\""), std::string::npos);
 }
 
-TEST(TraceTest, AnnotationsEmittedOnlyWhenPresent) {
-  Trace trace;
-  { Span span(&trace, "sample"); }
-  // Without annotations the document keeps its historical shape exactly.
-  EXPECT_EQ(trace.ToJson(/*include_timings=*/false).find("annotations"),
-            std::string::npos);
-  trace.Annotate("mc_engine", "fused");
-  trace.Annotate("mc_engine", "scalar");  // overwrite, not duplicate
-  trace.Annotate("dataset", "nethept");
-  const std::string json = trace.ToJson(/*include_timings=*/false);
-  EXPECT_NE(json.find("\"annotations\": {\n    \"mc_engine\": \"scalar\",\n"
-                      "    \"dataset\": \"nethept\"\n  }"),
-            std::string::npos);
-}
-
 TEST(TraceTest, WriteJsonFileRoundTrips) {
   Trace trace;
   { Span span(&trace, "sample"); }

@@ -79,10 +79,6 @@ int main(int argc, char** argv) {
       "param", kDefaultParameter,
       "external parameter (default: the Table 2 optimum for the model)");
   int64_t* mc = flags.AddInt("mc", 10000, "MC simulations for evaluation");
-  std::string* mc_engine_name = flags.AddString(
-      "mc-engine", "auto",
-      "MC kernel for spread evaluation: auto|scalar|fused (auto picks the "
-      "bit-parallel fused kernel when the simulation count allows it)");
   double* budget = flags.AddDouble(
       "budget", 0.0,
       "selection time budget in seconds (0 = unlimited); on expiry the "
@@ -159,17 +155,10 @@ int main(int argc, char** argv) {
 
   const WeightModel model = ParseModel(*model_name);
   const DiffusionKind kind = DiffusionKindFor(model);
-  McEngine mc_engine = McEngine::kAuto;
-  if (!ParseMcEngine(*mc_engine_name, &mc_engine)) {
-    std::fprintf(stderr, "unknown --mc-engine '%s' (auto|scalar|fused)\n",
-                 mc_engine_name->c_str());
-    return 2;
-  }
 
   Trace trace;
   Trace* const tr =
       (*trace_table || !trace_out->empty()) ? &trace : nullptr;
-  if (tr != nullptr) tr->Annotate("mc_engine", McEngineName(mc_engine));
 
   // Build the graph: the mmap'd compact backend when --graph-file opens
   // cleanly, the heap CSR otherwise.
@@ -320,7 +309,7 @@ int main(int argc, char** argv) {
         "{\"op\":\"summary\",\"queries\":%zu,\"mutations\":%llu,"
         "\"retries\":%llu,\"degraded\":%llu,\"errors\":%llu,"
         "\"final_epoch\":%llu,\"corpus_epochs\":%llu,\"warm_sets\":%zu,"
-        "\"mc_engine\":\"%s\",\"interrupted\":%s,\"elapsed_seconds\":%.3f}\n",
+        "\"interrupted\":%s,\"elapsed_seconds\":%.3f}\n",
         replay.queries.size(),
         static_cast<unsigned long long>(replay.mutations),
         static_cast<unsigned long long>(replay.retries),
@@ -328,8 +317,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(replay.errors),
         static_cast<unsigned long long>(replay.final_epoch),
         static_cast<unsigned long long>(service.corpus_epoch()),
-        service.corpus().size(), McEngineName(mc_engine),
-        replay.interrupted ? "true" : "false", timer.Seconds());
+        service.corpus().size(), replay.interrupted ? "true" : "false",
+        timer.Seconds());
     std::printf(
         "served %zu queries, %llu mutations, final epoch %llu, warm corpus "
         "%zu sets (%.2f MB), %.3fs\n",
@@ -408,7 +397,6 @@ int main(int argc, char** argv) {
   timer.Restart();
   SpreadOptions eval;
   eval.simulations = static_cast<uint32_t>(*mc);
-  eval.engine = mc_engine;
   eval.seed = static_cast<uint64_t>(*seed);
   eval.threads = static_cast<uint32_t>(*threads);
   eval.trace = tr;
@@ -428,10 +416,9 @@ int main(int argc, char** argv) {
   std::printf("\nseeds:");
   for (const NodeId s : result.seeds) std::printf(" %u", s);
   std::printf(
-      "\nspread: %.1f +/- %.2f (%.2f%% of network, %u sims, %s engine, "
-      "%.2fs)\n",
+      "\nspread: %.1f +/- %.2f (%.2f%% of network, %u sims, %.2fs)\n",
       sigma.mean, sigma.StdError(), 100.0 * sigma.mean / view.num_nodes(),
-      sigma.simulations, McEngineName(mc_engine), eval_secs);
+      sigma.simulations, eval_secs);
   if (result.internal_spread_estimate > 0) {
     std::printf("algorithm's internal estimate: %.1f\n",
                 result.internal_spread_estimate);
