@@ -162,7 +162,8 @@ int main(int argc, char** argv) {
           bench.RunCell(imrank_corrected, *dataset, WeightModel::kWc, k);
       table.AddRow({TextTable::Int(k), SpreadCell(bad),
                     TextTable::Int(static_cast<int64_t>(
-                        bad.counters.scoring_rounds)),
+                        bad.counters[static_cast<int>(
+                            TraceCounter::kScoringRounds)])),
                     SpreadCell(good)});
     }
     EmitTable(table, *common.csv);

@@ -94,7 +94,7 @@ void BM_SelectionLazyCelf(benchmark::State& state) {
     benchmark::DoNotOptimize(CelfSelect(
         WcGraph().num_nodes(), kSeeds,
         [&](NodeId v) { return oracle.Gain(v); },
-        [&](NodeId v) { oracle.Commit(v); }, nullptr));
+        [&](NodeId v) { oracle.Commit(v); }));
   }
 }
 BENCHMARK(BM_SelectionLazyCelf)->Unit(benchmark::kMillisecond);

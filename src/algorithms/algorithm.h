@@ -20,25 +20,15 @@
 
 namespace imbench {
 
-// Instrumentation counters filled in by algorithms as they run. Node
-// lookups are the metric of Appendix C (spread evaluations per iteration).
-struct Counters {
-  uint64_t spread_evaluations = 0;  // "node lookups": marginal-gain evals
-  uint64_t simulations = 0;         // individual cascade simulations
-  uint64_t rr_sets = 0;             // RR sets generated
-  uint64_t snapshots = 0;           // snapshot graphs materialized
-  uint64_t scoring_rounds = 0;      // IMRank / EaSyIM refinement rounds
-};
-
 // Inputs to a seed-selection run: the shared query context (graph,
-// diffusion model, run controls, optional service snapshot/corpus — see
-// framework/query_context.h) plus selection's own knobs. All randomness
-// keys off context.seed via per-item streams, so runs are reproducible and
-// thread-count invariant; algorithms poll context.guard from hot loops and
-// return best-effort partial seeds with a StopReason when it trips.
+// diffusion model, run controls — see framework/query_context.h) plus the
+// seed count. All randomness keys off context.seed via per-item streams,
+// so runs are reproducible and thread-count invariant; algorithms poll
+// context.guard from hot loops and return best-effort partial seeds with a
+// StopReason when it trips. Work is counted only through context.trace
+// (TraceAdd with a TraceCounter; kNodeLookups is the Appendix C metric).
 struct SelectionInput : QueryContext {
   uint32_t k = 0;
-  Counters* counters = nullptr;  // optional
 };
 
 // Output of a seed-selection run.
@@ -67,14 +57,6 @@ class ImAlgorithm {
   // as long as each call uses a distinct instance or is serialized.
   virtual SelectionResult Select(const SelectionInput& input) = 0;
 };
-
-// Bumps `counters->field` only when counters is provided.
-inline void CountSpreadEvaluation(Counters* counters, uint64_t n = 1) {
-  if (counters != nullptr) counters->spread_evaluations += n;
-}
-inline void CountSimulations(Counters* counters, uint64_t n) {
-  if (counters != nullptr) counters->simulations += n;
-}
 
 }  // namespace imbench
 

@@ -25,7 +25,6 @@ SelectionResult Celf::Select(const SelectionInput& input) {
     const SpreadEstimate est =
         scratch.Estimate(graph, input.diffusion, candidate,
                          options_.simulations, input.guard, input.trace);
-    CountSimulations(input.counters, est.simulations);
     return est.mean;
   };
   auto marginal_gain = [&](NodeId v) { return estimate(v) - current_spread; };
@@ -38,8 +37,7 @@ SelectionResult Celf::Select(const SelectionInput& input) {
   {
     Span select_span(input.trace, "select");
     result.seeds = CelfSelect(graph.num_nodes(), input.k, marginal_gain,
-                              commit, input.counters, input.guard,
-                              input.trace);
+                              commit, input.guard, input.trace);
   }
   result.stop_reason = GuardReason(input.guard);
   result.internal_spread_estimate = current_spread;

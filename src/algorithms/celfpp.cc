@@ -55,7 +55,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
     const SpreadPair pair = scratch.EstimatePair(
         graph, input.diffusion, candidate, continuation, options_.simulations,
         input.guard, input.trace);
-    CountSimulations(input.counters, pair.base.simulations);
     spread_v = pair.base.mean;
     spread_v_best = pair.extended.mean;
   };
@@ -68,7 +67,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     TraceAdd(input.trace, TraceCounter::kGuardPolls);
     if (GuardShouldStop(input.guard)) break;
-    CountSpreadEvaluation(input.counters);
     TraceAdd(input.trace, TraceCounter::kNodeLookups);
     const bool with_best = cur_best != kInvalidNode;
     double spread_v = 0, spread_v_best = 0;
@@ -103,7 +101,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       const SpreadEstimate anchor =
           scratch.Estimate(graph, input.diffusion, seeds,
                            options_.simulations, input.guard, input.trace);
-      CountSimulations(input.counters, anchor.simulations);
       current_spread = anchor.mean;
       cur_best = kInvalidNode;
       cur_best_mg1 = -1;
@@ -114,7 +111,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       // no simulations needed (the saving CELF++ banks on).
       top.mg1 = top.mg2;
     } else {
-      CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
       TraceAdd(input.trace, TraceCounter::kQueueReevaluations);
       const bool with_best = cur_best != kInvalidNode;

@@ -45,7 +45,6 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
       prev.swap(score);
     }
     score.swap(prev);
-    if (input.counters != nullptr) ++input.counters->scoring_rounds;
     TraceAdd(input.trace, TraceCounter::kScoringRounds);
   };
 
@@ -96,12 +95,10 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
         if (GuardShouldStop(input.guard)) break;
         with_candidate = result.seeds;
         with_candidate.push_back(v);
-        CountSpreadEvaluation(input.counters);
         TraceAdd(input.trace, TraceCounter::kNodeLookups);
         const SpreadEstimate est =
             scratch.Estimate(graph, input.diffusion, with_candidate,
                              options_.simulations, input.guard, input.trace);
-        CountSimulations(input.counters, est.simulations);
         if (est.mean > best_spread) {
           best_spread = est.mean;
           best = v;

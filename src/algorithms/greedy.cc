@@ -28,12 +28,10 @@ SelectionResult Greedy::Select(const SelectionInput& input) {
       if (already_seed) continue;
       candidate = result.seeds;
       candidate.push_back(v);
-      CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
       const SpreadEstimate estimate =
           scratch.Estimate(graph, input.diffusion, candidate,
                            options_.simulations, input.guard, input.trace);
-      CountSimulations(input.counters, estimate.simulations);
       const double gain = estimate.mean - current_spread;
       if (gain > best_gain) {
         best_gain = gain;

@@ -49,7 +49,6 @@ SelectionResult Imm::Select(const SelectionInput& input) {
     // (mremap), so a round neither copies nor re-faults earlier sets.
     const RrBatchResult batch =
         sampler.Generate(input.seed, target - sets.size(), sets, nullptr);
-    if (input.counters != nullptr) input.counters->rr_sets += batch.generated;
     TraceAdd(input.trace, TraceCounter::kRrSets, batch.generated);
     stop = batch.stop;
   };

@@ -59,7 +59,6 @@ SelectionResult ImRank::Select(const SelectionInput& input) {
     // so stopping here only costs ranking refinement, never seeds.
     TraceAdd(input.trace, TraceCounter::kGuardPolls);
     if (GuardShouldStop(input.guard)) break;
-    if (input.counters != nullptr) ++input.counters->scoring_rounds;
     TraceAdd(input.trace, TraceCounter::kScoringRounds);
     std::fill(mass.begin(), mass.end(), 1.0);
     for (uint32_t sweep = 0; sweep < std::max<uint32_t>(1, options_.l);

@@ -81,7 +81,6 @@ SelectionResult Irie::Select(const SelectionInput& input) {
       }
       rank.swap(next);
     }
-    CountSpreadEvaluation(input.counters);
     TraceAdd(input.trace, TraceCounter::kNodeLookups);
     TraceAdd(input.trace, TraceCounter::kScoringRounds);
 

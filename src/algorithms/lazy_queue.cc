@@ -24,7 +24,7 @@ struct Entry {
 std::vector<NodeId> CelfSelect(
     NodeId num_nodes, uint32_t k,
     const std::function<double(NodeId)>& marginal_gain,
-    const std::function<void(NodeId)>& commit, Counters* counters,
+    const std::function<void(NodeId)>& commit,
     RunGuard* guard, Trace* trace) {
   std::vector<Entry> heap;
   heap.reserve(num_nodes);
@@ -32,7 +32,6 @@ std::vector<NodeId> CelfSelect(
   for (NodeId v = 0; v < num_nodes; ++v) {
     TraceAdd(trace, TraceCounter::kGuardPolls);
     if (GuardShouldStop(guard)) break;
-    CountSpreadEvaluation(counters);
     TraceAdd(trace, TraceCounter::kNodeLookups);
     heap.push_back(Entry{marginal_gain(v), v, 0});
   }
@@ -54,7 +53,6 @@ std::vector<NodeId> CelfSelect(
       continue;
     }
     // Stale: refresh against the current seed set and reinsert.
-    CountSpreadEvaluation(counters);
     TraceAdd(trace, TraceCounter::kNodeLookups);
     TraceAdd(trace, TraceCounter::kQueueReevaluations);
     top.gain = marginal_gain(top.node);

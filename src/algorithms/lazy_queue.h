@@ -38,7 +38,7 @@ namespace imbench {
 std::vector<NodeId> CelfSelect(
     NodeId num_nodes, uint32_t k,
     const std::function<double(NodeId)>& marginal_gain,
-    const std::function<void(NodeId)>& commit, Counters* counters,
+    const std::function<void(NodeId)>& commit,
     RunGuard* guard = nullptr, Trace* trace = nullptr);
 
 }  // namespace imbench

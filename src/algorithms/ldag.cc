@@ -234,7 +234,6 @@ SelectionResult Ldag::Select(const SelectionInput& input) {
       }
     }
     if (best == kInvalidNode) break;
-    CountSpreadEvaluation(input.counters);
     TraceAdd(input.trace, TraceCounter::kNodeLookups);
     total_influence += best_inf;
     is_seed[best] = 1;

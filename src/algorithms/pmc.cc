@@ -73,7 +73,6 @@ SelectionResult Pmc::Select(const SelectionInput& input) {
       if (GuardShouldStop(input.guard)) break;
       const Snapshot snap = SampleSnapshot(graph, rng);
       snapshots.push_back(Contract(graph.num_nodes(), snap));
-      if (input.counters != nullptr) ++input.counters->snapshots;
       TraceAdd(input.trace, TraceCounter::kSnapshots);
     }
   }
@@ -140,8 +139,7 @@ SelectionResult Pmc::Select(const SelectionInput& input) {
   {
     Span select_span(input.trace, "select");
     result.seeds = CelfSelect(graph.num_nodes(), input.k, marginal_gain,
-                              commit, input.counters, input.guard,
-                              input.trace);
+                              commit, input.guard, input.trace);
   }
   result.internal_spread_estimate = selected_spread;
   result.stop_reason = GuardReason(input.guard);

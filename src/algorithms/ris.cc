@@ -63,7 +63,6 @@ SelectionResult Ris::Select(const SelectionInput& input) {
       // cap, and the budget itself is the reason the loop ends.
       stop = batch.stop;
     }
-    if (input.counters != nullptr) input.counters->rr_sets += kept;
     TraceAdd(input.trace, TraceCounter::kRrSets, kept);
     if (batch.generated == 0 && batch.stop == StopReason::kNone) break;
   }

@@ -130,7 +130,6 @@ SelectionResult Simpath::Select(const SelectionInput& input) {
     for (NodeId v = 0; v < n; ++v) {
       TraceAdd(input.trace, TraceCounter::kGuardPolls);
       if (GuardShouldStop(input.guard)) break;
-      CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
       heap.push_back(CelfEntry{enumerator.Enumerate(v), v, 0});
     }
@@ -190,7 +189,6 @@ SelectionResult Simpath::Select(const SelectionInput& input) {
     enumerator.ClearCandidates();
     // σ^{V−S}(c) per candidate (seeds are still banned).
     for (size_t i = 0; i < batch.size(); ++i) {
-      CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
       TraceAdd(input.trace, TraceCounter::kQueueReevaluations);
       const double sigma_c_without_s = enumerator.Enumerate(batch[i]);

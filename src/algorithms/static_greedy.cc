@@ -23,7 +23,6 @@ SelectionResult StaticGreedy::Select(const SelectionInput& input) {
       TraceAdd(input.trace, TraceCounter::kGuardPolls);
       if (GuardShouldStop(input.guard)) break;
       snapshots.push_back(SampleSnapshot(graph, rng));
-      if (input.counters != nullptr) ++input.counters->snapshots;
       TraceAdd(input.trace, TraceCounter::kSnapshots);
     }
   }
@@ -103,8 +102,7 @@ SelectionResult StaticGreedy::Select(const SelectionInput& input) {
   {
     Span select_span(input.trace, "select");
     result.seeds = CelfSelect(graph.num_nodes(), input.k, marginal_gain,
-                              commit, input.counters, input.guard,
-                              input.trace);
+                              commit, input.guard, input.trace);
   }
   result.internal_spread_estimate = selected_spread;
   result.stop_reason = GuardReason(input.guard);

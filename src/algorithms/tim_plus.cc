@@ -41,7 +41,6 @@ SelectionResult TimPlus::Select(const SelectionInput& input) {
   RrSampler sampler(graph, sampler_options);
 
   auto count_rr = [&](uint64_t c) {
-    if (input.counters != nullptr) input.counters->rr_sets += c;
     TraceAdd(input.trace, TraceCounter::kRrSets, c);
   };
 

@@ -48,9 +48,8 @@ class Trace;
 //   * `trace`: the merge adds the examined-edge count of every appended
 //     set to kRrEdgesExamined, always from the coordinating thread and
 //     only for the merged prefix, so the totals are lane-count-invariant.
-//     Callers bump kRrSets themselves alongside Counters::rr_sets (RIS may
-//     truncate a chunk after generation, and only the caller knows the
-//     kept count).
+//     Callers bump kRrSets themselves (RIS may truncate a chunk after
+//     generation, and only the caller knows the kept count).
 //   * `seed` is unused here: the stream base is an explicit argument of
 //     every Generate() call, because one sampler may serve several corpora.
 struct SamplerOptions : CommonRunOptions {
@@ -109,8 +108,8 @@ class RrSampler {
   // pushed in the same order (the width counter used by TIM+'s KPT
   // estimation and RIS's budget). On a guard trip, fault or entry-cap hit
   // the appended sets form a prefix of the deterministic set sequence and
-  // `stop` carries the reason; callers bump Counters::rr_sets by
-  // `generated`, which keeps counts exact without any atomics on the
+  // `stop` carries the reason; callers add `generated` to the trace's
+  // kRrSets, which keeps counts exact without any atomics on the
   // generation hot path.
   //
   // Stops, in index order. A lane checks its guard copy, the wave's abort

@@ -112,14 +112,15 @@ CellResult Workbench::RunCell(ImAlgorithm& algorithm,
   const Graph& graph = GetGraph(dataset, model, ic_probability);
 
   Span cell_span(trace_.get(), "cell");
+  Trace cell_trace;
+  Trace* const trace = trace_ != nullptr ? trace_.get() : &cell_trace;
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = kind;
   input.k = k;
   input.seed = options_.seed;
-  input.counters = &result.counters;
   input.threads = options_.threads;
-  input.trace = trace_.get();
+  input.trace = trace;
 
   RunBudget budget;
   budget.deadline_seconds = options_.time_budget_seconds;
@@ -131,8 +132,12 @@ CellResult Workbench::RunCell(ImAlgorithm& algorithm,
   // Armed after Start so the deadline measures the same span the meter does.
   RunGuard guard(budget);
   input.guard = &guard;
+  const TraceCounterArray before = trace->totals();
   SelectionResult selection = algorithm.Select(input);
   const Measurement measurement = meter.Stop();
+  for (int c = 0; c < kNumTraceCounters; ++c) {
+    result.counters[c] = trace->totals()[c] - before[c];
+  }
 
   result.seeds = std::move(selection.seeds);
   result.internal_estimate = selection.internal_spread_estimate;

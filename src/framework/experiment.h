@@ -16,12 +16,12 @@
 #include "diffusion/spread.h"
 #include "framework/datasets.h"
 #include "framework/registry.h"
+#include "framework/trace.h"
 #include "graph/weights.h"
 
 namespace imbench {
 
 class ResultJournal;
-class Trace;
 
 // Result of one benchmark cell.
 struct CellResult {
@@ -42,7 +42,9 @@ struct CellResult {
   // Why selection stopped early (kNone for a complete run). Finer-grained
   // than `status`: a DNF cell still carries its best-effort partial seeds.
   StopReason stop_reason = StopReason::kNone;
-  Counters counters;
+  // Work the selection did: the trace counters' delta over Select (the
+  // evaluation pass is not included). Index with TraceCounter.
+  TraceCounterArray counters{};
 
   bool ok() const { return status == Status::kOk; }
 };
@@ -76,6 +78,8 @@ struct WorkbenchOptions : CommonRunOptions {
   // When non-empty the workbench owns a Trace, wraps every cell in a
   // "cell" span (selection phases nested inside, plus an "evaluate" span
   // for the MC pass), and writes the per-phase JSON here on destruction.
+  // Without it each cell selects under a Trace of its own, so
+  // CellResult::counters is filled either way.
   std::string trace_out_path;
 };
 

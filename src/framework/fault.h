@@ -52,7 +52,7 @@ inline constexpr std::string_view kServiceRepair = "service_repair";
 // EpochGraphStore rebuild: the mutation's successor graph fails to
 // publish; the store is left on the old epoch (all-or-nothing).
 inline constexpr std::string_view kEpochRebuild = "epoch_rebuild";
-// Workload file IO (ParseWorkloadFile).
+// Workload file IO (ReadWorkloadFile).
 inline constexpr std::string_view kWorkloadIo = "workload_io";
 // Checkpoint writes tear (half the payload reaches disk) / reads fail.
 inline constexpr std::string_view kCheckpointWrite = "checkpoint_write";

@@ -11,8 +11,9 @@ namespace {
 // Field order of one journal line (tab-separated):
 //   key, status, stop_reason, select_seconds, peak_heap_bytes,
 //   spread_mean, spread_stddev, spread_simulations, internal_estimate,
-//   seeds (comma-separated node ids, "-" when empty)
-constexpr size_t kFieldCount = 10;
+//   seeds (comma-separated node ids, "-" when empty),
+//   counters (kNumTraceCounters comma-separated values, TraceCounter order)
+constexpr size_t kFieldCount = 11;
 
 bool ParseStatus(const std::string& name, CellResult::Status& out) {
   if (name == "OK") {
@@ -97,7 +98,15 @@ bool ParseLine(const std::string& line, std::string& key, CellResult& result) {
       if (end == cursor && *end != '\0') return false;
     }
   }
-  return true;
+
+  const char* cursor = fields[10].c_str();
+  for (int c = 0; c < kNumTraceCounters; ++c) {
+    if (c > 0 && *cursor++ != ',') return false;
+    result.counters[c] = std::strtoull(cursor, &end, 10);
+    if (end == cursor) return false;
+    cursor = end;
+  }
+  return *cursor == '\0';
 }
 
 }  // namespace
@@ -128,7 +137,7 @@ ResultJournal::ResultJournal(const std::string& path) {
   if (file_ != nullptr && fresh) {
     std::fprintf(file_,
                  "# imbench results journal: key status reason seconds "
-                 "peak_bytes mean stddev sims internal seeds\n");
+                 "peak_bytes mean stddev sims internal seeds counters\n");
     std::fflush(file_);
   }
 }
@@ -149,14 +158,20 @@ void ResultJournal::Append(const std::string& key, const CellResult& result) {
     if (!seeds.empty()) seeds += ',';
     seeds += std::to_string(s);
   }
+  std::string counters;
+  for (const uint64_t count : result.counters) {
+    if (!counters.empty()) counters += ',';
+    counters += std::to_string(count);
+  }
   std::fprintf(file_,
-               "%s\t%s\t%s\t%.17g\t%" PRIu64 "\t%.17g\t%.17g\t%u\t%.17g\t%s\n",
+               "%s\t%s\t%s\t%.17g\t%" PRIu64
+               "\t%.17g\t%.17g\t%u\t%.17g\t%s\t%s\n",
                key.c_str(), CellStatusName(result.status),
                StopReasonName(result.stop_reason), result.select_seconds,
                result.peak_heap_bytes, result.spread.mean,
                result.spread.stddev, result.spread.simulations,
                result.internal_estimate,
-               seeds.empty() ? "-" : seeds.c_str());
+               seeds.empty() ? "-" : seeds.c_str(), counters.c_str());
   // One flush per cell: a crash between cells never loses a finished one.
   std::fflush(file_);
   results_[key] = result;

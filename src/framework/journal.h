@@ -6,8 +6,8 @@
 // tab-separated text file: human-greppable, append-only, and tolerant of a
 // torn final line (a crash mid-write loses at most that one cell).
 //
-// Counters are intentionally not journaled: they describe how a run was
-// produced, not its result, and replayed cells report zero counters.
+// Each line also carries the cell's trace counters, so a replayed cell
+// reports the work its original run did (fig9_celf's lookups/iter).
 #ifndef IMBENCH_FRAMEWORK_JOURNAL_H_
 #define IMBENCH_FRAMEWORK_JOURNAL_H_
 

@@ -1,17 +1,9 @@
 // The per-query view of the system that every seed-selection entry point
-// runs against.
-//
-// Both construction paths build the same type: the one-shot path (im_run,
-// the workbench, tests) points `graph` at an owned Graph and leaves the
-// service fields empty; the always-on path (service/im_service.h) fills
-// `snapshot`/`epoch` from its EpochGraphStore and hands the warm RR corpus
-// it maintains across queries. Algorithms consume one context type either
-// way — there is no separate "service input" struct to keep in sync.
+// runs against: the graph (heap CSR or mmap'd .imgrf), the diffusion model
+// and the shared run controls. Callers that serve from an EpochGraphStore
+// keep the snapshot alive themselves for the length of the query.
 #ifndef IMBENCH_FRAMEWORK_QUERY_CONTEXT_H_
 #define IMBENCH_FRAMEWORK_QUERY_CONTEXT_H_
-
-#include <cstdint>
-#include <memory>
 
 #include "common/run_options.h"
 #include "diffusion/cascade.h"
@@ -19,8 +11,6 @@
 #include "graph/graph_view.h"
 
 namespace imbench {
-
-class RrCollection;
 
 struct QueryContext : CommonRunOptions {
   const Graph* graph = nullptr;
@@ -38,19 +28,6 @@ struct QueryContext : CommonRunOptions {
   NodeId NumNodes() const {
     return graph != nullptr ? graph->num_nodes() : compact->num_nodes();
   }
-
-  // Keeps an epoch snapshot alive while the query runs. One-shot callers
-  // that own their Graph leave it empty; when set, graph == snapshot.get()
-  // and the graph stays valid even if the store mutates mid-query.
-  std::shared_ptr<const Graph> snapshot;
-
-  // Epoch of `snapshot` in its EpochGraphStore; 0 for one-shot runs.
-  uint64_t epoch = 0;
-
-  // Warm RR corpus the service reuses across queries; null for one-shot
-  // runs. Maintained by ImService (top-up, repair) — Select() treats it as
-  // read-only context and never mutates it.
-  RrCollection* corpus = nullptr;
 };
 
 }  // namespace imbench

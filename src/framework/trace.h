@@ -41,8 +41,7 @@ enum class TraceCounter : uint8_t {
   kRrEdgesExamined,     // edges traversed while growing those sets
   kSimulations,         // Monte Carlo cascade simulations
   kNodeLookups,         // marginal-gain / score evaluations of a candidate
-                        // node (the Appendix C "node lookups" metric;
-                        // matches Counters::spread_evaluations)
+                        // node (the Appendix C "node lookups" metric)
   kQueueReevaluations,  // stale lazy-queue entries recomputed
   kSnapshots,           // snapshot subgraphs materialized (SG/PMC)
   kScoringRounds,       // full scoring sweeps (IMRank/EaSyIM/IRIE)
@@ -97,6 +96,7 @@ class Trace {
   uint64_t Total(TraceCounter counter) const {
     return totals_[static_cast<int>(counter)];
   }
+  const TraceCounterArray& totals() const { return totals_; }
 
   // Opens a nested span; returns its index. Prefer the Span RAII guard.
   int32_t OpenSpan(std::string_view name);
@@ -156,7 +156,7 @@ class Span {
   int32_t id_;
 };
 
-// Null-tolerant counter bump, mirroring CountSpreadEvaluation().
+// Null-tolerant counter bump: the one way algorithms count their work.
 inline void TraceAdd(Trace* trace, TraceCounter counter, uint64_t n = 1) {
   if (trace != nullptr && n != 0) trace->Add(counter, n);
 }

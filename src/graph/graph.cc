@@ -21,9 +21,7 @@ Graph Graph::FromArcs(NodeId num_nodes, std::vector<Arc> arcs,
       arcs.push_back(Arc{arcs[i].target, arcs[i].source});
     }
   }
-  if (options.drop_self_loops) {
-    std::erase_if(arcs, [](const Arc& a) { return a.source == a.target; });
-  }
+  std::erase_if(arcs, [](const Arc& a) { return a.source == a.target; });
   std::sort(arcs.begin(), arcs.end(), [](const Arc& x, const Arc& y) {
     return x.source != y.source ? x.source < y.source : x.target < y.target;
   });
@@ -33,23 +31,21 @@ Graph Graph::FromArcs(NodeId num_nodes, std::vector<Arc> arcs,
   g.out_offsets_.assign(num_nodes + 1, 0);
 
   std::vector<uint32_t> multiplicities;
-  if (options.dedup) {
-    size_t write = 0;
-    for (size_t read = 0; read < arcs.size();) {
-      size_t run = read + 1;
-      while (run < arcs.size() && arcs[run] == arcs[read]) ++run;
-      arcs[write] = arcs[read];
-      multiplicities.push_back(static_cast<uint32_t>(run - read));
-      ++write;
-      read = run;
-    }
-    arcs.resize(write);
-    // Store multiplicities only if a parallel arc actually existed.
-    const bool any_parallel =
-        std::any_of(multiplicities.begin(), multiplicities.end(),
-                    [](uint32_t c) { return c > 1; });
-    if (!any_parallel) multiplicities.clear();
+  size_t write = 0;
+  for (size_t read = 0; read < arcs.size();) {
+    size_t run = read + 1;
+    while (run < arcs.size() && arcs[run] == arcs[read]) ++run;
+    arcs[write] = arcs[read];
+    multiplicities.push_back(static_cast<uint32_t>(run - read));
+    ++write;
+    read = run;
   }
+  arcs.resize(write);
+  // Store multiplicities only if a parallel arc actually existed.
+  const bool any_parallel =
+      std::any_of(multiplicities.begin(), multiplicities.end(),
+                  [](uint32_t c) { return c > 1; });
+  if (!any_parallel) multiplicities.clear();
   g.multiplicities_ = std::move(multiplicities);
 
   const size_t m = arcs.size();

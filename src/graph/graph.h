@@ -34,18 +34,15 @@ struct GraphOptions {
   // Add the reverse arc for every input arc (the paper makes undirected
   // graphs directed by keeping both directions, Sec. 5).
   bool make_bidirectional = false;
-  // Collapse parallel arcs into one, recording multiplicities. Required by
-  // the simulators; disable only for tests of the builder itself.
-  bool dedup = true;
-  // Drop self loops (u, u); they never affect influence spread.
-  bool drop_self_loops = true;
 };
 
 class Graph {
  public:
   // Builds a graph over nodes [0, num_nodes) from `arcs`. Arcs referring to
-  // nodes >= num_nodes are rejected (IMBENCH_CHECK). All edge weights start
-  // at 0; assign them with the models in graph/weights.h.
+  // nodes >= num_nodes are rejected (IMBENCH_CHECK). Self loops (u, u) are
+  // dropped, since they never affect influence spread; parallel arcs are
+  // collapsed into one edge that records its multiplicity. All edge
+  // weights start at 0; assign them with the models in graph/weights.h.
   static Graph FromArcs(NodeId num_nodes, std::vector<Arc> arcs,
                         const GraphOptions& options = GraphOptions{});
 

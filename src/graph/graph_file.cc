@@ -350,7 +350,7 @@ bool GraphFileStreamWriter::Finish(std::string* error) {
         while (j < scratch.size() && scratch[j] == v) ++j;
         const uint32_t mult = static_cast<uint32_t>(j - i);
         i = j;
-        if (im.options.drop_self_loops && v == u) continue;
+        if (v == u) continue;
         pairs.push_back(v);
         pairs.push_back(mult);
         if (mult > 1) any_mult = true;

@@ -164,7 +164,6 @@ class GraphFileStreamWriter {
     double ic_p = 0.1;            // IC constant probability
     uint64_t weight_rng_seed = 0;  // TV level draws (forward edge order)
     bool make_bidirectional = false;
-    bool drop_self_loops = true;
   };
 
   GraphFileStreamWriter(std::string path, NodeId num_nodes,

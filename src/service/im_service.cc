@@ -256,17 +256,4 @@ bool ImService::SaveCheckpoint(const std::string& path, std::string* detail) {
   return SaveCorpusCheckpoint(path, meta, corpus_, detail);
 }
 
-QueryContext ImService::MakeContext() {
-  QueryContext context;
-  static_cast<CommonRunOptions&>(context) = options_;
-  context.guard = nullptr;  // queries build their own per-run guard
-  const EpochGraphStore::Snapshot snap = store_.Current();
-  context.snapshot = snap.graph;
-  context.graph = snap.graph.get();
-  context.epoch = snap.epoch;
-  context.diffusion = options_.kind;
-  context.corpus = corpus_epoch_ == snap.epoch ? &corpus_ : nullptr;
-  return context;
-}
-
 }  // namespace imbench

@@ -171,29 +171,6 @@ bool ParseLine(const std::string& raw, WorkloadOp* op, bool* blank,
 
 }  // namespace
 
-bool ParseWorkload(const std::string& text, std::vector<WorkloadOp>* ops,
-                   std::string* error) {
-  ops->clear();
-  std::istringstream lines(text);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    WorkloadOp op;
-    bool blank = false;
-    std::string message;
-    if (!ParseLine(line, &op, &blank, &message)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_number) + ": " + message +
-                 " [" + line + "]";
-      }
-      return false;
-    }
-    if (!blank) ops->push_back(std::move(op));
-  }
-  return true;
-}
-
 void ParseWorkloadLenient(const std::string& text,
                           std::vector<WorkloadOp>* ops) {
   ops->clear();
@@ -210,15 +187,26 @@ void ParseWorkloadLenient(const std::string& text,
       op.kind = WorkloadOp::Kind::kMalformed;
       op.error = std::move(message);
       op.text = line;
-      op.line = line_number;
-      ops->push_back(std::move(op));
+    } else if (blank) {
       continue;
     }
-    if (!blank) {
-      op.line = line_number;
-      ops->push_back(std::move(op));
-    }
+    op.line = line_number;
+    ops->push_back(std::move(op));
   }
+}
+
+bool ParseWorkload(const std::string& text, std::vector<WorkloadOp>* ops,
+                   std::string* error) {
+  ParseWorkloadLenient(text, ops);
+  for (const WorkloadOp& op : *ops) {
+    if (op.kind != WorkloadOp::Kind::kMalformed) continue;
+    if (error != nullptr) {
+      *error = "line " + std::to_string(op.line) + ": " + op.error + " [" +
+               op.text + "]";
+    }
+    return false;
+  }
+  return true;
 }
 
 bool ReadWorkloadFile(const std::string& path, std::string* text,
@@ -238,13 +226,6 @@ bool ReadWorkloadFile(const std::string& path, std::string* text,
   buffer << in.rdbuf();
   *text = buffer.str();
   return true;
-}
-
-bool ParseWorkloadFile(const std::string& path, std::vector<WorkloadOp>* ops,
-                       std::string* error) {
-  std::string text;
-  if (!ReadWorkloadFile(path, &text, error)) return false;
-  return ParseWorkload(text, ops, error);
 }
 
 ReplayResult ReplayWorkload(EpochGraphStore& store, ImService& service,

@@ -37,7 +37,8 @@ struct WorkloadOp {
   int line = 0;      // 1-based
 };
 
-// Parses workload text. On a malformed line, returns false and describes
+// Parses workload text: the lenient parse below, with its first malformed
+// line turned into the error. On such a line, returns false and describes
 // the problem in *error — 1-based line number and the offending line text
 // included ("line 3: unknown op 'quary' [quary k=5]").
 bool ParseWorkload(const std::string& text, std::vector<WorkloadOp>* ops,
@@ -56,10 +57,6 @@ void ParseWorkloadLenient(const std::string& text,
 // path.
 bool ReadWorkloadFile(const std::string& path, std::string* text,
                       std::string* error);
-
-// Reads and parses a workload file; false on I/O or parse error.
-bool ParseWorkloadFile(const std::string& path, std::vector<WorkloadOp>* ops,
-                       std::string* error);
 
 // Replay policy knobs (all default to the strict, non-stop behavior).
 struct ReplayOptions {

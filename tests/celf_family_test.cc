@@ -17,14 +17,14 @@
 namespace imbench {
 namespace {
 
-SelectionInput InputFor(const Graph& graph, uint32_t k, Counters* counters,
+SelectionInput InputFor(const Graph& graph, uint32_t k, Trace* trace,
                         DiffusionKind kind = DiffusionKind::kIndependentCascade) {
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = kind;
   input.k = k;
   input.seed = 11;
-  input.counters = counters;
+  input.trace = trace;
   return input;
 }
 
@@ -58,13 +58,13 @@ TEST(CelfTest, MatchesGreedySeedsOnDeterministicGraph) {
 
 TEST(CelfTest, LazyEvaluationSavesLookups) {
   Graph g = testutil::HubGraph();
-  Counters greedy_counters, celf_counters;
+  Trace greedy_trace, celf_trace;
   Greedy greedy(GreedyOptions{100});
   Celf celf(CelfOptions{100});
-  greedy.Select(InputFor(g, 3, &greedy_counters));
-  celf.Select(InputFor(g, 3, &celf_counters));
-  EXPECT_LT(celf_counters.spread_evaluations,
-            greedy_counters.spread_evaluations);
+  greedy.Select(InputFor(g, 3, &greedy_trace));
+  celf.Select(InputFor(g, 3, &celf_trace));
+  EXPECT_LT(celf_trace.Total(TraceCounter::kNodeLookups),
+            greedy_trace.Total(TraceCounter::kNodeLookups));
 }
 
 TEST(CelfPlusPlusTest, PicksTheHubFirst) {
@@ -88,16 +88,17 @@ TEST(CelfPlusPlusTest, NodeLookupsAtMostCelf) {
   // On deterministic graphs the pre-emption always hits, so lookups must
   // not exceed CELF's.
   Graph g = testutil::TwoStars(1.0);
-  Counters celf_counters, celfpp_counters;
+  Trace celf_trace, celfpp_trace;
   Celf celf(CelfOptions{100});
   CelfPlusPlus celfpp(CelfPlusPlusOptions{100});
-  celf.Select(InputFor(g, 3, &celf_counters));
-  celfpp.Select(InputFor(g, 3, &celfpp_counters));
-  EXPECT_LE(celfpp_counters.spread_evaluations,
-            celf_counters.spread_evaluations + 1);
+  celf.Select(InputFor(g, 3, &celf_trace));
+  celfpp.Select(InputFor(g, 3, &celfpp_trace));
+  EXPECT_LE(celfpp_trace.Total(TraceCounter::kNodeLookups),
+            celf_trace.Total(TraceCounter::kNodeLookups) + 1);
   // ...while running strictly more simulations per lookup (the extra mg2
   // work that makes it no faster in practice).
-  EXPECT_GE(celfpp_counters.simulations, celf_counters.simulations / 2);
+  EXPECT_GE(celfpp_trace.Total(TraceCounter::kSimulations),
+            celf_trace.Total(TraceCounter::kSimulations) / 2);
 }
 
 TEST(CelfFamilyTest, SimilarSpreadAcrossVariants) {
@@ -176,23 +177,25 @@ TEST(CelfFamilyTest, PinnedSeedsAndEstimates) {
   };
   for (const Pinned& p : pinned) {
     const Graph g = PinnedGraph(p.kind);
-    Counters counters;
+    Trace trace;
     const SelectionResult result =
-        MakePinned(p.name)->Select(InputFor(g, 4, &counters, p.kind));
+        MakePinned(p.name)->Select(InputFor(g, 4, &trace, p.kind));
     const std::string label =
         std::string(p.name) + "/" + DiffusionKindName(p.kind);
     EXPECT_EQ(result.seeds, p.seeds) << label;
     EXPECT_EQ(result.internal_spread_estimate, p.internal_spread_estimate)
         << label;
-    EXPECT_EQ(counters.simulations, p.simulations) << label;
-    EXPECT_EQ(counters.spread_evaluations, p.spread_evaluations) << label;
+    EXPECT_EQ(trace.Total(TraceCounter::kSimulations), p.simulations)
+        << label;
+    EXPECT_EQ(trace.Total(TraceCounter::kNodeLookups), p.spread_evaluations)
+        << label;
   }
 }
 
-// A guard trip inside an estimate cuts it short; the counters must report
-// the simulations that ran, as the trace does. Where the deadline lands is
+// A guard trip inside an estimate cuts it short; the trace must count the
+// simulations that ran, not the r requested. Where the deadline lands is
 // up to the clock, so each technique retries with a longer deadline until
-// one trip falls inside an estimate (one not a multiple of r).
+// one trip falls inside an estimate (a count that is not a multiple of r).
 TEST(CelfFamilyTest, GuardTripCountsCompletedSimulations) {
   constexpr uint32_t kSimulations = 1000;
   const Graph g = PinnedGraph(DiffusionKind::kIndependentCascade);
@@ -214,14 +217,10 @@ TEST(CelfFamilyTest, GuardTripCountsCompletedSimulations) {
       budget.deadline_seconds = 0.002 * attempt;
       RunGuard guard(budget);
       Trace trace;
-      Counters counters;
-      SelectionInput input = InputFor(g, 4, &counters);
+      SelectionInput input = InputFor(g, 4, &trace);
       input.guard = &guard;
-      input.trace = &trace;
       algorithm->Select(input);
       const uint64_t traced = trace.Total(TraceCounter::kSimulations);
-      EXPECT_EQ(counters.simulations, traced)
-          << algorithm->name() << " attempt " << attempt;
       tripped_inside = guard.stopped() && traced % kSimulations != 0;
     }
     EXPECT_TRUE(tripped_inside) << algorithm->name();

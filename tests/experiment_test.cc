@@ -168,6 +168,10 @@ TEST(WorkbenchTest, JournalReplaySkipsFinishedCells) {
     EXPECT_DOUBLE_EQ(replayed.spread.stddev, first.spread.stddev);
     EXPECT_DOUBLE_EQ(replayed.select_seconds, first.select_seconds);
     EXPECT_EQ(replayed.peak_heap_bytes, first.peak_heap_bytes);
+    // The counters are journaled too, so a resumed grid reprints them.
+    EXPECT_GT(first.counters[static_cast<int>(TraceCounter::kNodeLookups)],
+              0u);
+    EXPECT_EQ(replayed.counters, first.counters);
   }
   std::remove(path.c_str());
 }
@@ -207,14 +211,32 @@ TEST(WorkbenchTest, ExplicitInstanceOverload) {
   const CellResult result =
       bench.RunCell(imrank, "nethept", WeightModel::kWc, 5);
   EXPECT_TRUE(result.ok());
-  EXPECT_GT(result.counters.scoring_rounds, 0u);
+  EXPECT_GT(result.counters[static_cast<int>(TraceCounter::kScoringRounds)],
+            0u);
 }
 
 TEST(WorkbenchTest, CountersPopulated) {
   Workbench bench(TinyOptions());
   const CellResult result =
       bench.RunCell("IMM", "nethept", WeightModel::kWc, 5);
-  EXPECT_GT(result.counters.rr_sets, 0u);
+  EXPECT_GT(result.counters[static_cast<int>(TraceCounter::kRrSets)], 0u);
+  // Selection only: the evaluation pass's simulations are not counted.
+  EXPECT_EQ(result.counters[static_cast<int>(TraceCounter::kSimulations)],
+            0u);
+
+  // A harness-wide trace yields the same per-cell counters.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/workbench_counters_trace.json";
+  {
+    WorkbenchOptions options = TinyOptions();
+    options.trace_out_path = path;
+    Workbench traced(options);
+    traced.RunCell("IMM", "nethept", WeightModel::kWc, 5);
+    const CellResult again =
+        traced.RunCell("IMM", "nethept", WeightModel::kWc, 5);
+    EXPECT_EQ(again.counters, result.counters);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(WorkbenchTest, StatusNames) {

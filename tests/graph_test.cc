@@ -47,13 +47,6 @@ TEST(GraphTest, SelfLoopsDropped) {
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
-TEST(GraphTest, SelfLoopsKeptWhenRequested) {
-  GraphOptions options;
-  options.drop_self_loops = false;
-  Graph g = Graph::FromArcs(2, {{0, 0}, {0, 1}}, options);
-  EXPECT_EQ(g.num_edges(), 2u);
-}
-
 TEST(GraphTest, ParallelArcsDeduplicatedWithMultiplicity) {
   Graph g = Graph::FromArcs(3, {{0, 1}, {0, 1}, {0, 1}, {0, 2}});
   EXPECT_EQ(g.num_edges(), 2u);

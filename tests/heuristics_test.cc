@@ -7,6 +7,7 @@
 #include "algorithms/irie.h"
 #include "algorithms/easyim.h"
 #include "framework/datasets.h"
+#include "framework/trace.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
@@ -109,12 +110,12 @@ TEST(EasyImTest, McValidationCountsSimulations) {
   options.simulations = 25;
   EasyIm easyim(options);
   SelectionInput input = IcInput(g, 2);
-  Counters counters;
-  input.counters = &counters;
+  Trace trace;
+  input.trace = &trace;
   const SelectionResult result = easyim.Select(input);
   EXPECT_EQ(result.seeds.size(), 2u);
-  EXPECT_GT(counters.simulations, 0u);
-  EXPECT_GT(counters.scoring_rounds, 0u);
+  EXPECT_GT(trace.Total(TraceCounter::kSimulations), 0u);
+  EXPECT_GT(trace.Total(TraceCounter::kScoringRounds), 0u);
 }
 
 TEST(EasyImTest, WorksUnderLt) {

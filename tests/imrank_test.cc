@@ -6,19 +6,20 @@
 
 #include "diffusion/spread.h"
 #include "framework/datasets.h"
+#include "framework/trace.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
 namespace imbench {
 namespace {
 
-SelectionInput IcInput(const Graph& graph, uint32_t k, Counters* counters) {
+SelectionInput IcInput(const Graph& graph, uint32_t k, Trace* trace) {
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = DiffusionKind::kIndependentCascade;
   input.k = k;
   input.seed = 47;
-  input.counters = counters;
+  input.trace = trace;
   return input;
 }
 
@@ -50,9 +51,9 @@ TEST(ImRankTest, FixedRoundsRunAllScoringRounds) {
   ImRankOptions options;
   options.scoring_rounds = 7;
   ImRank imrank(options);
-  Counters counters;
-  imrank.Select(IcInput(g, 10, &counters));
-  EXPECT_EQ(counters.scoring_rounds, 7u);
+  Trace trace;
+  imrank.Select(IcInput(g, 10, &trace));
+  EXPECT_EQ(trace.Total(TraceCounter::kScoringRounds), 7u);
 }
 
 TEST(ImRankTest, DefectiveStoppingExitsEarly) {
@@ -64,17 +65,17 @@ TEST(ImRankTest, DefectiveStoppingExitsEarly) {
   options.scoring_rounds = 10;
   options.stopping = ImRankOptions::Stopping::kTopKSetUnchanged;
   ImRank defective(options);
-  Counters defective_counters;
-  defective.Select(IcInput(g, 50, &defective_counters));
+  Trace defective_trace;
+  defective.Select(IcInput(g, 50, &defective_trace));
 
   options.stopping = ImRankOptions::Stopping::kFixedRounds;
   ImRank corrected(options);
-  Counters corrected_counters;
-  corrected.Select(IcInput(g, 50, &corrected_counters));
+  Trace corrected_trace;
+  corrected.Select(IcInput(g, 50, &corrected_trace));
 
-  EXPECT_EQ(corrected_counters.scoring_rounds, 10u);
-  EXPECT_LT(defective_counters.scoring_rounds,
-            corrected_counters.scoring_rounds);
+  EXPECT_EQ(corrected_trace.Total(TraceCounter::kScoringRounds), 10u);
+  EXPECT_LT(defective_trace.Total(TraceCounter::kScoringRounds),
+            corrected_trace.Total(TraceCounter::kScoringRounds));
 }
 
 TEST(ImRankTest, SeedsAreDistinctAndValid) {

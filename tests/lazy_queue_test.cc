@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "framework/trace.h"
+
 namespace imbench {
 namespace {
 
@@ -29,10 +31,9 @@ TEST(CelfSelectTest, MatchesExhaustiveGreedyOnCoverage) {
       {1, 2, 3, 4}, {3, 4, 5}, {5, 6}, {7}, {1, 7}, {8, 9, 10}};
   CoverageOracle exhaustive = oracle;
 
-  Counters counters;
   const std::vector<NodeId> lazy = CelfSelect(
       6, 3, [&](NodeId v) { return oracle.Gain(v); },
-      [&](NodeId v) { oracle.Commit(v); }, &counters);
+      [&](NodeId v) { oracle.Commit(v); });
 
   // Exhaustive greedy for comparison.
   std::vector<NodeId> greedy;
@@ -58,14 +59,14 @@ TEST(CelfSelectTest, MatchesExhaustiveGreedyOnCoverage) {
 TEST(CelfSelectTest, CountsInitialPassPlusReevaluations) {
   CoverageOracle oracle;
   oracle.node_covers = {{1}, {2}, {3}};
-  Counters counters;
+  Trace trace;
   CelfSelect(
       3, 2, [&](NodeId v) { return oracle.Gain(v); },
-      [&](NodeId v) { oracle.Commit(v); }, &counters);
+      [&](NodeId v) { oracle.Commit(v); }, nullptr, &trace);
   // 3 initial evaluations; disjoint sets mean each later pop needs at most
   // one refresh.
-  EXPECT_GE(counters.spread_evaluations, 3u);
-  EXPECT_LE(counters.spread_evaluations, 5u);
+  EXPECT_GE(trace.Total(TraceCounter::kNodeLookups), 3u);
+  EXPECT_LE(trace.Total(TraceCounter::kNodeLookups), 5u);
 }
 
 TEST(CelfSelectTest, KLargerThanNodesReturnsAll) {
@@ -73,7 +74,7 @@ TEST(CelfSelectTest, KLargerThanNodesReturnsAll) {
   oracle.node_covers = {{1}, {2}};
   const std::vector<NodeId> seeds = CelfSelect(
       2, 10, [&](NodeId v) { return oracle.Gain(v); },
-      [&](NodeId v) { oracle.Commit(v); }, nullptr);
+      [&](NodeId v) { oracle.Commit(v); });
   EXPECT_EQ(seeds.size(), 2u);
 }
 
@@ -83,7 +84,7 @@ TEST(CelfSelectTest, TieBreaksByNodeIdDeterministically) {
   oracle.node_covers = {{1}, {1}, {1}};
   const std::vector<NodeId> seeds = CelfSelect(
       3, 3, [&](NodeId v) { return oracle.Gain(v); },
-      [&](NodeId v) { oracle.Commit(v); }, nullptr);
+      [&](NodeId v) { oracle.Commit(v); });
   EXPECT_EQ(seeds[0], 0u);
 }
 
@@ -94,7 +95,7 @@ TEST(CelfSelectTest, LazyRefreshRespectsShrinkingGains) {
   oracle.node_covers = {{1, 2, 3}, {1, 2, 3, 4}, {5, 6}};
   const std::vector<NodeId> seeds = CelfSelect(
       3, 2, [&](NodeId v) { return oracle.Gain(v); },
-      [&](NodeId v) { oracle.Commit(v); }, nullptr);
+      [&](NodeId v) { oracle.Commit(v); });
   EXPECT_EQ(seeds, (std::vector<NodeId>{1, 2}));
 }
 

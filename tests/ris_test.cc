@@ -6,47 +6,49 @@
 
 #include "diffusion/spread.h"
 #include "framework/datasets.h"
+#include "framework/trace.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
 namespace imbench {
 namespace {
 
-SelectionInput InputFor(const Graph& graph, uint32_t k, Counters* counters,
+SelectionInput InputFor(const Graph& graph, uint32_t k, Trace* trace,
                         DiffusionKind kind) {
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = kind;
   input.k = k;
   input.seed = 61;
-  input.counters = counters;
+  input.trace = trace;
   return input;
 }
 
 TEST(RisTest, PicksTheHub) {
   Graph g = testutil::HubGraph();
   Ris ris(RisOptions{});
-  Counters counters;
+  Trace trace;
   const SelectionResult result = ris.Select(
-      InputFor(g, 1, &counters, DiffusionKind::kIndependentCascade));
+      InputFor(g, 1, &trace, DiffusionKind::kIndependentCascade));
   EXPECT_EQ(result.seeds[0], 0u);
-  EXPECT_GT(counters.rr_sets, 0u);
+  EXPECT_GT(trace.Total(TraceCounter::kRrSets), 0u);
 }
 
 TEST(RisTest, BudgetControlsSampleCount) {
   Graph g = MakeDataset("nethept", DatasetScale::kTiny);
   AssignWeightedCascade(g);
-  Counters small_counters, large_counters;
+  Trace small_trace, large_trace;
   RisOptions small_budget;
   small_budget.budget_multiplier = 4;
   RisOptions large_budget;
   large_budget.budget_multiplier = 64;
   Ris small(small_budget), large(large_budget);
   small.Select(
-      InputFor(g, 5, &small_counters, DiffusionKind::kIndependentCascade));
+      InputFor(g, 5, &small_trace, DiffusionKind::kIndependentCascade));
   large.Select(
-      InputFor(g, 5, &large_counters, DiffusionKind::kIndependentCascade));
-  EXPECT_GT(large_counters.rr_sets, 4 * small_counters.rr_sets);
+      InputFor(g, 5, &large_trace, DiffusionKind::kIndependentCascade));
+  EXPECT_GT(large_trace.Total(TraceCounter::kRrSets),
+            4 * small_trace.Total(TraceCounter::kRrSets));
 }
 
 TEST(RisTest, QualityComparableToRrSuccessors) {

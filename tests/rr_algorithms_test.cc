@@ -6,32 +6,33 @@
 #include "algorithms/tim_plus.h"
 #include "diffusion/spread.h"
 #include "framework/datasets.h"
+#include "framework/trace.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
 namespace imbench {
 namespace {
 
-SelectionInput InputFor(const Graph& graph, uint32_t k, Counters* counters,
+SelectionInput InputFor(const Graph& graph, uint32_t k, Trace* trace,
                         DiffusionKind kind) {
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = kind;
   input.k = k;
   input.seed = 23;
-  input.counters = counters;
+  input.trace = trace;
   return input;
 }
 
 TEST(TimPlusTest, PicksTheHubUnderIc) {
   Graph g = testutil::HubGraph();
   TimPlus tim(TimPlusOptions{});
-  Counters counters;
+  Trace trace;
   const SelectionResult result = tim.Select(
-      InputFor(g, 1, &counters, DiffusionKind::kIndependentCascade));
+      InputFor(g, 1, &trace, DiffusionKind::kIndependentCascade));
   ASSERT_EQ(result.seeds.size(), 1u);
   EXPECT_EQ(result.seeds[0], 0u);
-  EXPECT_GT(counters.rr_sets, 0u);
+  EXPECT_GT(trace.Total(TraceCounter::kRrSets), 0u);
   EXPECT_TRUE(result.complete());
 }
 
@@ -60,11 +61,11 @@ TEST(TimPlusTest, MemoryBudgetTriggersOverBudgetFlag) {
 TEST(ImmTest, PicksTheHubUnderIc) {
   Graph g = testutil::HubGraph();
   Imm imm(ImmOptions{});
-  Counters counters;
+  Trace trace;
   const SelectionResult result = imm.Select(
-      InputFor(g, 1, &counters, DiffusionKind::kIndependentCascade));
+      InputFor(g, 1, &trace, DiffusionKind::kIndependentCascade));
   EXPECT_EQ(result.seeds[0], 0u);
-  EXPECT_GT(counters.rr_sets, 0u);
+  EXPECT_GT(trace.Total(TraceCounter::kRrSets), 0u);
 }
 
 TEST(ImmTest, WorksUnderLt) {
@@ -81,12 +82,13 @@ TEST(ImmTest, WorksUnderLt) {
 TEST(ImmTest, LargerEpsilonUsesFewerRrSets) {
   Graph g = MakeDataset("nethept", DatasetScale::kTiny);
   AssignWeightedCascade(g);
-  Counters tight, loose;
+  Trace tight, loose;
   Imm imm_tight(ImmOptions{0.1});
   Imm imm_loose(ImmOptions{0.5});
   imm_tight.Select(InputFor(g, 5, &tight, DiffusionKind::kIndependentCascade));
   imm_loose.Select(InputFor(g, 5, &loose, DiffusionKind::kIndependentCascade));
-  EXPECT_GT(tight.rr_sets, loose.rr_sets);
+  EXPECT_GT(tight.Total(TraceCounter::kRrSets),
+            loose.Total(TraceCounter::kRrSets));
 }
 
 TEST(RrAlgorithmsTest, TimAndImmAgreeOnQuality) {

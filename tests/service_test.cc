@@ -244,32 +244,6 @@ TEST(ServiceTest, RequiredSetsIsDeterministicAndMonotoneInEpsilon) {
   EXPECT_GE(loose, 1u);
 }
 
-TEST(ServiceTest, MakeContextExposesSnapshotAndCorpus) {
-  EpochGraphStore store(ServiceTestGraph(DiffusionKind::kIndependentCascade));
-  ServiceOptions options;
-  options.epsilon = 4.0;
-  options.seed = kSeed;
-  ImService service(store, options);
-  ImQuery query;
-  query.k = 3;
-  service.Query(query);
-
-  QueryContext context = service.MakeContext();
-  EXPECT_EQ(context.graph, store.Current().graph.get());
-  EXPECT_EQ(context.snapshot.get(), context.graph);
-  EXPECT_EQ(context.epoch, store.epoch());
-  ASSERT_NE(context.corpus, nullptr);
-  EXPECT_GT(context.corpus->size(), 0u);
-  EXPECT_EQ(context.seed, kSeed);
-
-  // A store mutation the service has not yet migrated to: the context must
-  // not pair the stale corpus with the new snapshot.
-  store.AddEdges({{MissingArc(*store.Current().graph, 0.3)}});
-  QueryContext stale = service.MakeContext();
-  EXPECT_EQ(stale.corpus, nullptr);
-  EXPECT_EQ(stale.epoch, store.epoch());
-}
-
 // --- EpochGraphStore ---
 
 TEST(EpochStoreTest, SnapshotIsolationAcrossMutations) {

@@ -7,19 +7,20 @@
 #include "algorithms/static_greedy.h"
 #include "diffusion/spread.h"
 #include "framework/datasets.h"
+#include "framework/trace.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
 namespace imbench {
 namespace {
 
-SelectionInput IcInput(const Graph& graph, uint32_t k, Counters* counters) {
+SelectionInput IcInput(const Graph& graph, uint32_t k, Trace* trace) {
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = DiffusionKind::kIndependentCascade;
   input.k = k;
   input.seed = 31;
-  input.counters = counters;
+  input.trace = trace;
   return input;
 }
 
@@ -52,10 +53,10 @@ TEST(SnapshotTest, EdgeRetentionRate) {
 TEST(StaticGreedyTest, PicksTheHub) {
   Graph g = testutil::HubGraph();
   StaticGreedy sg(StaticGreedyOptions{100});
-  Counters counters;
-  const SelectionResult result = sg.Select(IcInput(g, 2, &counters));
+  Trace trace;
+  const SelectionResult result = sg.Select(IcInput(g, 2, &trace));
   EXPECT_EQ(result.seeds[0], 0u);
-  EXPECT_EQ(counters.snapshots, 100u);
+  EXPECT_EQ(trace.Total(TraceCounter::kSnapshots), 100u);
 }
 
 TEST(StaticGreedyTest, RejectsLt) {
@@ -79,10 +80,10 @@ TEST(StaticGreedyTest, InternalEstimateTracksMcSpread) {
 TEST(PmcTest, PicksTheHub) {
   Graph g = testutil::HubGraph();
   Pmc pmc(PmcOptions{100});
-  Counters counters;
-  const SelectionResult result = pmc.Select(IcInput(g, 2, &counters));
+  Trace trace;
+  const SelectionResult result = pmc.Select(IcInput(g, 2, &trace));
   EXPECT_EQ(result.seeds[0], 0u);
-  EXPECT_EQ(counters.snapshots, 100u);
+  EXPECT_EQ(trace.Total(TraceCounter::kSnapshots), 100u);
 }
 
 TEST(PmcTest, RejectsLt) {

@@ -156,9 +156,9 @@ int main(int argc, char** argv) {
   const WeightModel model = ParseModel(*model_name);
   const DiffusionKind kind = DiffusionKindFor(model);
 
+  // One-shot runs always select under the trace: the printed counters are
+  // its totals.
   Trace trace;
-  Trace* const tr =
-      (*trace_table || !trace_out->empty()) ? &trace : nullptr;
 
   // Build the graph: the mmap'd compact backend when --graph-file opens
   // cleanly, the heap CSR otherwise.
@@ -166,10 +166,10 @@ int main(int argc, char** argv) {
   CompactGraph compact;
   bool use_compact = false;
   {
-    Span setup_span(tr, "setup");
+    Span setup_span(&trace, "setup");
     if (!graph_file->empty()) {
       CompactGraph::OpenOptions open_options;
-      open_options.trace = tr;
+      open_options.trace = &trace;
       std::string error;
       const SealedStatus status =
           CompactGraph::Open(*graph_file, &compact, &error, open_options);
@@ -258,7 +258,9 @@ int main(int argc, char** argv) {
     service_options.epsilon = *eps;
     service_options.seed = static_cast<uint64_t>(*seed);
     service_options.threads = static_cast<uint32_t>(*threads);
-    service_options.trace = tr;
+    // The service traces only when the trace is printed or written.
+    service_options.trace =
+        (*trace_table || !trace_out->empty()) ? &trace : nullptr;
     // An explicit pool sized to --threads: the shared pool is sized to the
     // hardware, which silently falls back to one sampler lane on a
     // single-core box even when more threads were asked for. Results are
@@ -362,7 +364,6 @@ int main(int argc, char** argv) {
   if (std::isnan(param)) param = spec->OptimalParameterFor(model);
   std::unique_ptr<ImAlgorithm> instance = spec->make(param);
 
-  Counters counters;
   SelectionInput input;
   if (use_compact) {
     input.compact = &compact;
@@ -372,9 +373,8 @@ int main(int argc, char** argv) {
   input.diffusion = kind;
   input.k = static_cast<uint32_t>(*k);
   input.seed = static_cast<uint64_t>(*seed);
-  input.counters = &counters;
   input.threads = static_cast<uint32_t>(*threads);
-  input.trace = tr;
+  input.trace = &trace;
 
   // Budgets: first Ctrl-C drains the run and reports partial seeds.
   InstallSigintCancel();
@@ -392,6 +392,11 @@ int main(int argc, char** argv) {
   const SelectionResult result = instance->Select(input);
   const double select_secs = timer.Seconds();
   const uint64_t peak = PeakHeapBytes() - heap_before;
+  const TraceCounterArray selected = trace.totals();
+  const auto count = [&selected](TraceCounter counter) {
+    return static_cast<unsigned long long>(
+        selected[static_cast<int>(counter)]);
+  };
 
   const GraphView view = input.View();
   timer.Restart();
@@ -399,8 +404,8 @@ int main(int argc, char** argv) {
   eval.simulations = static_cast<uint32_t>(*mc);
   eval.seed = static_cast<uint64_t>(*seed);
   eval.threads = static_cast<uint32_t>(*threads);
-  eval.trace = tr;
-  Span evaluate_span(tr, "evaluate");
+  eval.trace = &trace;
+  Span evaluate_span(&trace, "evaluate");
   const SpreadEstimate sigma = EstimateSpread(view, kind, result.seeds, eval);
   evaluate_span.Close();
   const double eval_secs = timer.Seconds();
@@ -446,7 +451,7 @@ int main(int argc, char** argv) {
     ExactOptOptions exact;
     exact.node_budget = static_cast<uint64_t>(*bnb_node_budget);
     exact.threads = static_cast<uint32_t>(*threads);
-    exact.trace = tr;
+    exact.trace = &trace;
     if (!ExactOracleFeasible(graph, kind, exact)) {
       std::printf(
           "exact-opt: infeasible for this graph (need <= 64 nodes and a "
@@ -475,11 +480,9 @@ int main(int argc, char** argv) {
   std::printf(
       "counters: %llu spread evaluations, %llu simulations, %llu RR sets, "
       "%llu snapshots, %llu scoring rounds\n",
-      static_cast<unsigned long long>(counters.spread_evaluations),
-      static_cast<unsigned long long>(counters.simulations),
-      static_cast<unsigned long long>(counters.rr_sets),
-      static_cast<unsigned long long>(counters.snapshots),
-      static_cast<unsigned long long>(counters.scoring_rounds));
+      count(TraceCounter::kNodeLookups), count(TraceCounter::kSimulations),
+      count(TraceCounter::kRrSets), count(TraceCounter::kSnapshots),
+      count(TraceCounter::kScoringRounds));
   if (*trace_table) trace.PrintTable(stdout);
   if (!trace_out->empty()) {
     if (!trace.WriteJsonFile(*trace_out)) {
