@@ -56,10 +56,9 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
   while (result.seeds.size() < input.k) {
     TraceAdd(input.trace, TraceCounter::kGuardPolls);
     if (GuardStopped(input.guard)) break;
-    {
-      Span score_span(input.trace, "score");
-      recompute_scores();
-    }
+    // No span per round: `select` times them all, kScoringRounds counts
+    // them, and the span count of a traced run stays the same for every k.
+    recompute_scores();
     // Collect the top-c scorers.
     const uint32_t c = std::max<uint32_t>(1, options_.candidates);
     candidate_set.clear();

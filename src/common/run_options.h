@@ -40,6 +40,7 @@ struct CommonRunOptions {
   // Optional phase-level trace (framework/trace.h). Not owned; may be null.
   Trace* trace = nullptr;
   // Pool override for tests and benchmarks; null = ThreadPool::Shared().
+  // A stage that resolves to one lane uses neither (ResolveFanout).
   ThreadPool* pool = nullptr;
 };
 

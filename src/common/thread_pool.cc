@@ -1,240 +1,117 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace imbench {
 namespace {
 
-// Set while a thread is executing inside a pool's WorkerLoop; lets
-// ParallelFor detect re-entrant use and fall back to an inline loop.
-thread_local const ThreadPool* t_current_pool = nullptr;
-
-// Parses a sysfs cpulist ("0-3,8,10-11\n") into CPU ids. Malformed input
-// yields the prefix parsed so far — topology discovery is best-effort.
-std::vector<int> ParseCpuList(const char* text) {
-  std::vector<int> cpus;
-  const char* p = text;
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    const long lo = std::strtol(p, &end, 10);
-    if (end == p || lo < 0) break;
-    long hi = lo;
-    p = end;
-    if (*p == '-') {
-      ++p;
-      hi = std::strtol(p, &end, 10);
-      if (end == p || hi < lo) break;
-      p = end;
-    }
-    for (long c = lo; c <= hi; ++c) cpus.push_back(static_cast<int>(c));
-    if (*p == ',') ++p;
-  }
-  return cpus;
-}
-
-NumaTopology ReadNumaTopology() {
-  NumaTopology topo;
-  for (int node = 0;; ++node) {
-    char path[96];
-    std::snprintf(path, sizeof(path),
-                  "/sys/devices/system/node/node%d/cpulist", node);
-    FILE* f = std::fopen(path, "r");
-    if (f == nullptr) break;
-    char buf[4096];
-    const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    buf[n] = '\0';
-    std::vector<int> cpus = ParseCpuList(buf);
-    // Memory-only domains (CXL expanders, empty cpulist) have no CPUs to
-    // pin to; skip them so the round-robin never lands on an empty set.
-    if (!cpus.empty()) topo.cpus_per_domain.push_back(std::move(cpus));
-  }
-  if (topo.cpus_per_domain.empty()) topo.cpus_per_domain.emplace_back();
-  return topo;
-}
-
-// Pins `thread` to the CPUs of one NUMA domain; returns false when the
-// platform has no affinity API or the syscall is refused (cgroup cpusets).
-bool PinToDomain([[maybe_unused]] std::thread& thread,
-                 [[maybe_unused]] const std::vector<int>& cpus) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  if (CPU_COUNT(&set) == 0) return false;
-  return pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set) ==
-         0;
-#else
-  return false;
-#endif
+// The pool of every one-lane stage: it has no workers, so its ParallelFor
+// is always the inline loop and is safe to share between threads. Static
+// storage, not the heap, so a one-lane stage allocates nothing here.
+ThreadPool& InlinePool() {
+  static ThreadPool pool(0);
+  return pool;
 }
 
 }  // namespace
 
-const NumaTopology& SystemNumaTopology() {
-  static const NumaTopology* topology =
-      new NumaTopology(ReadNumaTopology());
-  return *topology;
-}
-
-ThreadPool::ThreadPool(uint32_t workers, bool numa_pin) {
-  queues_.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
+ThreadPool::ThreadPool(uint32_t workers) {
   workers_.reserve(workers);
-  for (uint32_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  for (uint32_t w = 0; w < workers; ++w) {
+    workers_.emplace_back([this, w] { WorkerLoop(w + 1); });
   }
-  if (!numa_pin || workers == 0) return;
-  const NumaTopology& topo = SystemNumaTopology();
-  const uint32_t domains =
-      std::min<uint32_t>(topo.domain_count(), workers);
-  if (domains <= 1) return;  // single domain: pinning buys nothing
-  // Round-robin over domains; pinning is applied to already-running
-  // threads, which is safe (the scheduler migrates them at the next
-  // dispatch) and keeps the spawn path identical to the unpinned one.
-  bool all_pinned = true;
-  for (uint32_t i = 0; i < workers; ++i) {
-    all_pinned &= PinToDomain(workers_[i], topo.cpus_per_domain[i % domains]);
-  }
-  // Report the spread only when every pin landed: a half-pinned pool still
-  // works, but claiming a NUMA spread it doesn't have would mislead bench
-  // annotations.
-  if (all_pinned) numa_domains_used_ = domains;
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
   }
   wake_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  const size_t slot =
-      submit_cursor_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[slot]->mutex);
-    queues_[slot]->tasks.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  // The empty critical section pairs with the predicate check inside
-  // wait(): a worker is either between checks (and will observe pending_)
-  // or parked (and receives the notify).
-  { std::lock_guard<std::mutex> lock(wake_mutex_); }
-  wake_.notify_one();
+uint32_t ThreadPool::Lanes(uint64_t count, uint32_t parallelism) const {
+  const uint64_t width = worker_count() + uint64_t{1};
+  const uint64_t wanted = parallelism == 0 ? width : parallelism;
+  return static_cast<uint32_t>(
+      std::max<uint64_t>(1, std::min({wanted, count, width})));
 }
 
-bool ThreadPool::RunOneTask(uint32_t home) {
-  const uint32_t n = static_cast<uint32_t>(queues_.size());
-  for (uint32_t probe = 0; probe < n; ++probe) {
-    const uint32_t q = (home + probe) % n;
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(queues_[q]->mutex);
-      if (queues_[q]->tasks.empty()) continue;
-      if (probe == 0) {
-        // Own queue: oldest first, preserving submission order locally.
-        task = std::move(queues_[q]->tasks.front());
-        queues_[q]->tasks.pop_front();
-      } else {
-        // Steal the newest from a sibling — the classic choice that keeps
-        // a victim's cache-warm older work with the victim.
-        task = std::move(queues_[q]->tasks.back());
-        queues_[q]->tasks.pop_back();
-      }
-    }
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    task();
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(uint32_t self) {
-  t_current_pool = this;
+void ThreadPool::WorkerLoop(uint32_t lane) {
+  uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (RunOneTask(self)) continue;
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_.wait(lock, [this] {
-      return shutdown_ || pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_ && pending_.load(std::memory_order_acquire) <= 0) return;
+    wake_.wait(lock, [&] { return shutdown_ || job_id_ != seen; });
+    if (shutdown_) return;
+    seen = job_id_;
+    // A job narrower than the pool leaves this worker parked. The caller
+    // waits for every lane it counted, so a worker can skip a job only
+    // when the job does not need it.
+    if (lane >= job_lanes_) continue;
+    lock.unlock();
+    Drain(lane);
+    lock.lock();
+    if (--running_ == 0) done_.notify_one();
+  }
+}
+
+void ThreadPool::Drain(uint32_t lane) {
+  uint64_t i;
+  while ((i = cursor_.fetch_add(1, std::memory_order_relaxed)) < count_) {
+    (*fn_)(i, lane);
   }
 }
 
 void ThreadPool::ParallelFor(
     uint64_t count, uint32_t parallelism,
     const std::function<void(uint64_t item, uint32_t lane)>& fn) {
-  if (count == 0) return;
-  uint64_t lanes = parallelism == 0 ? worker_count() + 1 : parallelism;
-  lanes = std::min<uint64_t>(lanes, count);
-  if (worker_count() == 0 || lanes <= 1 || t_current_pool == this) {
+  const uint32_t lanes = Lanes(count, parallelism);
+  bool fork = lanes > 1;
+  if (fork) {
+    // A nested call from inside a lane, or a second caller, finds the
+    // pool busy and runs inline instead of waiting for it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    fork = !busy_;
+    if (fork) {
+      busy_ = true;
+      fn_ = &fn;
+      count_ = count;
+      cursor_.store(0, std::memory_order_relaxed);
+      job_lanes_ = lanes;
+      running_ = lanes - 1;
+      ++job_id_;
+    }
+  }
+  if (!fork) {
     for (uint64_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }
-
-  struct Fanout {
-    std::atomic<uint64_t> next{0};
-    std::atomic<uint32_t> live{0};
-    std::mutex mutex;
-    std::condition_variable done;
-  };
-  auto state = std::make_shared<Fanout>();
-  state->live.store(static_cast<uint32_t>(lanes) - 1,
-                    std::memory_order_relaxed);
-
-  // Lane bodies capture `fn` by reference: safe because this frame does not
-  // return until every lane task has finished.
-  auto run_lane = [state, count, &fn](uint32_t lane) {
-    uint64_t i;
-    while ((i = state->next.fetch_add(1, std::memory_order_relaxed)) < count) {
-      fn(i, lane);
-    }
-  };
-  for (uint32_t lane = 1; lane < lanes; ++lane) {
-    Submit([state, run_lane, lane] {
-      run_lane(lane);
-      if (state->live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        state->done.notify_one();
-      }
-    });
-  }
-  run_lane(0);
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] {
-    return state->live.load(std::memory_order_acquire) == 0;
-  });
+  wake_.notify_all();
+  Drain(0);
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_.wait(lock, [this] { return running_ == 0; });
+  busy_ = false;
+  fn_ = nullptr;
 }
 
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool =
-      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()) - 1,
-                     /*numa_pin=*/true);
+      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()) - 1);
   return *pool;
 }
 
 uint32_t EffectiveThreads(uint32_t requested) {
   return requested != 0 ? requested
                         : std::max(1u, std::thread::hardware_concurrency());
+}
+
+Fanout ResolveFanout(uint32_t threads, ThreadPool* pool, uint64_t items) {
+  const uint32_t wanted = static_cast<uint32_t>(
+      std::min<uint64_t>(EffectiveThreads(threads), items));
+  if (wanted <= 1) return Fanout{&InlinePool(), 1};
+  ThreadPool& target = pool != nullptr ? *pool : ThreadPool::Shared();
+  return Fanout{&target, target.Lanes(items, wanted)};
 }
 
 }  // namespace imbench

@@ -1,60 +1,39 @@
-// Reusable work-stealing thread pool shared by every parallel stage of the
-// benchmark (RR-set generation, Monte-Carlo spread evaluation).
+// The fork-join pool under every parallel stage of the benchmark (RR-set
+// generation, Monte-Carlo spread evaluation, the exact oracle's sums).
 //
 // Design notes:
-//   * Each worker owns a deque; Submit() distributes round-robin, workers
-//     pop their own queue from the front and steal from the back of a
-//     sibling's queue when idle, so bursty fan-outs balance without a
-//     single contended queue.
-//   * ParallelFor() is the fork-join primitive the engines use: `count`
-//     items are drained through a shared atomic cursor by up to
-//     `parallelism` lanes, and the *caller participates as lane 0*. That
-//     makes a pool with zero workers (single-core machines, the shared
-//     pool under `--threads=1`) degrade to a plain sequential loop with no
-//     thread traffic at all.
+//   * One job at a time. ParallelFor() publishes `count` items to a fixed
+//     set of lanes and returns once every item has run. The items are
+//     drained through a shared atomic cursor, so uneven item costs balance.
+//   * Fixed lanes. Worker w always runs lane w + 1 and the caller runs
+//     lane 0, so per-lane scratch is always touched by the same thread.
+//   * Inline fallbacks. A call runs every item on the caller, as lane 0 in
+//     index order, when it has one lane, when the pool has no workers, when
+//     it is made from inside a lane, or when it finds the pool busy with
+//     another caller's job. The one-lane path takes no lock.
 //   * Determinism is the callers' contract, not the pool's: engines key
-//     all randomness off the item index (`Rng::ForStream(seed, i)`), so
-//     which lane runs an item never affects results.
+//     all randomness off the item index (`Rng::ForStream(seed, i)`) and
+//     merge in index order, so which lane runs an item never affects
+//     results.
 #ifndef IMBENCH_COMMON_THREAD_POOL_H_
 #define IMBENCH_COMMON_THREAD_POOL_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace imbench {
 
-// NUMA topology snapshot parsed once from /sys/devices/system/node. On
-// non-Linux systems, or machines without that sysfs tree, the topology is
-// one implicit domain and worker pinning degrades to a no-op.
-struct NumaTopology {
-  // cpus_per_domain[d] lists the logical CPUs of NUMA domain d, ascending.
-  std::vector<std::vector<int>> cpus_per_domain;
-  uint32_t domain_count() const {
-    return static_cast<uint32_t>(cpus_per_domain.size());
-  }
-};
-const NumaTopology& SystemNumaTopology();
-
 class ThreadPool {
  public:
-  // Spawns `workers` threads. Zero workers is valid: Submit() and
-  // ParallelFor() then run everything inline on the caller.
-  //
-  // With numa_pin set (and >1 NUMA domain visible) workers are pinned
-  // round-robin across domains: worker i may run on any CPU of domain
-  // i % domains. Combined with the engines' lazily-allocated per-lane
-  // scratch (first touched by the worker that owns it) this keeps each
-  // lane's stamp arrays and decode buffers on its own domain's memory.
-  // Pinning is best-effort and never affects results — determinism is the
-  // callers' index-keyed contract, not the scheduler's.
-  explicit ThreadPool(uint32_t workers, bool numa_pin = false);
+  // Spawns `workers` threads, parked until a job arrives. Zero workers is
+  // valid: ParallelFor() then runs everything inline on the caller.
+  explicit ThreadPool(uint32_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -64,20 +43,14 @@ class ThreadPool {
     return static_cast<uint32_t>(workers_.size());
   }
 
-  // NUMA domains the workers were actually spread over: 1 unless pinning
-  // was requested, >1 domain is visible, and pinning succeeded.
-  uint32_t numa_domains_used() const { return numa_domains_used_; }
-
-  // Enqueues one task for any worker (runs inline when there are none).
-  void Submit(std::function<void()> task);
+  // Lanes a ParallelFor(count, parallelism, ...) call fans out to:
+  // min(parallelism, count, workers + 1), with parallelism 0 meaning
+  // workers + 1; never less than 1.
+  uint32_t Lanes(uint64_t count, uint32_t parallelism) const;
 
   // Runs fn(item, lane) for every item in [0, count) and returns once all
-  // items have finished. Up to `parallelism` lanes execute concurrently
-  // (0 = workers + 1); `lane` < parallelism identifies the executing lane
-  // so callers can reuse per-lane scratch without locking. Items are
-  // handed out dynamically through a shared cursor, so uneven item costs
-  // balance automatically. Nested calls from inside a pool worker run
-  // inline rather than deadlocking on the worker's own queue.
+  // items have finished. `lane` < Lanes(count, parallelism) identifies the
+  // executing lane, so callers can reuse per-lane scratch without locking.
   void ParallelFor(uint64_t count, uint32_t parallelism,
                    const std::function<void(uint64_t item, uint32_t lane)>& fn);
 
@@ -87,30 +60,44 @@ class ThreadPool {
   static ThreadPool& Shared();
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  void WorkerLoop(uint32_t lane);
+  // Runs the current job's items from the shared cursor as `lane`.
+  void Drain(uint32_t lane);
 
-  void WorkerLoop(uint32_t self);
-  // Runs one task — own queue first, then stealing — returning false when
-  // every queue is empty.
-  bool RunOneTask(uint32_t home);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
-  uint32_t numa_domains_used_ = 1;
-  std::atomic<uint64_t> submit_cursor_{0};
-  std::atomic<int64_t> pending_{0};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  bool shutdown_ = false;  // guarded by wake_mutex_
+  std::mutex mutex_;
+  std::condition_variable wake_;  // workers: a job was published
+  std::condition_variable done_;  // caller: the worker lanes finished
+  // Guarded by mutex_.
+  bool shutdown_ = false;
+  bool busy_ = false;        // a job is running
+  uint64_t job_id_ = 0;      // bumped once per published job
+  uint32_t job_lanes_ = 0;   // lanes of the current job
+  uint32_t running_ = 0;     // worker lanes of the current job still going
+  // The current job. Written under mutex_ before job_id_ is bumped and left
+  // alone until running_ reaches 0, so a lane reads them without the lock.
+  const std::function<void(uint64_t, uint32_t)>* fn_ = nullptr;
+  uint64_t count_ = 0;
+  std::atomic<uint64_t> cursor_{0};
 };
 
 // Resolves a --threads request: 0 means "all hardware threads", anything
-// else is taken literally (values above the hardware count oversubscribe,
-// which is harmless because results are thread-count invariant).
+// else is taken literally (values above the hardware count are clamped to
+// the pool by ThreadPool::Lanes, and results are thread-count invariant).
 uint32_t EffectiveThreads(uint32_t requested);
+
+// The pool a parallel stage runs on and its lane count, resolved the one
+// way every stage does it: EffectiveThreads(threads), clamped by
+// Lanes(items, ...) of `pool`, or of ThreadPool::Shared() when `pool` is
+// null. A stage that resolves to one lane gets a pool without workers and
+// never builds the shared one, so a one-thread run starts no threads.
+struct Fanout {
+  ThreadPool* pool = nullptr;
+  uint32_t lanes = 1;
+};
+Fanout ResolveFanout(
+    uint32_t threads, ThreadPool* pool,
+    uint64_t items = std::numeric_limits<uint64_t>::max());
 
 }  // namespace imbench
 

@@ -76,16 +76,10 @@ RrSampler::RrSampler(const GraphView& graph, const SamplerOptions& options)
       guard_(options.guard),
       trace_(options.trace),
       max_total_entries_(options.max_total_entries) {
-  uint32_t lanes = EffectiveThreads(options.threads);
-  if (lanes > 1) {
-    pool_ = options.pool != nullptr ? options.pool : &ThreadPool::Shared();
-    if (pool_->worker_count() == 0) {
-      pool_ = nullptr;
-      lanes = 1;
-    }
-  }
-  lanes_.reserve(lanes);
-  for (uint32_t lane = 0; lane < lanes; ++lane) {
+  const Fanout fanout = ResolveFanout(options.threads, options.pool);
+  pool_ = fanout.pool;
+  lanes_.reserve(fanout.lanes);
+  for (uint32_t lane = 0; lane < fanout.lanes; ++lane) {
     lanes_.push_back(std::make_unique<Lane>());
   }
 }
@@ -226,11 +220,7 @@ RrBatchResult RrSampler::Generate(uint64_t seed, uint64_t count,
       Produce(*lanes_[lane], seed, first,
               std::min(batch_sets, wave_end - first), flush_entries, batch);
     };
-    if (lanes == 1) {
-      produce(0, 0);
-    } else {
-      pool_->ParallelFor(num_batches, static_cast<uint32_t>(lanes), produce);
-    }
+    pool_->ParallelFor(num_batches, static_cast<uint32_t>(lanes), produce);
 
     // Merge in index order. The merge is single-threaded, so the set at
     // which a fault fires or the entry cap is crossed is the same for

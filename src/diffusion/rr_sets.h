@@ -43,8 +43,9 @@ class Trace;
 //     exploding RR set (supercritical IC) cannot overrun a budget:
 //     generation stops mid-set and the truncated corpus is returned with
 //     the trip's StopReason.
-//   * `threads` is the lane count (0 = all hardware). A pool with no
-//     workers runs one lane. Corpus contents are identical for every value.
+//   * `threads` is the lane count (0 = all hardware), clamped to the
+//     pool's workers + 1 by ResolveFanout. Corpus contents are identical
+//     for every value.
 //   * `trace`: the merge adds the examined-edge count of every appended
 //     set to kRrEdgesExamined, always from the coordinating thread and
 //     only for the merged prefix, so the totals are lane-count-invariant.
@@ -138,9 +139,9 @@ class RrSampler {
   };
 
   // One lane's sampling state. Its stamp array and decode scratch survive
-  // across waves and are allocated on the lane's first set, so their pages
-  // are first touched by the worker that runs it (NUMA first-touch under a
-  // pinned pool).
+  // across waves and are allocated on the lane's first set; the pool runs
+  // lane l on the same thread every wave, so that thread first touches
+  // them.
   struct Lane {
     RunGuard guard_copy;  // RunGuard is single-threaded: one copy per lane
     // Polled inside a set: &guard_copy during a wave, the caller's guard
@@ -203,7 +204,7 @@ class RrSampler {
   RunGuard* guard_;
   Trace* trace_ = nullptr;
   uint64_t max_total_entries_ = 0;
-  ThreadPool* pool_ = nullptr;  // null with one lane
+  ThreadPool* pool_ = nullptr;  // the lanes' pool (ResolveFanout)
   uint64_t next_index_ = 0;     // stream cursor for batched generation
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<Batch> batches_;  // reusable wave buffers

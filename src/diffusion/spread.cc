@@ -62,10 +62,8 @@ SpreadEstimate EstimateSpread(const GraphView& graph, DiffusionKind kind,
   const uint64_t blocks =
       (static_cast<uint64_t>(options.simulations) + kFusedLanes - 1) /
       kFusedLanes;
-  const uint32_t lanes = static_cast<uint32_t>(std::min<uint64_t>(
-      EffectiveThreads(options.threads), std::max<uint64_t>(blocks, 1)));
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
+  const Fanout fanout = ResolveFanout(options.threads, options.pool, blocks);
+  const uint32_t lanes = fanout.lanes;
   ParallelGuardState stop_state(options.guard);
   std::vector<RunGuard> lane_guards(lanes, stop_state.MakeLaneGuard());
   std::vector<std::unique_ptr<FusedCascadeContext>> contexts(lanes);
@@ -73,7 +71,7 @@ SpreadEstimate EstimateSpread(const GraphView& graph, DiffusionKind kind,
   std::vector<NodeId> gammas(options.simulations);
   std::vector<uint8_t> block_done(blocks, 0);
   std::vector<uint64_t> block_decoded(blocks, 0);
-  pool.ParallelFor(blocks, lanes, [&](uint64_t block, uint32_t lane) {
+  fanout.pool->ParallelFor(blocks, lanes, [&](uint64_t block, uint32_t lane) {
     if (stop_state.aborted()) return;
     RunGuard& guard = lane_guards[lane];
     if (guard.ShouldStop()) {

@@ -126,8 +126,7 @@ const char* ExactOptStatusName(ExactOptStatus status) {
 ExactSpreadOracle::ExactSpreadOracle(const Graph& graph, DiffusionKind kind,
                                      const ExactOptOptions& options)
     : n_(graph.num_nodes()),
-      threads_(EffectiveThreads(options.threads)),
-      pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()) {
+      fanout_(ResolveFanout(options.threads, options.pool)) {
   IMBENCH_CHECK_MSG(ExactOracleFeasible(graph, kind, options),
                     "graph exceeds the exact-oracle caps (n <= 64, "
                     "instantiations <= %llu)",
@@ -282,12 +281,8 @@ double ExactSpreadOracle::SpreadWithGains(std::span<const NodeId> seeds,
     block_sums[b] = sum;
   };
 
-  if (threads_ > 1 && blocks > 1) {
-    pool_->ParallelFor(blocks, threads_,
-                       [&](uint64_t b, uint32_t) { eval_block(b); });
-  } else {
-    for (uint64_t b = 0; b < blocks; ++b) eval_block(b);
-  }
+  fanout_.pool->ParallelFor(blocks, fanout_.lanes,
+                            [&](uint64_t b, uint32_t) { eval_block(b); });
 
   double total = 0;
   for (uint64_t b = 0; b < blocks; ++b) total += block_sums[b];

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/run_options.h"
+#include "common/thread_pool.h"
 #include "diffusion/cascade.h"
 #include "framework/run_guard.h"
 #include "graph/graph.h"
@@ -119,8 +120,7 @@ class ExactSpreadOracle {
                 uint64_t max_table_bytes);
 
   NodeId n_ = 0;
-  uint32_t threads_ = 1;
-  ThreadPool* pool_ = nullptr;
+  Fanout fanout_;
   StopReason stop_ = StopReason::kNone;
   std::vector<uint64_t> closures_;  // n_ words per class
   std::vector<double> weights_;     // probability mass per class

@@ -16,21 +16,6 @@ uint64_t HashSite(std::string_view site) {
   return Fnv1a(site.data(), site.size());
 }
 
-bool ParseReason(const std::string& text, StopReason* reason) {
-  if (text == "fault") {
-    *reason = StopReason::kFault;
-  } else if (text == "deadline") {
-    *reason = StopReason::kDeadline;
-  } else if (text == "memory") {
-    *reason = StopReason::kMemory;
-  } else if (text == "cancelled") {
-    *reason = StopReason::kCancelled;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool FailSpec(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
@@ -93,7 +78,8 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* plan,
         }
         have_trigger = true;
       } else if (key == "reason") {
-        if (!ParseReason(value, &rule.reason)) {
+        if (!ParseStopReason(value, &rule.reason) ||
+            rule.reason == StopReason::kNone) {
           return FailSpec(error, "bad reason '" + value +
                                      "' (fault|deadline|memory|cancelled)");
         }

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 namespace imbench {
@@ -16,35 +17,18 @@ namespace {
 constexpr size_t kFieldCount = 11;
 
 bool ParseStatus(const std::string& name, CellResult::Status& out) {
-  if (name == "OK") {
-    out = CellResult::Status::kOk;
-  } else if (name == "DNF") {
-    out = CellResult::Status::kDnf;
-  } else if (name == "Crashed") {
-    out = CellResult::Status::kOverBudget;
-  } else if (name == "NA") {
-    out = CellResult::Status::kUnsupported;
-  } else if (name == "Cancelled") {
-    out = CellResult::Status::kCancelled;
-  } else {
-    return false;
+  // Inverse of CellStatusName, so the names live in one table. The
+  // enumerators run from 0 without gaps; the first value past the last one
+  // is the switch's "?".
+  for (int v = 0;; ++v) {
+    const auto status = static_cast<CellResult::Status>(v);
+    const std::string_view status_name = CellStatusName(status);
+    if (status_name == "?") return false;
+    if (status_name == name) {
+      out = status;
+      return true;
+    }
   }
-  return true;
-}
-
-bool ParseReason(const std::string& name, StopReason& out) {
-  if (name == "none") {
-    out = StopReason::kNone;
-  } else if (name == "deadline") {
-    out = StopReason::kDeadline;
-  } else if (name == "memory") {
-    out = StopReason::kMemory;
-  } else if (name == "cancelled") {
-    out = StopReason::kCancelled;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 std::vector<std::string> SplitTabs(const std::string& line) {
@@ -71,7 +55,7 @@ bool ParseLine(const std::string& line, std::string& key, CellResult& result) {
   if (key.empty()) return false;
   result = CellResult();
   if (!ParseStatus(fields[1], result.status)) return false;
-  if (!ParseReason(fields[2], result.stop_reason)) return false;
+  if (!ParseStopReason(fields[2], &result.stop_reason)) return false;
 
   char* end = nullptr;
   result.select_seconds = std::strtod(fields[3].c_str(), &end);

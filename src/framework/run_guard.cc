@@ -22,6 +22,20 @@ const char* StopReasonName(StopReason reason) {
   return "?";
 }
 
+bool ParseStopReason(std::string_view name, StopReason* reason) {
+  // The enumerators run from 0 without gaps; the first value past the last
+  // one is the switch's "?".
+  for (uint8_t v = 0;; ++v) {
+    const StopReason candidate = static_cast<StopReason>(v);
+    const std::string_view candidate_name = StopReasonName(candidate);
+    if (candidate_name == "?") return false;
+    if (candidate_name == name) {
+      *reason = candidate;
+      return true;
+    }
+  }
+}
+
 RunGuard::RunGuard(const RunBudget& budget)
     : budget_(budget),
       baseline_heap_bytes_(CurrentHeapBytes()),

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 
 #include "common/timer.h"
 
@@ -34,6 +35,9 @@ enum class StopReason : uint8_t {
 };
 
 const char* StopReasonName(StopReason reason);
+// Inverse of StopReasonName over every StopReason; false for any other
+// text. The names live only in StopReasonName's switch.
+bool ParseStopReason(std::string_view name, StopReason* reason);
 
 // The retry/degradation policy's fault taxonomy: transient stops are
 // worth retrying (the failure was a blip, not an exhausted budget), fatal

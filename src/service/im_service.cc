@@ -33,6 +33,14 @@ const char* DegradeModeName(DegradeMode mode) {
   return "?";
 }
 
+void RetryBackoff(double base_seconds, uint32_t attempt) {
+  if (base_seconds <= 0) return;
+  const double seconds =
+      base_seconds *
+      std::exp2(static_cast<double>(attempt > 0 ? attempt - 1 : 0));
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
+
 ImService::ImService(EpochGraphStore& store, const ServiceOptions& options)
     : store_(store),
       options_(options),
@@ -51,14 +59,6 @@ uint64_t ImService::RequiredSets(NodeId num_nodes, uint32_t k,
                         (epsilon * epsilon);
   const double theta = std::ceil(lambda / kk);
   return std::max<uint64_t>(1, static_cast<uint64_t>(theta));
-}
-
-void ImService::Backoff(uint32_t attempt) const {
-  if (options_.retry_backoff_seconds <= 0) return;
-  const double seconds =
-      options_.retry_backoff_seconds * std::exp2(static_cast<double>(
-                                           attempt > 0 ? attempt - 1 : 0));
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 ImService::RepairOutcome ImService::TryRepair(
@@ -120,7 +120,7 @@ void ImService::MigrateCorpus(const EpochGraphStore::Snapshot& snap,
         attempt < options_.max_transient_retries) {
       ++attempt;
       ++result->retries;
-      Backoff(attempt);
+      RetryBackoff(options_.retry_backoff_seconds, attempt);
       continue;
     }
     // Fatal, or transient retries exhausted: the warm corpus cannot be
@@ -158,7 +158,7 @@ void ImService::TopUp(const EpochGraphStore::Snapshot& snap,
     if (attempt < options_.max_transient_retries) {
       ++attempt;
       ++result->retries;
-      Backoff(attempt);
+      RetryBackoff(options_.retry_backoff_seconds, attempt);
       continue;
     }
     // The sampler keeps faulting; degrade to a one-lane retry of the

@@ -1,12 +1,9 @@
 #include "service/workload.h"
 
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "framework/fault.h"
 #include "framework/run_guard.h"
@@ -233,13 +230,6 @@ ReplayResult ReplayWorkload(EpochGraphStore& store, ImService& service,
                             std::string* log,
                             const ReplayOptions& options) {
   ReplayResult result;
-  const auto backoff = [&options](uint32_t attempt) {
-    if (options.retry_backoff_seconds <= 0) return;
-    const double seconds =
-        options.retry_backoff_seconds *
-        std::exp2(static_cast<double>(attempt > 0 ? attempt - 1 : 0));
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  };
   bool halted = false;
   for (const WorkloadOp& op : ops) {
     if (halted) break;
@@ -275,7 +265,7 @@ ReplayResult ReplayWorkload(EpochGraphStore& store, ImService& service,
                    : store.TryUpdateWeights(op.arcs, &epoch);
           if (ok || attempt >= options.mutation_retries) break;
           ++result.retries;
-          backoff(attempt + 1);
+          RetryBackoff(options.retry_backoff_seconds, attempt + 1);
         }
         if (!ok) {
           ++result.errors;

@@ -355,7 +355,12 @@ class CorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     graph_ = AwkwardGraph(150, WeightModel::kWc);
-    path_ = TempPath("corrupt.imgrf");
+    // One file per test: ctest runs the cases as concurrent processes.
+    const std::string name =
+        std::string("corrupt_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".imgrf";
+    path_ = TempPath(name.c_str());
     std::string error;
     ASSERT_TRUE(WriteGraphFile(graph_, WeightModel::kWc, path_, &error));
     bytes_ = Slurp(path_);

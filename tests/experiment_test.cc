@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,52 @@ TEST(WorkbenchTest, JournalReplaySkipsFinishedCells) {
               0u);
     EXPECT_EQ(replayed.counters, first.counters);
   }
+  std::remove(path.c_str());
+}
+
+// Reads the journal's lines.
+std::vector<std::string> JournalLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(WorkbenchTest, JournaledFaultCellReplays) {
+  // A cell whose selection ended on an unretried injected fault is
+  // journaled as DNF with reason "fault". Every name StopReasonName writes
+  // must parse back, or the cell is recomputed (and re-appended) on every
+  // resume.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/workbench_fault_journal.tsv";
+  std::remove(path.c_str());
+  {
+    WorkbenchOptions options = TinyOptions();
+    options.journal_path = path;
+    Workbench bench(options);
+    EXPECT_TRUE(bench.RunCell("IRIE", "nethept", WeightModel::kWc, 5).ok());
+  }
+  // A comment header, then the cell.
+  std::vector<std::string> lines = JournalLines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  const std::string ok_fields = "\tOK\tnone\t";
+  const size_t at = lines[1].find(ok_fields);
+  ASSERT_NE(at, std::string::npos) << lines[1];
+  lines[1].replace(at, ok_fields.size(), "\tDNF\tfault\t");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+  }
+  {
+    WorkbenchOptions options = TinyOptions();
+    options.journal_path = path;
+    Workbench bench(options);
+    const CellResult replayed =
+        bench.RunCell("IRIE", "nethept", WeightModel::kWc, 5);
+    EXPECT_EQ(replayed.status, CellResult::Status::kDnf);
+    EXPECT_EQ(replayed.stop_reason, StopReason::kFault);
+  }
+  EXPECT_EQ(JournalLines(path), lines);  // replayed, not re-appended
   std::remove(path.c_str());
 }
 

@@ -104,6 +104,24 @@ TEST(EasyImTest, PicksTheHubWithoutSimulations) {
   EXPECT_EQ(result.seeds[0], 0u);
 }
 
+TEST(EasyImTest, SpanCountDoesNotGrowWithK) {
+  // Every span a traced run records sits inside the measured peak heap,
+  // so the count must not grow with the seed budget.
+  Graph g = testutil::PathGraph(12, 0.5);
+  EasyIm easyim(EasyImOptions{});
+  size_t spans[2] = {0, 0};
+  const uint32_t ks[2] = {1, 10};
+  for (int i = 0; i < 2; ++i) {
+    SelectionInput input = IcInput(g, ks[i]);
+    Trace trace;
+    input.trace = &trace;
+    EXPECT_EQ(easyim.Select(input).seeds.size(), ks[i]);
+    EXPECT_EQ(trace.Total(TraceCounter::kScoringRounds), ks[i]);
+    spans[i] = trace.spans().size();
+  }
+  EXPECT_EQ(spans[0], spans[1]);
+}
+
 TEST(EasyImTest, McValidationCountsSimulations) {
   Graph g = testutil::TwoStars(0.8);
   EasyImOptions options;

@@ -122,6 +122,20 @@ TEST(RunGuardTest, StopReasonNames) {
   EXPECT_STREQ(StopReasonName(StopReason::kCancelled), "cancelled");
 }
 
+TEST(RunGuardTest, ParseStopReasonInvertsEveryName) {
+  for (const StopReason reason :
+       {StopReason::kNone, StopReason::kDeadline, StopReason::kMemory,
+        StopReason::kCancelled, StopReason::kFault}) {
+    StopReason parsed = StopReason::kNone;
+    EXPECT_TRUE(ParseStopReason(StopReasonName(reason), &parsed));
+    EXPECT_EQ(parsed, reason);
+  }
+  StopReason parsed = StopReason::kNone;
+  EXPECT_FALSE(ParseStopReason("?", &parsed));
+  EXPECT_FALSE(ParseStopReason("Fault", &parsed));
+  EXPECT_FALSE(ParseStopReason("", &parsed));
+}
+
 TEST(RunGuardTest, SigintFlagSetAndClearedForTest) {
   SetSigintCancelForTest(true);
   EXPECT_TRUE(SigintCancelFlag()->load());

@@ -1,4 +1,6 @@
-// The work-stealing pool underneath the parallel sampling engine.
+// The fork-join pool under every parallel stage: items run once each, lane
+// l stays on one thread, and the inline fallbacks (no workers, one lane,
+// nested calls, a second caller) neither deadlock nor lose items.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -6,8 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -19,37 +19,9 @@ TEST(ThreadPoolTest, WorkerCount) {
   EXPECT_EQ(pool.worker_count(), 3u);
 }
 
-TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
-  constexpr int kTasks = 200;
-  std::atomic<int> done{0};
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool all_done = false;  // guarded by mutex
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&] {
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == kTasks) {
-        std::lock_guard<std::mutex> lock(mutex);
-        all_done = true;
-        cv.notify_one();
-      }
-    });
-  }
-  // The predicate reads only what the last task writes under the mutex, so
-  // the wait cannot return (and destroy cv) while that task is still
-  // between its increment and its notify.
-  std::unique_lock<std::mutex> lock(mutex);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                          [&] { return all_done; }));
-  EXPECT_EQ(done.load(std::memory_order_acquire), kTasks);
-}
-
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.worker_count(), 0u);
-  int ran = 0;
-  pool.Submit([&] { ++ran; });  // inline: visible immediately
-  EXPECT_EQ(ran, 1);
   std::vector<int> hits(10, 0);
   pool.ParallelFor(10, 4, [&](uint64_t i, uint32_t lane) {
     EXPECT_EQ(lane, 0u);  // no workers: everything on the caller
@@ -92,8 +64,8 @@ TEST(ThreadPoolTest, ParallelismClampedToItemCount) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  // A lane body that calls ParallelFor on the same pool must not deadlock
-  // waiting for its own queue; the nested call degrades to an inline loop.
+  // A lane body that calls ParallelFor on the same pool finds it busy with
+  // its own job and runs the nested items inline instead of waiting.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.ParallelFor(4, 3, [&](uint64_t, uint32_t) {
@@ -102,6 +74,75 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
     });
   });
   EXPECT_EQ(inner_total.load(std::memory_order_relaxed), 20);
+}
+
+TEST(ThreadPoolTest, LaneAlwaysRunsOnTheSameThread) {
+  // Three lanes on three workers: a pool that handed lane tasks out
+  // round-robin (or let idle workers steal them) would move lane 1 and 2
+  // between threads from one call to the next.
+  ThreadPool pool(3);
+  constexpr uint32_t kLanes = 3;
+  std::vector<std::thread::id> first(kLanes);
+  for (int call = 0; call < 100; ++call) {
+    std::vector<std::thread::id> ids(kLanes);
+    std::atomic<uint32_t> arrived{0};
+    // Every item holds its lane until all lanes have one, so each of the
+    // kLanes lanes runs exactly one item.
+    pool.ParallelFor(kLanes, kLanes, [&](uint64_t, uint32_t lane) {
+      ids[lane] = std::this_thread::get_id();
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      while (arrived.load(std::memory_order_acquire) < kLanes) {
+        std::this_thread::yield();
+      }
+    });
+    EXPECT_EQ(ids[0], std::this_thread::get_id()) << "call " << call;
+    if (call == 0) first = ids;
+    for (uint32_t lane = 0; lane < kLanes; ++lane) {
+      EXPECT_EQ(ids[lane], first[lane]) << "lane " << lane << " call " << call;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, TwoCallersShareOnePool) {
+  // Two external threads race for one pool: the loser of each race runs
+  // its job inline, and every item of both callers still runs once.
+  ThreadPool pool(3);
+  constexpr uint64_t kItems = 2000;
+  constexpr int kRounds = 50;
+  std::vector<std::atomic<int>> hits[2] = {
+      std::vector<std::atomic<int>>(kItems),
+      std::vector<std::atomic<int>>(kItems)};
+  auto caller = [&](int who) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.ParallelFor(kItems, 0, [&](uint64_t i, uint32_t lane) {
+        EXPECT_LT(lane, 4u);
+        hits[who][i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  for (int who = 0; who < 2; ++who) {
+    for (uint64_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(hits[who][i].load(std::memory_order_relaxed), kRounds)
+          << who << ":" << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ResolveFanoutClampsToThePool) {
+  ThreadPool pool(3);
+  const Fanout one = ResolveFanout(1, &pool);
+  EXPECT_EQ(one.lanes, 1u);
+  EXPECT_EQ(one.pool->worker_count(), 0u);  // one lane never forks
+  EXPECT_EQ(ResolveFanout(8, &pool).lanes, 4u);
+  EXPECT_EQ(ResolveFanout(8, &pool).pool, &pool);
+  EXPECT_EQ(ResolveFanout(8, &pool, 2).lanes, 2u);
+  EXPECT_EQ(ResolveFanout(8, &pool, 0).lanes, 1u);
+  EXPECT_EQ(pool.Lanes(100, 0), 4u);
+  EXPECT_EQ(pool.Lanes(0, 2), 1u);
 }
 
 TEST(ThreadPoolTest, UnevenItemCostsBalance) {
