@@ -1,7 +1,7 @@
 // Serve-mode perf smoke for the always-on IM query service: one BA/WC
 // graph, one service, and the full latency ladder a long-lived deployment
-// walks — cold build, warm reuse, mutation repair, checkpoint warm-start,
-// and chaos (fault-injected) queries. Writes the latencies and the
+// walks — cold build, warm reuse, mutation publish and repair, checkpoint
+// warm-start, and chaos (fault-injected) queries. Writes the latencies and the
 // correctness cross-checks as JSON; CI archives it (BENCH_service.json) so
 // the serve-path perf trajectory is tracked commit over commit.
 //
@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
     const NodeId source = n - 1 - i;
     if (source != i) arcs.push_back({source, i, 0.05});
   }
+  timer.Restart();
   store.AddEdges(arcs);
+  const double publish_seconds = timer.Seconds();
   timer.Restart();
   const ImQueryResult repaired = service.Query(query);
   const double repair_seconds = timer.Seconds();
@@ -215,6 +217,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cold.sets_sampled));
   std::printf("warm: %.6fs (%.0fx, %llu sets reused)\n", warm_seconds,
               warm_speedup, static_cast<unsigned long long>(warm.sets_reused));
+  std::printf("publish: %.6fs (%zu arcs)\n", publish_seconds, arcs.size());
   std::printf("repair: %.3fs (%.2fx, %llu/%llu sets regenerated)\n",
               repair_seconds, repair_speedup,
               static_cast<unsigned long long>(repaired.sets_repaired),
@@ -245,6 +248,7 @@ int main(int argc, char** argv) {
       "  \"cold\": {\"seconds\": %.6f, \"sets_sampled\": %llu},\n"
       "  \"warm\": {\"seconds\": %.6f, \"sets_reused\": %llu, "
       "\"speedup_vs_cold\": %.1f},\n"
+      "  \"publish\": {\"seconds\": %.6f, \"arcs\": %zu},\n"
       "  \"repair\": {\"seconds\": %.6f, \"sets_repaired\": %llu, "
       "\"repaired_fraction\": %.4f, \"speedup_vs_cold\": %.2f},\n"
       "  \"checkpoint\": {\"save_seconds\": %.6f, \"load_seconds\": %.6f, "
@@ -258,7 +262,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(required), cold_seconds,
       static_cast<unsigned long long>(cold.sets_sampled), warm_seconds,
       static_cast<unsigned long long>(warm.sets_reused), warm_speedup,
-      repair_seconds, static_cast<unsigned long long>(repaired.sets_repaired),
+      publish_seconds, arcs.size(), repair_seconds,
+      static_cast<unsigned long long>(repaired.sets_repaired),
       repaired_fraction, repair_speedup, save_seconds, load_seconds,
       static_cast<unsigned long long>(ckpt_bytes), warm_start_seconds,
       warm_start_speedup, retry_seconds, retry_retries, degraded_seconds,

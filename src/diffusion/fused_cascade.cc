@@ -74,6 +74,12 @@ uint64_t CoinMask(uint32_t p_fix, CoinStream& stream) {
   return mask;
 }
 
+uint64_t LaneMask(uint32_t lanes) {
+  return lanes >= 64 ? ~0ULL : (uint64_t{1} << lanes) - 1;
+}
+
+}  // namespace
+
 std::vector<uint32_t> FixedPointProbs(std::span<const double> weights) {
   std::vector<uint32_t> fixed(weights.size());
   for (size_t i = 0; i < weights.size(); ++i) {
@@ -81,12 +87,6 @@ std::vector<uint32_t> FixedPointProbs(std::span<const double> weights) {
   }
   return fixed;
 }
-
-uint64_t LaneMask(uint32_t lanes) {
-  return lanes >= 64 ? ~0ULL : (uint64_t{1} << lanes) - 1;
-}
-
-}  // namespace
 
 double LtRoundingMargin(uint64_t max_in_degree, double max_weight) {
   constexpr double kUnitRoundoff = 0x1.0p-53;
@@ -99,8 +99,10 @@ double LtRoundingMargin(uint64_t max_in_degree, double max_weight) {
          (1 + 3 * bound_weight);
 }
 
-FusedCascadeContext::FusedCascadeContext(const GraphView& graph)
+FusedCascadeContext::FusedCascadeContext(const GraphView& graph,
+                                         std::span<const uint32_t> coin_probs)
     : graph_(graph),
+      p_fix_(coin_probs),
       active_word_(graph.num_nodes(), 0),
       pending_word_(graph.num_nodes(), 0) {}
 
@@ -257,7 +259,8 @@ void FusedCascadeContext::RunBlockLt(std::span<const NodeId> seeds,
 }
 
 // Per-kind scratch is allocated on the kind's first block: an LT context
-// never holds IC's per-edge mask lanes (12 B per edge), nor does an IC
+// never holds IC's per-edge mask lanes (8 B per edge, plus 4 B of coin
+// probabilities when no shared table was given), nor does an IC
 // context hold LT's per-node stamps or pay the margin's O(n + m) scan.
 // Kept out of the kernels so that inlining it cannot perturb their hot
 // loops' code generation.
@@ -265,7 +268,10 @@ void FusedCascadeContext::PrepareScratch(DiffusionKind kind) {
   const size_t n = graph_.num_nodes();
   if (kind == DiffusionKind::kIndependentCascade) {
     if (mask_stamp_.size() == n) return;
-    p_fix_ = FixedPointProbs(graph_.weights());
+    if (p_fix_.size() != graph_.num_edges()) {
+      own_p_fix_ = FixedPointProbs(graph_.weights());
+      p_fix_ = own_p_fix_;
+    }
     mask_stamp_.assign(n, 0);
     edge_mask_.assign(graph_.num_edges(), 0);
   } else {

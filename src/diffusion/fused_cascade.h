@@ -94,12 +94,25 @@ inline LtDecision DecideLt(double residual, double margin) {
   return LtDecision::kExact;  // also a NaN slot
 }
 
+// Every edge weight in kCoinBits fixed point, indexed by forward edge id:
+// the IC kernel's coin probabilities. A pure function of the weights, so
+// one table serves every lane of an estimate.
+std::vector<uint32_t> FixedPointProbs(std::span<const double> weights);
+
 // Reusable scratch for fused forward simulation. One context per thread;
 // lane words are swept back to zero in O(touched) at block end, so
 // repeated blocks never pay an O(n) clear.
 class FusedCascadeContext {
  public:
-  explicit FusedCascadeContext(const GraphView& graph);
+  // `coin_probs`, when given, is FixedPointProbs(graph.weights()), read
+  // only and outliving the context, so the lanes of one estimate share
+  // one table; without it the context builds its own on its first IC
+  // block.
+  explicit FusedCascadeContext(const GraphView& graph,
+                               std::span<const uint32_t> coin_probs = {});
+  // p_fix_ may view own_p_fix_, which a copy would not carry along.
+  FusedCascadeContext(const FusedCascadeContext&) = delete;
+  FusedCascadeContext& operator=(const FusedCascadeContext&) = delete;
 
   // Runs simulations [block*64, block*64 + lanes) of the ensemble keyed by
   // `seed` and writes Γ(S) of simulation block*64+j to gamma[j] for
@@ -130,7 +143,10 @@ class FusedCascadeContext {
 
   GraphView graph_;
   // IC-only and LT-only scratch is sized by PrepareScratch.
-  std::vector<uint32_t> p_fix_;  // per forward edge id, kCoinBits fixed point
+  // Per forward edge id, kCoinBits fixed point: the shared table, or
+  // own_p_fix_ when none was given.
+  std::span<const uint32_t> p_fix_;
+  std::vector<uint32_t> own_p_fix_;
   // Decode buffers for the compact backend: out-adjacency for IC and the
   // LT push, in-adjacency for the LT exact sweep.
   AdjScratch out_scratch_;

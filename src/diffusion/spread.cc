@@ -66,6 +66,11 @@ SpreadEstimate EstimateSpread(const GraphView& graph, DiffusionKind kind,
   const uint32_t lanes = fanout.lanes;
   ParallelGuardState stop_state(options.guard);
   std::vector<RunGuard> lane_guards(lanes, stop_state.MakeLaneGuard());
+  // One coin-probability table, read by every lane's context.
+  const std::vector<uint32_t> coin_probs =
+      kind == DiffusionKind::kIndependentCascade
+          ? FixedPointProbs(graph.weights())
+          : std::vector<uint32_t>();
   std::vector<std::unique_ptr<FusedCascadeContext>> contexts(lanes);
 
   std::vector<NodeId> gammas(options.simulations);
@@ -79,7 +84,7 @@ SpreadEstimate EstimateSpread(const GraphView& graph, DiffusionKind kind,
       return;
     }
     if (contexts[lane] == nullptr) {
-      contexts[lane] = std::make_unique<FusedCascadeContext>(graph);
+      contexts[lane] = std::make_unique<FusedCascadeContext>(graph, coin_probs);
     }
     block_decoded[block] = contexts[lane]->RunBlock(
         kind, seeds, options.seed, block,

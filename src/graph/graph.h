@@ -29,6 +29,14 @@ struct Arc {
   friend bool operator==(const Arc&, const Arc&) = default;
 };
 
+// One weighted directed arc: an edit of Graph::WithArcs, and a mutation
+// request of the epoch store (service/epoch_graph_store.h).
+struct WeightedArc {
+  NodeId source = 0;
+  NodeId target = 0;
+  double weight = 0;
+};
+
 // Options controlling graph construction.
 struct GraphOptions {
   // Add the reverse arc for every input arc (the paper makes undirected
@@ -54,6 +62,18 @@ class Graph {
   Graph& operator=(const Graph&) = delete;
 
   Graph Clone() const;
+
+  // The successor graph with W(source, target) = weight for every edit: an
+  // existing edge keeps its id order and multiplicity and takes the new
+  // weight, an absent arc is inserted with multiplicity 1 at its sorted
+  // out- and in-positions. The result equals FromArcs + SetWeights over
+  // this graph's arcs plus the inserted ones, array for array, but is
+  // built by one linear splice of the CSR: runs between insertion points
+  // are copied, and forward edge ids behind an insert shift by the number
+  // of inserts at or before them. `edits` must be sorted by (source,
+  // target) with no duplicates, in range and free of self loops
+  // (IMBENCH_CHECK).
+  Graph WithArcs(std::span<const WeightedArc> edits) const;
 
   NodeId num_nodes() const { return num_nodes_; }
   EdgeId num_edges() const { return static_cast<EdgeId>(out_targets_.size()); }

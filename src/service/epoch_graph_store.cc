@@ -7,137 +7,103 @@
 #include "framework/fault.h"
 
 namespace imbench {
+namespace {
+
+// Refuses an invalid mutation, describing it in *error (when non-null).
+EpochGraphStore::Status Invalid(std::string* error, const WeightedArc& arc,
+                                const std::string& what) {
+  if (error != nullptr) {
+    *error = "arc (" + std::to_string(arc.source) + ", " +
+             std::to_string(arc.target) + ") " + what;
+  }
+  return EpochGraphStore::Status::kInvalid;
+}
+
+}  // namespace
 
 EpochGraphStore::EpochGraphStore(Graph graph)
     : current_(std::make_shared<const Graph>(std::move(graph))) {}
 
-bool EpochGraphStore::Publish(Graph next, std::vector<NodeId> touched,
-                              uint64_t* new_epoch) {
-  // Fault site: the rebuilt successor graph fails to publish. Checked at
-  // the commit point so a firing mutation is all-or-nothing: the built
-  // graph is dropped, the epoch and touched log are untouched, and a
-  // retried mutation rebuilds from the same old snapshot.
-  if (FaultFire(faultsite::kEpochRebuild)) return false;
+EpochGraphStore::Status EpochGraphStore::Publish(
+    std::span<const WeightedArc> arcs, uint64_t* new_epoch) {
+  // Fault site: building the successor graph fails. A firing mutation is
+  // all-or-nothing: the epoch and touched log are untouched, and a retried
+  // mutation splices the same old snapshot.
+  if (FaultFire(faultsite::kEpochRebuild)) return Status::kFault;
+  // Graph::WithArcs takes its edits sorted by (source, target) and unique.
+  // Reversing first makes the stable sort put each pair's last arc in
+  // call order at the head of its run, where std::unique keeps it.
+  std::vector<WeightedArc> edits(arcs.rbegin(), arcs.rend());
+  auto before = [](const WeightedArc& x, const WeightedArc& y) {
+    return x.source != y.source ? x.source < y.source : x.target < y.target;
+  };
+  std::stable_sort(edits.begin(), edits.end(), before);
+  edits.erase(std::unique(edits.begin(), edits.end(),
+                          [](const WeightedArc& x, const WeightedArc& y) {
+                            return x.source == y.source &&
+                                   x.target == y.target;
+                          }),
+              edits.end());
+  current_ = std::make_shared<const Graph>(current_->WithArcs(edits));
+
+  std::vector<NodeId> touched;
+  touched.reserve(edits.size());
+  for (const WeightedArc& a : edits) touched.push_back(a.target);
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   touched_log_.push_back(std::move(touched));
-  current_ = std::make_shared<const Graph>(std::move(next));
   ++epoch_;
   if (new_epoch != nullptr) *new_epoch = epoch_;
-  return true;
+  return Status::kPublished;
 }
 
 uint64_t EpochGraphStore::AddEdges(std::span<const WeightedArc> arcs) {
   uint64_t epoch = 0;
-  IMBENCH_CHECK_MSG(TryAddEdges(arcs, &epoch),
-                    "AddEdges: epoch rebuild failed (injected fault; use "
-                    "TryAddEdges under a chaos plan)");
+  // Try* overwrites the message only for an invalid mutation.
+  std::string error =
+      "epoch rebuild failed (injected fault; use TryAddEdges under a chaos "
+      "plan)";
+  IMBENCH_CHECK_MSG(TryAddEdges(arcs, &epoch, &error) == Status::kPublished,
+                    "AddEdges: %s", error.c_str());
   return epoch;
 }
 
 uint64_t EpochGraphStore::UpdateWeights(std::span<const WeightedArc> arcs) {
   uint64_t epoch = 0;
-  IMBENCH_CHECK_MSG(TryUpdateWeights(arcs, &epoch),
-                    "UpdateWeights: epoch rebuild failed (injected fault; "
-                    "use TryUpdateWeights under a chaos plan)");
+  std::string error =
+      "epoch rebuild failed (injected fault; use TryUpdateWeights under a "
+      "chaos plan)";
+  IMBENCH_CHECK_MSG(
+      TryUpdateWeights(arcs, &epoch, &error) == Status::kPublished,
+      "UpdateWeights: %s", error.c_str());
   return epoch;
 }
 
-bool EpochGraphStore::TryAddEdges(std::span<const WeightedArc> arcs,
-                                  uint64_t* new_epoch) {
-  const Graph& old = *current_;
-  const NodeId n = old.num_nodes();
+EpochGraphStore::Status EpochGraphStore::TryAddEdges(
+    std::span<const WeightedArc> arcs, uint64_t* new_epoch,
+    std::string* error) {
+  const NodeId n = current_->num_nodes();
   for (const WeightedArc& a : arcs) {
-    IMBENCH_CHECK_MSG(a.source < n && a.target < n,
-                      "arc (%u, %u) out of range for %u nodes", a.source,
-                      a.target, n);
-    IMBENCH_CHECK_MSG(a.source != a.target, "self loop (%u, %u) rejected",
-                      a.source, a.target);
-  }
-
-  // Flatten the old CSR back to a weighted arc list. Edges are visited in
-  // (source, target) order, so index == old forward edge id. Multiplicity
-  // is carried along so collapsed parallel arcs survive the rebuild (they
-  // are re-expanded below and FromArcs re-collapses them identically).
-  struct Entry {
-    NodeId source;
-    NodeId target;
-    double weight;
-    uint32_t multiplicity;
-  };
-  std::vector<Entry> all;
-  all.reserve(old.num_edges() + arcs.size());
-  EdgeId id = 0;  // forward edge ids enumerate in (source, target) order
-  for (NodeId u = 0; u < n; ++u) {
-    const std::span<const NodeId> targets = old.OutTargets(u);
-    const std::span<const double> weights = old.OutWeights(u);
-    for (size_t i = 0; i < targets.size(); ++i, ++id) {
-      all.push_back(
-          Entry{u, targets[i], weights[i], old.EdgeMultiplicity(id)});
+    if (a.source >= n || a.target >= n) {
+      return Invalid(error, a,
+                     "out of range for " + std::to_string(n) + " nodes");
+    }
+    if (a.source == a.target) {
+      return Invalid(error, a, "is a self loop");
     }
   }
-  std::vector<NodeId> touched;
-  touched.reserve(arcs.size());
-  for (const WeightedArc& a : arcs) {
-    const EdgeId existing = old.FindEdge(a.source, a.target);
-    if (existing != kInvalidEdge) {
-      all[existing].weight = a.weight;  // existing arc: weight update
-    } else {
-      all.push_back(Entry{a.source, a.target, a.weight, 1});
-    }
-    touched.push_back(a.target);
-  }
-  // Duplicate additions within this call: the later entry wins. A stable
-  // sort keeps call order within each (source, target) run, then the
-  // dedup pass keeps each run's last entry.
-  std::stable_sort(all.begin(), all.end(), [](const Entry& x, const Entry& y) {
-    return x.source != y.source ? x.source < y.source : x.target < y.target;
-  });
-  size_t write = 0;
-  for (size_t read = 0; read < all.size();) {
-    size_t run = read + 1;
-    while (run < all.size() && all[run].source == all[read].source &&
-           all[run].target == all[read].target) {
-      ++run;
-    }
-    all[write++] = all[run - 1];
-    read = run;
-  }
-  all.resize(write);
-
-  // `all` is sorted by (source, target) with no duplicates, which is
-  // exactly the edge-id order FromArcs produces after re-collapsing the
-  // expanded parallel arcs, so weights line up by index after the rebuild.
-  std::vector<Arc> shape;
-  std::vector<double> weights;
-  weights.reserve(all.size());
-  for (const Entry& e : all) {
-    for (uint32_t c = 0; c < e.multiplicity; ++c) {
-      shape.push_back(Arc{e.source, e.target});
-    }
-    weights.push_back(e.weight);
-  }
-  Graph next = Graph::FromArcs(n, std::move(shape));
-  next.SetWeights(weights);
-  return Publish(std::move(next), std::move(touched), new_epoch);
+  return Publish(arcs, new_epoch);
 }
 
-bool EpochGraphStore::TryUpdateWeights(std::span<const WeightedArc> arcs,
-                                       uint64_t* new_epoch) {
-  const Graph& old = *current_;
-  Graph next = old.Clone();
-  std::vector<double> weights(old.weights().begin(), old.weights().end());
-  std::vector<NodeId> touched;
-  touched.reserve(arcs.size());
+EpochGraphStore::Status EpochGraphStore::TryUpdateWeights(
+    std::span<const WeightedArc> arcs, uint64_t* new_epoch,
+    std::string* error) {
   for (const WeightedArc& a : arcs) {
-    const EdgeId e = old.FindEdge(a.source, a.target);
-    IMBENCH_CHECK_MSG(e != kInvalidEdge, "UpdateWeights: edge (%u, %u) absent",
-                      a.source, a.target);
-    weights[e] = a.weight;
-    touched.push_back(a.target);
+    if (current_->FindEdge(a.source, a.target) == kInvalidEdge) {
+      return Invalid(error, a, "is absent");
+    }
   }
-  next.SetWeights(weights);
-  return Publish(std::move(next), std::move(touched), new_epoch);
+  return Publish(arcs, new_epoch);
 }
 
 std::vector<NodeId> EpochGraphStore::TouchedSince(uint64_t since_epoch) const {

@@ -22,18 +22,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace imbench {
-
-// One weighted directed arc in a mutation request.
-struct WeightedArc {
-  NodeId source = 0;
-  NodeId target = 0;
-  double weight = 0;
-};
 
 class EpochGraphStore {
  public:
@@ -45,8 +39,9 @@ class EpochGraphStore {
   };
 
   // Takes ownership of the initial graph; it becomes epoch 0. Collapsed
-  // parallel-arc multiplicities are preserved across mutations (rebuilds
-  // re-expand and re-collapse them).
+  // parallel-arc multiplicities are preserved across mutations: a
+  // successor is the old CSR spliced with the mutation (Graph::WithArcs),
+  // so existing edges keep their multiplicity and added ones get 1.
   explicit EpochGraphStore(Graph graph);
 
   Snapshot Current() const { return {current_, epoch_}; }
@@ -64,16 +59,22 @@ class EpochGraphStore {
   // present. Returns the new epoch.
   uint64_t UpdateWeights(std::span<const WeightedArc> arcs);
 
-  // Fault-tolerant variants: a mutation whose graph rebuild fails (the
-  // `epoch_rebuild` fault site) returns false and leaves the store exactly
-  // on its old epoch — publish is all-or-nothing, so readers never see a
-  // half-built successor. On success *new_epoch (when non-null) receives
-  // the new epoch. ReplayWorkload retries these with backoff; the plain
-  // AddEdges/UpdateWeights CHECK-fail on a publish fault.
-  bool TryAddEdges(std::span<const WeightedArc> arcs,
-                   uint64_t* new_epoch = nullptr);
-  bool TryUpdateWeights(std::span<const WeightedArc> arcs,
-                        uint64_t* new_epoch = nullptr);
+  // Fault-tolerant variants. Publish is all-or-nothing: on any status but
+  // kPublished the store stays exactly on its old epoch, so readers never
+  // see a half-built successor. kFault is the `epoch_rebuild` fault site
+  // (transient: ReplayWorkload retries it with backoff); kInvalid is a
+  // mutation no retry can apply — a node out of range or a self loop for
+  // TryAddEdges, an absent edge for TryUpdateWeights — described in *error
+  // when non-null. On kPublished *new_epoch (when non-null) receives the
+  // new epoch. The plain AddEdges/UpdateWeights CHECK-fail on anything
+  // but kPublished.
+  enum class Status { kPublished, kFault, kInvalid };
+  Status TryAddEdges(std::span<const WeightedArc> arcs,
+                     uint64_t* new_epoch = nullptr,
+                     std::string* error = nullptr);
+  Status TryUpdateWeights(std::span<const WeightedArc> arcs,
+                          uint64_t* new_epoch = nullptr,
+                          std::string* error = nullptr);
 
   // Nodes whose in-edges changed by any transition after `since_epoch`,
   // sorted ascending and deduplicated. since_epoch must be <= epoch();
@@ -81,10 +82,11 @@ class EpochGraphStore {
   std::vector<NodeId> TouchedSince(uint64_t since_epoch) const;
 
  private:
-  // Publishes `next` as the new current graph, recording `touched` (the
-  // targets whose in-edges changed) for the transition. Returns false —
-  // with the store untouched — when the epoch_rebuild fault site fires.
-  bool Publish(Graph next, std::vector<NodeId> touched, uint64_t* new_epoch);
+  // Publishes the current graph spliced with `arcs` as the new current
+  // graph, recording the arcs' targets (whose in-edges changed) for the
+  // transition. Returns kFault, with the store untouched, when the
+  // epoch_rebuild fault site fires.
+  Status Publish(std::span<const WeightedArc> arcs, uint64_t* new_epoch);
 
   std::shared_ptr<const Graph> current_;
   uint64_t epoch_ = 0;

@@ -1,9 +1,12 @@
 #include "service/workload.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "framework/fault.h"
 #include "framework/run_guard.h"
@@ -12,20 +15,33 @@ namespace imbench {
 
 namespace {
 
-// Parses "source,target,weight".
-bool ParseArc(const std::string& token, WeightedArc* arc) {
-  unsigned long source = 0;
-  unsigned long target = 0;
-  double weight = 0;
-  char trailing = 0;
-  if (std::sscanf(token.c_str(), "%lu,%lu,%lf%c", &source, &target, &weight,
-                  &trailing) != 3) {
+// Parses one node id: decimal digits only, below kInvalidNode.
+bool ParseNodeId(std::string_view text, NodeId* id) {
+  uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() ||
+      value >= kInvalidNode) {
     return false;
   }
-  arc->source = static_cast<NodeId>(source);
-  arc->target = static_cast<NodeId>(target);
-  arc->weight = weight;
+  *id = static_cast<NodeId>(value);
   return true;
+}
+
+// Parses "source,target,weight": two node ids and a finite weight.
+bool ParseArc(const std::string& token, WeightedArc* arc) {
+  const size_t first = token.find(',');
+  if (first == std::string::npos) return false;
+  const size_t second = token.find(',', first + 1);
+  if (second == std::string::npos) return false;
+  const std::string_view text(token);
+  const std::string weight = token.substr(second + 1);
+  char* end = nullptr;
+  arc->weight = std::strtod(weight.c_str(), &end);
+  return ParseNodeId(text.substr(0, first), &arc->source) &&
+         ParseNodeId(text.substr(first + 1, second - first - 1),
+                     &arc->target) &&
+         !weight.empty() && *end == '\0' && std::isfinite(arc->weight);
 }
 
 // Parses "key=value"; returns the key ("" on malformed).
@@ -150,7 +166,9 @@ bool ParseLine(const std::string& raw, WorkloadOp* op, bool* blank,
     while (tokens >> token) {
       WeightedArc arc;
       if (!ParseArc(token, &arc)) {
-        *message = "bad arc '" + token + "' (want source,target,weight)";
+        *message = "bad arc '" + token +
+                   "' (want source,target,weight: node ids below " +
+                   std::to_string(kInvalidNode) + ", a finite weight)";
         return false;
       }
       op->arcs.push_back(arc);
@@ -257,30 +275,35 @@ ReplayResult ReplayWorkload(EpochGraphStore& store, ImService& service,
       }
       case WorkloadOp::Kind::kAddEdges:
       case WorkloadOp::Kind::kUpdateWeights: {
+        const bool add = op.kind == WorkloadOp::Kind::kAddEdges;
         uint64_t epoch = 0;
-        bool ok = false;
+        std::string error;
+        EpochGraphStore::Status status;
         for (uint32_t attempt = 0;; ++attempt) {
-          ok = op.kind == WorkloadOp::Kind::kAddEdges
-                   ? store.TryAddEdges(op.arcs, &epoch)
-                   : store.TryUpdateWeights(op.arcs, &epoch);
-          if (ok || attempt >= options.mutation_retries) break;
+          status = add ? store.TryAddEdges(op.arcs, &epoch, &error)
+                       : store.TryUpdateWeights(op.arcs, &epoch, &error);
+          if (status != EpochGraphStore::Status::kFault ||
+              attempt >= options.mutation_retries) {
+            break;
+          }
           ++result.retries;
           RetryBackoff(options.retry_backoff_seconds, attempt + 1);
         }
-        if (!ok) {
+        if (status != EpochGraphStore::Status::kPublished) {
           ++result.errors;
           AppendJsonError(log, op.line,
-                          "mutation failed: epoch rebuild fault persisted "
-                          "through retries",
-                          op.kind == WorkloadOp::Kind::kAddEdges ? "add"
-                                                                 : "update");
+                          status == EpochGraphStore::Status::kInvalid
+                              ? "invalid mutation: " + error
+                              : "mutation failed: epoch rebuild fault "
+                                "persisted through retries",
+                          add ? "add" : "update");
           if (!options.keep_going) halted = true;
           break;
         }
         ++result.mutations;
         if (log != nullptr) {
           *log += "{\"op\":\"";
-          *log += op.kind == WorkloadOp::Kind::kAddEdges ? "add" : "update";
+          *log += add ? "add" : "update";
           *log += "\",\"arcs\":" + std::to_string(op.arcs.size()) +
                   ",\"epoch\":" + std::to_string(epoch) + "}\n";
         }

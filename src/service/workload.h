@@ -10,7 +10,9 @@
 // accuracy ε (default: the service's), optional wall-clock deadline in
 // seconds and heap cap in MB. `add` / `update` are EpochGraphStore
 // mutations taking source,target,weight triples (one call per line, so a
-// line is one epoch transition). This is the format `im_run --serve
+// line is one epoch transition). A node id is decimal digits below
+// 2^32 - 1 and a weight must be finite; any other triple makes the line
+// malformed. This is the format `im_run --serve
 // --workload=FILE` replays; tests/service_test.cc drives the same parser.
 #ifndef IMBENCH_SERVICE_WORKLOAD_H_
 #define IMBENCH_SERVICE_WORKLOAD_H_
@@ -66,13 +68,14 @@ struct ReplayOptions {
   // ops start, and ReplayResult::interrupted is set. `im_run --serve`
   // points this at its SIGINT/SIGTERM flag.
   const std::atomic<bool>* stop = nullptr;
-  // Keep replaying after a malformed line or a persistently failing
-  // mutation (each emits an {"op":"error",...} record). Default: stop at
-  // the first such op.
+  // Keep replaying after a malformed line, an invalid mutation (one the
+  // store refuses: a node out of range, a self loop, an update of an
+  // absent edge) or a persistently failing one (each emits an
+  // {"op":"error",...} record). Default: stop at the first such op.
   bool keep_going = false;
-  // Mutations whose epoch rebuild fails transiently (the epoch_rebuild
-  // fault site) are retried this many times with exponential backoff
-  // before being reported as errors.
+  // Mutations whose publish fails transiently (the epoch_rebuild fault
+  // site) are retried this many times with exponential backoff before
+  // being reported as errors. An invalid mutation is never retried.
   uint32_t mutation_retries = 3;
   double retry_backoff_seconds = 0;
 };
@@ -84,7 +87,7 @@ struct ReplayResult {
   uint64_t final_epoch = 0;
   uint64_t retries = 0;    // transient retries (queries + mutations)
   uint64_t degraded = 0;   // queries served in a degraded mode
-  uint64_t errors = 0;     // malformed lines + failed mutations
+  uint64_t errors = 0;     // malformed lines + refused/failed mutations
   bool interrupted = false;  // drained early via ReplayOptions::stop
 };
 

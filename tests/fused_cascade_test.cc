@@ -82,6 +82,30 @@ TEST(FusedKernelTest, BlockGammaMatchesScalarReplayAcrossModels) {
   }
 }
 
+// EstimateSpread hands every lane's context one shared coin-probability
+// table; a context given it must draw exactly what one that builds its own
+// draws.
+TEST(FusedKernelTest, SharedCoinTableMatchesOwnTable) {
+  Graph graph = DiverseGraph();
+  Rng wrng(0x5eed);
+  AssignWeights(graph, WeightModel::kTrivalency, 0.3, wrng);
+  const std::vector<uint32_t> coin_probs = FixedPointProbs(graph.weights());
+  ASSERT_EQ(coin_probs.size(), graph.num_edges());
+  FusedCascadeContext shared(graph, coin_probs);
+  FusedCascadeContext own(graph);
+  const std::vector<NodeId> seeds = {0, 3};
+  for (uint64_t block = 0; block < 4; ++block) {
+    NodeId from_shared[kFusedLanes];
+    NodeId from_own[kFusedLanes];
+    shared.RunBlock(DiffusionKind::kIndependentCascade, seeds, 42, block,
+                    kFusedLanes, from_shared);
+    own.RunBlock(DiffusionKind::kIndependentCascade, seeds, 42, block,
+                 kFusedLanes, from_own);
+    EXPECT_TRUE(std::equal(from_shared, from_shared + kFusedLanes, from_own))
+        << "block=" << block;
+  }
+}
+
 // Preferential attachment with both arc directions: hubs carry in-degrees
 // in the hundreds, so one hub is contacted by many active in-neighbors per
 // level, and LT cascades from the hubs run many levels deep.

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -301,6 +302,32 @@ TEST(EpochStoreTest, PreservesParallelArcMultiplicities) {
   EXPECT_EQ(snap.graph->EdgeMultiplicity(snap.graph->FindEdge(2, 0)), 1u);
 }
 
+TEST(EpochStoreTest, InvalidMutationIsRefusedOnTheOldEpoch) {
+  EpochGraphStore store(testutil::TwoStars(0.5));
+  const NodeId n = store.Current().graph->num_nodes();
+  uint64_t epoch = 99;
+  std::string error;
+  using Status = EpochGraphStore::Status;
+  EXPECT_EQ(store.TryAddEdges({{WeightedArc{0, n, 0.1}}}, &epoch, &error),
+            Status::kInvalid);
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  EXPECT_EQ(store.TryAddEdges(
+                {{WeightedArc{1, 6, 0.7}, WeightedArc{3, 3, 0.1}}}, &epoch,
+                &error),
+            Status::kInvalid);
+  EXPECT_NE(error.find("self loop"), std::string::npos) << error;
+  EXPECT_EQ(store.TryUpdateWeights({{WeightedArc{1, 6, 0.1}}}, &epoch, &error),
+            Status::kInvalid);
+  EXPECT_NE(error.find("absent"), std::string::npos) << error;
+  // All-or-nothing: the valid arc of the refused call was not applied.
+  EXPECT_EQ(epoch, 99u);
+  EXPECT_EQ(store.epoch(), 0u);
+  EXPECT_EQ(store.Current().graph->FindEdge(1, 6), kInvalidEdge);
+  EXPECT_EQ(store.TryAddEdges({{WeightedArc{1, 6, 0.7}}}, &epoch),
+            Status::kPublished);
+  EXPECT_EQ(epoch, 1u);
+}
+
 // --- Workload parsing and replay ---
 
 TEST(WorkloadTest, ParsesQueriesAndMutations) {
@@ -337,6 +364,30 @@ TEST(WorkloadTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseWorkload("add 0,1\n", &ops, &error));
   EXPECT_NE(error.find("[add 0,1]"), std::string::npos);
   EXPECT_FALSE(ParseWorkload("query k=5 k5\n", &ops, &error));
+}
+
+TEST(WorkloadTest, RejectsOutOfRangeIdsAndNonFiniteWeights) {
+  // Each line used to parse: ids wrapped modulo 2^32 (or -1 became
+  // 0xFFFFFFFF) and NaN/inf weights were published.
+  for (const char* line :
+       {"add 4294967297,5,0.1", "add -1,5,0.1", "add 0,4294967295,0.1",
+        "add 0,99999999999999999999999,0.1", "add 0,1,nan", "add 0,1,inf",
+        "update 0,1,-inf", "add 0,1,", "add 0,,0.1", "add 0,1,0.1,2",
+        "add +1,2,0.1", "add 0x1,2,0.1"}) {
+    SCOPED_TRACE(line);
+    std::vector<WorkloadOp> ops;
+    ParseWorkloadLenient(line, &ops);
+    ASSERT_EQ(ops.size(), 1u);
+    EXPECT_EQ(ops[0].kind, WorkloadOp::Kind::kMalformed);
+    EXPECT_NE(ops[0].error.find("bad arc"), std::string::npos);
+  }
+  // The largest id the parser takes; the store judges it against n.
+  std::vector<WorkloadOp> ops;
+  std::string error;
+  ASSERT_TRUE(ParseWorkload("add 4294967294,0,1e-3\n", &ops, &error))
+      << error;
+  EXPECT_EQ(ops[0].arcs[0].source, 4294967294u);
+  EXPECT_DOUBLE_EQ(ops[0].arcs[0].weight, 1e-3);
 }
 
 TEST(WorkloadTest, LenientParseKeepsMalformedLinesInOrder) {
@@ -382,6 +433,45 @@ TEST(WorkloadTest, ReplayKeepGoingReportsErrorsAndContinues) {
   EXPECT_NE(log.find("\"op\":\"error\""), std::string::npos);
   EXPECT_NE(log.find("\"line\":2"), std::string::npos);
   EXPECT_NE(log.find("frobnicate"), std::string::npos);
+}
+
+TEST(WorkloadTest, InvalidMutationIsAnErrorRecordNotAnAbort) {
+  EpochGraphStore store(ServiceTestGraph(DiffusionKind::kIndependentCascade));
+  ServiceOptions options;
+  options.epsilon = 4.0;
+  options.seed = kSeed;
+  ImService service(store, options);
+
+  std::vector<WorkloadOp> ops;
+  std::string error;
+  ASSERT_TRUE(ParseWorkload("add 0,99999999,0.1\nadd 3,3,0.1\n"
+                            "update 0,0,0.1\nquery k=5\n",
+                            &ops, &error))
+      << error;
+
+  // Strict mode halts at the first refused mutation, without retrying it.
+  std::string log;
+  const ReplayResult strict = ReplayWorkload(store, service, ops, &log);
+  EXPECT_EQ(strict.errors, 1u);
+  EXPECT_EQ(strict.retries, 0u);
+  EXPECT_TRUE(strict.queries.empty());
+  EXPECT_NE(log.find("\"line\":1"), std::string::npos) << log;
+  EXPECT_NE(log.find("invalid mutation"), std::string::npos) << log;
+
+  // keep-going reports all three and serves the query on epoch 0.
+  ReplayOptions lenient;
+  lenient.keep_going = true;
+  log.clear();
+  const ReplayResult kept = ReplayWorkload(store, service, ops, &log, lenient);
+  EXPECT_EQ(kept.errors, 3u);
+  EXPECT_EQ(kept.retries, 0u);
+  EXPECT_EQ(kept.mutations, 0u);
+  EXPECT_EQ(kept.final_epoch, 0u);
+  ASSERT_EQ(kept.queries.size(), 1u);
+  EXPECT_EQ(kept.queries[0].epoch, 0u);
+  EXPECT_NE(log.find("out of range"), std::string::npos) << log;
+  EXPECT_NE(log.find("self loop"), std::string::npos) << log;
+  EXPECT_NE(log.find("absent"), std::string::npos) << log;
 }
 
 TEST(WorkloadTest, ReplayDrainsOnStopFlag) {
