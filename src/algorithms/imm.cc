@@ -8,14 +8,6 @@
 #include "framework/trace.h"
 
 namespace imbench {
-namespace {
-
-double LogChoose(double n, double k) {
-  if (k <= 0 || k >= n) return 0;
-  return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
-}
-
-}  // namespace
 
 SelectionResult Imm::Select(const SelectionInput& input) {
   const GraphView graph = input.View();

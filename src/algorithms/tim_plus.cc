@@ -8,15 +8,6 @@
 #include "framework/trace.h"
 
 namespace imbench {
-namespace {
-
-// ln C(n, k) via lgamma.
-double LogChoose(double n, double k) {
-  if (k <= 0 || k >= n) return 0;
-  return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
-}
-
-}  // namespace
 
 SelectionResult TimPlus::Select(const SelectionInput& input) {
   const GraphView graph = input.View();

@@ -18,6 +18,7 @@
 #define IMBENCH_DIFFUSION_RR_SETS_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -66,6 +67,13 @@ struct RrBatchResult {
   uint64_t generated = 0;               // sets appended to the collection
   StopReason stop = StopReason::kNone;  // why generation stopped short
 };
+
+// ln C(n, k) via lgamma: the union-bound term of every RR sample size
+// (TIM+'s and IMM's θ, the service's RequiredSets). 0 outside 0 < k < n.
+inline double LogChoose(double n, double k) {
+  if (k <= 0 || k >= n) return 0;
+  return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
+}
 
 class RrCollection;
 

@@ -85,10 +85,9 @@ class CompactGraph {
                                  in_edge_offsets_[v]);
   }
 
-  // Forward edge-id of u's first out-edge / in-position of v's first
-  // in-edge: the bases that index per-edge arrays (weights, fused masks).
+  // Forward edge-id of u's first out-edge: the base that indexes per-edge
+  // arrays (weights, fused masks).
   EdgeId OutEdgeBase(NodeId u) const { return out_edge_offsets_[u]; }
-  EdgeId InEdgeBase(NodeId v) const { return in_edge_offsets_[v]; }
 
   // Two-stage prefetch of v's in-adjacency (Graph has the same pair):
   // stage 1 touches the edge and byte offset entries, stage 2 the varint

@@ -79,12 +79,12 @@ Graph Graph::FromArcs(NodeId num_nodes, std::vector<Arc> arcs,
     read = run;
   }
   arcs.resize(write);
-  // Store multiplicities only if a parallel arc actually existed.
+  // Store multiplicities only if a parallel arc actually existed; a graph
+  // without one keeps no buffer (nor its capacity) at all.
   const bool any_parallel =
       std::any_of(multiplicities.begin(), multiplicities.end(),
                   [](uint32_t c) { return c > 1; });
-  if (!any_parallel) multiplicities.clear();
-  g.multiplicities_ = std::move(multiplicities);
+  if (any_parallel) g.multiplicities_ = std::move(multiplicities);
 
   const size_t m = arcs.size();
   g.out_targets_.resize(m);

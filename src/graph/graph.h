@@ -128,11 +128,10 @@ class Graph {
   // All edge weights, indexed by forward edge id (edges of node 0 first).
   std::span<const double> weights() const { return out_weights_; }
 
-  // Forward edge id of u's first out-edge / in-position of v's first
-  // in-edge: the bases that index per-edge side arrays (weights, fused coin
-  // masks). Mirrored by CompactGraph so GraphView exposes both backends.
+  // Forward edge id of u's first out-edge: the base that indexes per-edge
+  // side arrays (weights, fused coin masks). Mirrored by CompactGraph so
+  // GraphView exposes both backends.
   EdgeId OutEdgeBase(NodeId u) const { return out_offsets_[u]; }
-  EdgeId InEdgeBase(NodeId v) const { return in_offsets_[v]; }
 
   // Replaces every edge weight; `weights` is indexed by forward edge id.
   // Also refreshes the reverse-CSR weight mirror.

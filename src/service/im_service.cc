@@ -13,10 +13,12 @@ namespace imbench {
 
 namespace {
 
-// ln C(n, k) via lgamma (same helper TIM+/IMM use).
-double LogChoose(double n, double k) {
-  if (k <= 0 || k >= n) return 0;
-  return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
+// Sleeps base_seconds * 2^(retry-1); no-op when the base is not positive.
+void RetryBackoff(double base_seconds, uint32_t retry) {
+  if (base_seconds <= 0) return;
+  const double seconds =
+      base_seconds * std::exp2(static_cast<double>(retry - 1));
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
@@ -27,18 +29,18 @@ const char* DegradeModeName(DegradeMode mode) {
       return "none";
     case DegradeMode::kColdRebuild:
       return "cold_rebuild";
-    case DegradeMode::kPerQuerySampler:
-      return "per_query_sampler";
   }
   return "?";
 }
 
-void RetryBackoff(double base_seconds, uint32_t attempt) {
-  if (base_seconds <= 0) return;
-  const double seconds =
-      base_seconds *
-      std::exp2(static_cast<double>(attempt > 0 ? attempt - 1 : 0));
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+uint32_t RetryTransient(double backoff_seconds,
+                        const std::function<bool()>& attempt) {
+  uint32_t retries = 0;
+  while (attempt() && retries < kTransientRetries) {
+    ++retries;
+    RetryBackoff(backoff_seconds, retries);
+  }
+  return retries;
 }
 
 ImService::ImService(EpochGraphStore& store, const ServiceOptions& options)
@@ -112,25 +114,18 @@ ImService::RepairOutcome ImService::TryRepair(
 
 void ImService::MigrateCorpus(const EpochGraphStore::Snapshot& snap,
                               RunGuard* guard, ImQueryResult* result) {
-  uint32_t attempt = 0;
-  for (;;) {
-    const RepairOutcome outcome = TryRepair(snap, guard, result);
-    if (outcome == RepairOutcome::kOk) return;
-    if (outcome == RepairOutcome::kTransient &&
-        attempt < options_.max_transient_retries) {
-      ++attempt;
-      ++result->retries;
-      RetryBackoff(options_.retry_backoff_seconds, attempt);
-      continue;
-    }
-    // Fatal, or transient retries exhausted: the warm corpus cannot be
-    // brought to this epoch. Discard it — the query rebuilds cold, which
-    // regenerates the same per-index streams and therefore the same seeds.
-    corpus_ = RrCollection(snap.graph->num_nodes());
-    result->sets_repaired = 0;
-    result->degraded = DegradeMode::kColdRebuild;
-    return;
-  }
+  RepairOutcome outcome = RepairOutcome::kOk;
+  result->retries += RetryTransient(options_.retry_backoff_seconds, [&] {
+    outcome = TryRepair(snap, guard, result);
+    return outcome == RepairOutcome::kTransient;
+  });
+  if (outcome == RepairOutcome::kOk) return;
+  // Fatal, or transient retries exhausted: the warm corpus cannot be
+  // brought to this epoch. Discard it — the query rebuilds cold, which
+  // regenerates the same per-index streams and therefore the same seeds.
+  corpus_ = RrCollection(snap.graph->num_nodes());
+  result->sets_repaired = 0;
+  result->degraded = DegradeMode::kColdRebuild;
 }
 
 void ImService::TopUp(const EpochGraphStore::Snapshot& snap,
@@ -140,41 +135,20 @@ void ImService::TopUp(const EpochGraphStore::Snapshot& snap,
   static_cast<CommonRunOptions&>(sampler_options) = options_;
   sampler_options.guard = guard;
   sampler_options.kind = options_.kind;
-  sampler_options.max_total_entries = options_.max_total_entries;
   RrSampler sampler(*snap.graph, sampler_options);
-  uint32_t attempt = 0;
-  while (corpus_.size() < required) {
+  StopReason stop = StopReason::kNone;
+  result->retries += RetryTransient(options_.retry_backoff_seconds, [&] {
     sampler.SeekStream(corpus_.size());
     const RrBatchResult batch =
         sampler.Generate(options_.seed, required - corpus_.size(), corpus_);
     result->sets_sampled += batch.generated;
     TraceAdd(options_.trace, TraceCounter::kRrSets, batch.generated);
-    if (batch.stop == StopReason::kNone) return;
-    if (!IsTransientStop(batch.stop)) {
-      // Budget trip: serve best-effort seeds from the partial prefix.
-      result->stop_reason = batch.stop;
-      return;
-    }
-    if (attempt < options_.max_transient_retries) {
-      ++attempt;
-      ++result->retries;
-      RetryBackoff(options_.retry_backoff_seconds, attempt);
-      continue;
-    }
-    // The sampler keeps faulting; degrade to a one-lane retry of the
-    // remaining tail, with the same entry cap and trace. Same streams,
-    // same seeds — only the throughput is worse.
-    result->degraded = DegradeMode::kPerQuerySampler;
-    sampler_options.threads = 1;
-    RrSampler fallback(*snap.graph, sampler_options);
-    fallback.SeekStream(corpus_.size());
-    const RrBatchResult tail = fallback.Generate(
-        options_.seed, required - corpus_.size(), corpus_);
-    result->sets_sampled += tail.generated;
-    TraceAdd(options_.trace, TraceCounter::kRrSets, tail.generated);
-    result->stop_reason = tail.stop;
-    return;
-  }
+    stop = batch.stop;
+    return IsTransientStop(stop);
+  });
+  // A budget trip, or a fault that outlasted every retry: serve
+  // best-effort seeds from the partial prefix.
+  result->stop_reason = stop;
 }
 
 ImQueryResult ImService::Query(const ImQuery& query) {

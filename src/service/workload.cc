@@ -278,17 +278,13 @@ ReplayResult ReplayWorkload(EpochGraphStore& store, ImService& service,
         const bool add = op.kind == WorkloadOp::Kind::kAddEdges;
         uint64_t epoch = 0;
         std::string error;
-        EpochGraphStore::Status status;
-        for (uint32_t attempt = 0;; ++attempt) {
-          status = add ? store.TryAddEdges(op.arcs, &epoch, &error)
-                       : store.TryUpdateWeights(op.arcs, &epoch, &error);
-          if (status != EpochGraphStore::Status::kFault ||
-              attempt >= options.mutation_retries) {
-            break;
-          }
-          ++result.retries;
-          RetryBackoff(options.retry_backoff_seconds, attempt + 1);
-        }
+        EpochGraphStore::Status status = EpochGraphStore::Status::kFault;
+        result.retries += RetryTransient(
+            service.options().retry_backoff_seconds, [&] {
+              status = add ? store.TryAddEdges(op.arcs, &epoch, &error)
+                           : store.TryUpdateWeights(op.arcs, &epoch, &error);
+              return status == EpochGraphStore::Status::kFault;
+            });
         if (status != EpochGraphStore::Status::kPublished) {
           ++result.errors;
           AppendJsonError(log, op.line,

@@ -60,7 +60,10 @@ void ParseWorkloadLenient(const std::string& text,
 bool ReadWorkloadFile(const std::string& path, std::string* text,
                       std::string* error);
 
-// Replay policy knobs (all default to the strict, non-stop behavior).
+// Replay policy (defaults: strict, non-stop). A publish that fails
+// transiently (the epoch_rebuild fault site) is retried under the service's
+// one rule, RetryTransient, with the service's retry_backoff_seconds; an
+// invalid mutation is never retried.
 struct ReplayOptions {
   // Drain flag: checked before each op, and wired into each query's budget
   // as its cancel flag. When it flips mid-replay the in-flight query
@@ -71,13 +74,9 @@ struct ReplayOptions {
   // Keep replaying after a malformed line, an invalid mutation (one the
   // store refuses: a node out of range, a self loop, an update of an
   // absent edge) or a persistently failing one (each emits an
-  // {"op":"error",...} record). Default: stop at the first such op.
+  // {"op":"error",...} record). Default: stop at the first such op, which
+  // `im_run --serve` reports with exit status 1.
   bool keep_going = false;
-  // Mutations whose publish fails transiently (the epoch_rebuild fault
-  // site) are retried this many times with exponential backoff before
-  // being reported as errors. An invalid mutation is never retried.
-  uint32_t mutation_retries = 3;
-  double retry_backoff_seconds = 0;
 };
 
 // Outcome of replaying one workload against a store + service.
@@ -86,7 +85,7 @@ struct ReplayResult {
   uint64_t mutations = 0;              // epoch transitions applied
   uint64_t final_epoch = 0;
   uint64_t retries = 0;    // transient retries (queries + mutations)
-  uint64_t degraded = 0;   // queries served in a degraded mode
+  uint64_t degraded = 0;   // queries served by a cold rebuild
   uint64_t errors = 0;     // malformed lines + refused/failed mutations
   bool interrupted = false;  // drained early via ReplayOptions::stop
 };

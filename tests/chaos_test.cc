@@ -1,10 +1,12 @@
 // Chaos suite: replay query+mutation workloads under deterministic fault
 // plans and assert the self-healing service serves seeds byte-identical to
-// the fault-free run. Every recovery path — retry, cold rebuild,
-// one-lane sampler retry — is a deterministic rebuild of the same
-// per-index RR streams, so faults may cost time but never change answers.
+// the fault-free run. Every recovery path — a retry under the one rule
+// (RetryTransient, kTransientRetries), a cold rebuild — is a deterministic
+// rebuild of the same per-index RR streams, so faults may cost time but
+// never change answers.
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,10 +83,12 @@ struct ChaosRun {
   std::vector<std::vector<NodeId>> seeds;
 };
 
-// Replays `ops` on a fresh store+service. Fault behavior comes from
-// whatever plan is (or is not) armed on the global injector.
+// Replays `ops` on a fresh store+service, appending the replay record to
+// *log when given. Fault behavior comes from whatever plan is (or is not)
+// armed on the global injector.
 ChaosRun RunOps(DiffusionKind kind, uint32_t threads,
-                const std::vector<WorkloadOp>& ops) {
+                const std::vector<WorkloadOp>& ops,
+                std::string* log = nullptr) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
   EpochGraphStore store(ChaosTestGraph(kind));
@@ -99,7 +103,7 @@ ChaosRun RunOps(DiffusionKind kind, uint32_t threads,
   ReplayOptions replay_options;
   replay_options.keep_going = true;
   ChaosRun run;
-  run.replay = ReplayWorkload(store, service, ops, nullptr, replay_options);
+  run.replay = ReplayWorkload(store, service, ops, log, replay_options);
   for (const ImQueryResult& q : run.replay.queries) {
     run.seeds.push_back(q.seeds);
   }
@@ -131,91 +135,95 @@ FaultPlan OneRule(std::string_view site, uint64_t hit, uint64_t fires,
   return plan;
 }
 
-// One transient arena-growth failure (simulated OOM) during the first
-// top-up: the service retries in place and the answer does not change.
+// Transient arena-growth failures (simulated OOM) during the first
+// top-up, one or as many as the retry budget absorbs: the service retries
+// in place and the answer does not change.
 TEST(ChaosTest, TransientArenaFaultIsRetriedInPlace) {
   for (const DiffusionKind kind : {DiffusionKind::kIndependentCascade,
                                    DiffusionKind::kLinearThreshold}) {
     const std::vector<WorkloadOp> ops = ChaosOps(kind);
     const ChaosRun baseline = FaultFreeBaseline(kind, ops);
     for (const uint32_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE(testing::Message() << DiffusionKindName(kind) << " threads "
-                                      << threads);
-      ScopedFaultPlan scoped(
-          OneRule(faultsite::kRrArenaGrow, /*hit=*/1, /*fires=*/1));
-      const ChaosRun chaos = RunOps(kind, threads, ops);
-      EXPECT_EQ(chaos.seeds, baseline.seeds);
-      EXPECT_GE(chaos.replay.retries, 1u);
-      EXPECT_EQ(chaos.replay.degraded, 0u);
-      EXPECT_EQ(chaos.replay.errors, 0u);
+      for (const uint32_t fires : {1u, kTransientRetries}) {
+        SCOPED_TRACE(testing::Message() << DiffusionKindName(kind)
+                                        << " threads " << threads
+                                        << " fires " << fires);
+        ScopedFaultPlan scoped(
+            OneRule(faultsite::kRrArenaGrow, /*hit=*/1, fires));
+        const ChaosRun chaos = RunOps(kind, threads, ops);
+        EXPECT_EQ(chaos.seeds, baseline.seeds);
+        EXPECT_EQ(chaos.replay.retries, fires);
+        EXPECT_EQ(chaos.replay.degraded, 0u);
+        EXPECT_EQ(chaos.replay.errors, 0u);
+      }
     }
   }
 }
 
-// The arena keeps failing past the retry budget: the query degrades to a
-// one-lane retry of the sampler — slower, same streams, same seeds.
-TEST(ChaosTest, PersistentArenaFaultDegradesToSequentialSampler) {
+// Serves one k=5 query on a fresh service, tracing into *trace.
+ImQueryResult ServeOneQuery(DiffusionKind kind, uint32_t threads,
+                            Trace* trace) {
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+  EpochGraphStore store(ChaosTestGraph(kind));
+  ServiceOptions options;
+  options.kind = kind;
+  options.epsilon = kEpsilon;
+  options.seed = kSeed;
+  options.threads = threads;
+  options.pool = pool.get();
+  options.trace = trace;
+  options.retry_backoff_seconds = 0;
+  ImService service(store, options);
+  ImQuery query;
+  query.k = 5;
+  return service.Query(query);
+}
+
+// The arena fails on every attempt but the last one the retry budget
+// allows: the top-up is served on its configured lanes with the fault-free
+// seeds, the fault-free corpus and the fault-free examined-edge count.
+TEST(ChaosTest, ArenaFaultWithinRetryBudgetServesFaultFreeSeeds) {
   const DiffusionKind kind = DiffusionKind::kIndependentCascade;
-  const std::vector<WorkloadOp> ops = ChaosOps(kind);
-  const ChaosRun baseline = FaultFreeBaseline(kind, ops);
-  for (const uint32_t threads : {1u, 8u}) {
+  FaultInjector::Global().Disarm();
+  Trace reference_trace;
+  const ImQueryResult reference = ServeOneQuery(kind, 1, &reference_trace);
+  ASSERT_TRUE(reference.complete());
+  for (const uint32_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     // Each failed attempt consumes exactly one hit (the merge faults on
-    // the first set, before appending anything), so fires=4 defeats the
-    // initial try plus all 3 retries; the one-lane retry starts at hit 5
-    // and runs clear of the window.
-    ScopedFaultPlan scoped(
-        OneRule(faultsite::kRrArenaGrow, /*hit=*/1, /*fires=*/4));
-    const ChaosRun chaos = RunOps(kind, threads, ops);
-    EXPECT_EQ(chaos.seeds, baseline.seeds);
-    ASSERT_FALSE(chaos.replay.queries.empty());
-    EXPECT_EQ(chaos.replay.queries[0].degraded,
-              DegradeMode::kPerQuerySampler);
-    EXPECT_EQ(chaos.replay.queries[0].retries, 3u);
-    EXPECT_EQ(chaos.replay.degraded, 1u);
-    EXPECT_EQ(chaos.replay.errors, 0u);
+    // the first set, before appending anything), so the window defeats
+    // the first try and all but the last retry.
+    ScopedFaultPlan scoped(OneRule(faultsite::kRrArenaGrow, /*hit=*/1,
+                                   /*fires=*/kTransientRetries));
+    Trace trace;
+    const ImQueryResult served = ServeOneQuery(kind, threads, &trace);
+    EXPECT_TRUE(served.complete());
+    EXPECT_EQ(served.retries, kTransientRetries);
+    EXPECT_EQ(served.degraded, DegradeMode::kNone);
+    EXPECT_EQ(served.sets_sampled, reference.sets_sampled);
+    EXPECT_EQ(served.seeds, reference.seeds);
+    EXPECT_EQ(trace.Total(TraceCounter::kRrEdgesExamined),
+              reference_trace.Total(TraceCounter::kRrEdgesExamined));
   }
 }
 
-// The one-lane retry keeps the service's entry cap and trace: a capped
-// query that degrades stops with kMemory at the same corpus size, with
-// the same seeds and examined-edge count, as a fault-free capped service.
-TEST(ChaosTest, DegradedTopUpKeepsEntryCapAndTrace) {
+// One fault more than the budget: the top-up makes exactly
+// 1 + kTransientRetries attempts on its configured lanes, then reports
+// stop=fault with best-effort seeds, as a budget trip does.
+TEST(ChaosTest, ExhaustedTopUpStopsWithFault) {
   const DiffusionKind kind = DiffusionKind::kIndependentCascade;
-  auto serve = [&](uint32_t threads, Trace* trace) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-    EpochGraphStore store(ChaosTestGraph(kind));
-    ServiceOptions options;
-    options.kind = kind;
-    options.epsilon = kEpsilon;
-    options.seed = kSeed;
-    options.threads = threads;
-    options.pool = pool.get();
-    options.trace = trace;
-    options.retry_backoff_seconds = 0;
-    options.max_total_entries = 300;
-    ImService service(store, options);
-    ImQuery query;
-    query.k = 5;
-    return service.Query(query);
-  };
-  FaultInjector::Global().Disarm();
-  Trace reference_trace;
-  const ImQueryResult reference = serve(1, &reference_trace);
-  ASSERT_EQ(reference.stop_reason, StopReason::kMemory);
-  for (const uint32_t threads : {1u, 8u}) {
+  for (const uint32_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
-    ScopedFaultPlan scoped(
-        OneRule(faultsite::kRrArenaGrow, /*hit=*/1, /*fires=*/4));
-    Trace trace;
-    const ImQueryResult degraded = serve(threads, &trace);
-    EXPECT_EQ(degraded.degraded, DegradeMode::kPerQuerySampler);
-    EXPECT_EQ(degraded.stop_reason, StopReason::kMemory);
-    EXPECT_EQ(degraded.sets_sampled, reference.sets_sampled);
-    EXPECT_EQ(degraded.seeds, reference.seeds);
-    EXPECT_EQ(trace.Total(TraceCounter::kRrEdgesExamined),
-              reference_trace.Total(TraceCounter::kRrEdgesExamined));
+    ScopedFaultPlan scoped(OneRule(faultsite::kRrArenaGrow, /*hit=*/1,
+                                   /*fires=*/kTransientRetries + 1));
+    const ImQueryResult served = ServeOneQuery(kind, threads, nullptr);
+    EXPECT_EQ(FaultInjector::Global().Hits(faultsite::kRrArenaGrow),
+              1 + kTransientRetries);
+    EXPECT_EQ(served.stop_reason, StopReason::kFault);
+    EXPECT_EQ(served.retries, kTransientRetries);
+    EXPECT_EQ(served.degraded, DegradeMode::kNone);
+    EXPECT_EQ(served.sets_sampled, 0u);
   }
 }
 
@@ -259,18 +267,90 @@ TEST(ChaosTest, ExhaustedRepairFallsBackToColdRebuild) {
   const DiffusionKind kind = DiffusionKind::kIndependentCascade;
   const std::vector<WorkloadOp> ops = ChaosOps(kind);
   const ChaosRun baseline = FaultFreeBaseline(kind, ops);
-  ScopedFaultPlan scoped(
-      OneRule(faultsite::kServiceRepair, /*hit=*/1, /*fires=*/4));
+  ScopedFaultPlan scoped(OneRule(faultsite::kServiceRepair, /*hit=*/1,
+                                 /*fires=*/kTransientRetries + 1));
   const ChaosRun chaos = RunOps(kind, /*threads=*/1, ops);
   EXPECT_EQ(chaos.seeds, baseline.seeds);
   ASSERT_GE(chaos.replay.queries.size(), 2u);
   const ImQueryResult& degraded = chaos.replay.queries[1];
   EXPECT_EQ(degraded.degraded, DegradeMode::kColdRebuild);
+  EXPECT_EQ(degraded.retries, kTransientRetries);
   EXPECT_EQ(degraded.sets_repaired, 0u);
   const Graph base = ChaosTestGraph(kind);
   EXPECT_EQ(degraded.sets_sampled,
             ImService::RequiredSets(base.num_nodes(), 5, kEpsilon));
   EXPECT_GE(chaos.replay.degraded, 1u);
+}
+
+// The repair makes exactly 1 + kTransientRetries attempts: a fault window
+// of kTransientRetries is repaired warm on the last attempt, one more
+// falls back to the cold rebuild. Each failed attempt dies on its first
+// set, one hit; the successful one hits once per regenerated set.
+TEST(ChaosTest, RepairMakesOnePlusRetryBudgetAttempts) {
+  const DiffusionKind kind = DiffusionKind::kIndependentCascade;
+  const std::vector<WorkloadOp> all = ChaosOps(kind);
+  // query, add, query: one migration, so the site's hits count its
+  // attempts.
+  const std::vector<WorkloadOp> ops(all.begin(), all.begin() + 3);
+  const ChaosRun baseline = FaultFreeBaseline(kind, ops);
+  {
+    ScopedFaultPlan scoped(OneRule(faultsite::kServiceRepair, /*hit=*/1,
+                                   /*fires=*/kTransientRetries));
+    const ChaosRun chaos = RunOps(kind, /*threads=*/1, ops);
+    EXPECT_EQ(chaos.seeds, baseline.seeds);
+    ASSERT_EQ(chaos.replay.queries.size(), 2u);
+    const ImQueryResult& repaired = chaos.replay.queries[1];
+    EXPECT_EQ(repaired.degraded, DegradeMode::kNone);
+    EXPECT_EQ(repaired.retries, kTransientRetries);
+    EXPECT_GT(repaired.sets_repaired, 0u);
+    EXPECT_EQ(FaultInjector::Global().Hits(faultsite::kServiceRepair),
+              kTransientRetries + repaired.sets_repaired);
+  }
+  {
+    ScopedFaultPlan scoped(OneRule(faultsite::kServiceRepair, /*hit=*/1,
+                                   /*fires=*/kTransientRetries + 1));
+    const ChaosRun chaos = RunOps(kind, /*threads=*/1, ops);
+    EXPECT_EQ(chaos.seeds, baseline.seeds);
+    ASSERT_EQ(chaos.replay.queries.size(), 2u);
+    EXPECT_EQ(chaos.replay.queries[1].degraded, DegradeMode::kColdRebuild);
+    EXPECT_EQ(chaos.replay.queries[1].retries, kTransientRetries);
+    EXPECT_EQ(FaultInjector::Global().Hits(faultsite::kServiceRepair),
+              1 + kTransientRetries);
+  }
+}
+
+// The publish makes exactly 1 + kTransientRetries attempts: a fault window
+// of kTransientRetries lands the mutation on the last attempt, one more
+// writes the error record and leaves the store on its old epoch.
+TEST(ChaosTest, PublishMakesOnePlusRetryBudgetAttempts) {
+  const DiffusionKind kind = DiffusionKind::kIndependentCascade;
+  const std::vector<WorkloadOp> all = ChaosOps(kind);
+  const std::vector<WorkloadOp> ops(all.begin(), all.begin() + 3);
+  const ChaosRun baseline = FaultFreeBaseline(kind, ops);
+  {
+    ScopedFaultPlan scoped(OneRule(faultsite::kEpochRebuild, /*hit=*/1,
+                                   /*fires=*/kTransientRetries));
+    const ChaosRun chaos = RunOps(kind, /*threads=*/1, ops);
+    EXPECT_EQ(chaos.seeds, baseline.seeds);
+    EXPECT_EQ(chaos.replay.mutations, 1u);
+    EXPECT_EQ(chaos.replay.retries, kTransientRetries);
+    EXPECT_EQ(chaos.replay.errors, 0u);
+    EXPECT_EQ(FaultInjector::Global().Hits(faultsite::kEpochRebuild),
+              1 + kTransientRetries);
+  }
+  {
+    ScopedFaultPlan scoped(OneRule(faultsite::kEpochRebuild, /*hit=*/1,
+                                   /*fires=*/kTransientRetries + 1));
+    std::string log;
+    const ChaosRun chaos = RunOps(kind, /*threads=*/1, ops, &log);
+    EXPECT_EQ(chaos.replay.mutations, 0u);
+    EXPECT_EQ(chaos.replay.final_epoch, 0u);
+    EXPECT_EQ(chaos.replay.retries, kTransientRetries);
+    EXPECT_EQ(chaos.replay.errors, 1u);
+    EXPECT_NE(log.find("\"op\":\"error\""), std::string::npos) << log;
+    EXPECT_EQ(FaultInjector::Global().Hits(faultsite::kEpochRebuild),
+              1 + kTransientRetries);
+  }
 }
 
 // A mutation's epoch rebuild fails to publish: all-or-nothing, the store

@@ -79,7 +79,6 @@ void ExpectSameGraph(const Graph& graph, const CompactGraph& compact) {
     ASSERT_EQ(compact.OutDegree(u), graph.OutDegree(u)) << "node " << u;
     ASSERT_EQ(compact.InDegree(u), graph.InDegree(u)) << "node " << u;
     ASSERT_EQ(compact.OutEdgeBase(u), graph.OutEdgeBase(u)) << "node " << u;
-    ASSERT_EQ(compact.InEdgeBase(u), graph.InEdgeBase(u)) << "node " << u;
 
     compact.DecodeOut(u, scratch);
     const auto out_targets = graph.OutTargets(u);

@@ -96,6 +96,14 @@ TEST(GraphTest, CloneIsDeepAndEqual) {
   EXPECT_DOUBLE_EQ(g.weights()[0], 0.5);  // original untouched
 }
 
+// A graph without parallel arcs holds no multiplicity buffer, so FromArcs
+// leaves nothing behind that an exact-capacity Clone would drop.
+TEST(GraphTest, FromArcsWithoutParallelArcsKeepsNoDeadCapacity) {
+  Graph g = Graph::FromArcs(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
+  ASSERT_FALSE(g.has_parallel_arcs());
+  EXPECT_EQ(g.MemoryBytes(), g.Clone().MemoryBytes());
+}
+
 TEST(GraphTest, MemoryBytesPositive) {
   Graph g = Graph::FromArcs(3, {{0, 1}, {1, 2}});
   EXPECT_GT(g.MemoryBytes(), 0u);

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
       "keep-going", false,
       "degrade instead of aborting: a refused --graph-file falls back to "
       "edge-list loading; --serve reports malformed workload lines and "
-      "failed mutations as {\"op\":\"error\"} records and keeps replaying");
+      "failed mutations as {\"op\":\"error\"} records and keeps replaying "
+      "(without it the replay halts at the first one and exits 1)");
   std::string* checkpoint_path = flags.AddString(
       "checkpoint", "",
       "--serve: recover the warm RR corpus from this file on start (if it "
@@ -159,6 +160,13 @@ int main(int argc, char** argv) {
   // One-shot runs always select under the trace: the printed counters are
   // its totals.
   Trace trace;
+
+  // One pool sized to --threads for every parallel stage of both modes
+  // (the shared pool is sized to the hardware); --threads=0 keeps the
+  // shared pool. Results do not depend on it.
+  const uint32_t num_threads = static_cast<uint32_t>(*threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
 
   // Build the graph: the mmap'd compact backend when --graph-file opens
   // cleanly, the heap CSR otherwise.
@@ -231,14 +239,25 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--serve requires --workload=FILE\n");
       return 2;
     }
-    // The workload read is a fault site; a transient IO failure (volume
-    // not mounted yet) is retried a few times before giving up.
+    ServiceOptions service_options;
+    service_options.kind = kind;
+    service_options.epsilon = *eps;
+    service_options.seed = static_cast<uint64_t>(*seed);
+    service_options.threads = num_threads;
+    service_options.pool = pool.get();
+    // The service traces only when the trace is printed or written.
+    service_options.trace =
+        (*trace_table || !trace_out->empty()) ? &trace : nullptr;
+
+    // The workload read is a fault site; a failed read (volume not mounted
+    // yet) is retried under the service's one retry rule.
     std::string workload_text;
     std::string error;
     bool read_ok = false;
-    for (int attempt = 0; attempt < 3 && !read_ok; ++attempt) {
+    RetryTransient(service_options.retry_backoff_seconds, [&] {
       read_ok = ReadWorkloadFile(*workload_path, &workload_text, &error);
-    }
+      return !read_ok;
+    });
     if (!read_ok) {
       std::fprintf(stderr, "cannot read workload %s: %s\n",
                    workload_path->c_str(), error.c_str());
@@ -253,28 +272,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     EpochGraphStore store(std::move(graph));
-    ServiceOptions service_options;
-    service_options.kind = kind;
-    service_options.epsilon = *eps;
-    service_options.seed = static_cast<uint64_t>(*seed);
-    service_options.threads = static_cast<uint32_t>(*threads);
-    // The service traces only when the trace is printed or written.
-    service_options.trace =
-        (*trace_table || !trace_out->empty()) ? &trace : nullptr;
-    // An explicit pool sized to --threads: the shared pool is sized to the
-    // hardware, which silently falls back to one sampler lane on a
-    // single-core box even when more threads were asked for. Results are
-    // thread-count invariant either way; this keeps the flag honest.
-    std::unique_ptr<ThreadPool> serve_pool;
-    if (service_options.threads > 1) {
-      serve_pool = std::make_unique<ThreadPool>(service_options.threads - 1);
-      service_options.pool = serve_pool.get();
-    }
     ImService service(store, service_options);
 
     // SIGINT/SIGTERM drain the in-flight op, the summary line below still
     // prints, and the process exits 0 — an orchestrated stop is not an
-    // error.
+    // error. A replay that halts on an error record exits 1.
     InstallServeSignalHandlers();
 
     if (!checkpoint_path->empty()) {
@@ -293,7 +295,6 @@ int main(int argc, char** argv) {
     ReplayOptions replay_options;
     replay_options.stop = SigintCancelFlag();
     replay_options.keep_going = *keep_going;
-    replay_options.retry_backoff_seconds = 0.001;
     const ReplayResult replay =
         ReplayWorkload(store, service, ops, &log, replay_options);
     std::fputs(log.c_str(), stdout);
@@ -335,7 +336,7 @@ int main(int argc, char** argv) {
                    trace_out->c_str());
       return 1;
     }
-    return 0;
+    return replay.errors > 0 && !*keep_going ? 1 : 0;
   }
 
   const AlgorithmSpec* spec = FindAlgorithm(*algorithm);
@@ -373,7 +374,8 @@ int main(int argc, char** argv) {
   input.diffusion = kind;
   input.k = static_cast<uint32_t>(*k);
   input.seed = static_cast<uint64_t>(*seed);
-  input.threads = static_cast<uint32_t>(*threads);
+  input.threads = num_threads;
+  input.pool = pool.get();
   input.trace = &trace;
 
   // Budgets: first Ctrl-C drains the run and reports partial seeds.
@@ -403,7 +405,8 @@ int main(int argc, char** argv) {
   SpreadOptions eval;
   eval.simulations = static_cast<uint32_t>(*mc);
   eval.seed = static_cast<uint64_t>(*seed);
-  eval.threads = static_cast<uint32_t>(*threads);
+  eval.threads = num_threads;
+  eval.pool = pool.get();
   eval.trace = &trace;
   Span evaluate_span(&trace, "evaluate");
   const SpreadEstimate sigma = EstimateSpread(view, kind, result.seeds, eval);
@@ -450,7 +453,8 @@ int main(int argc, char** argv) {
   } else if (*exact_opt) {
     ExactOptOptions exact;
     exact.node_budget = static_cast<uint64_t>(*bnb_node_budget);
-    exact.threads = static_cast<uint32_t>(*threads);
+    exact.threads = num_threads;
+    exact.pool = pool.get();
     exact.trace = &trace;
     if (!ExactOracleFeasible(graph, kind, exact)) {
       std::printf(
