@@ -5,7 +5,7 @@
 //   --scale=tiny|bench|paper   dataset size (default bench)
 //   --seed=N                   RNG seed for graphs and algorithms
 //   --mc=N                     MC simulations for final spread evaluation
-//   --budget=SECONDS           enforced per-cell time budget (over => DNF)
+//   --budget=SECONDS           per-cell time budget, 0 = unlimited (over=>DNF)
 //   --mem-budget=MB            enforced per-cell heap cap (over => Crashed)
 //   --threads=N                worker threads for the parallel sampling and
 //                              evaluation stages (1 = sequential, 0 = all
@@ -58,8 +58,8 @@ inline CommonFlags AddCommonFlags(FlagSet& flags, int64_t default_mc = 1000,
   c.mc = flags.AddInt("mc", default_mc, "MC simulations for spread evaluation");
   c.budget = flags.AddDouble(
       "budget", default_budget,
-      "enforced per-cell time budget in seconds (over => DNF with partial "
-      "seeds)");
+      "enforced per-cell time budget in seconds, 0 = unlimited (over => "
+      "DNF with partial seeds)");
   c.mem_budget = flags.AddDouble(
       "mem-budget", 0.0,
       "enforced per-cell heap cap in MB, 0 = unlimited (over => Crashed)");

@@ -14,8 +14,6 @@
 #include "algorithms/imrank.h"
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "common/timer.h"
-#include "diffusion/spread.h"
 #include "framework/datasets.h"
 #include "framework/registry.h"
 #include "graph/weights.h"
@@ -69,24 +67,18 @@ int main(int argc, char** argv) {
       MakeParallelEdgeGraph(*dataset, bench.options().scale, seed);
   {
     TextTable table({"k", "LDAG time (s)", "SIMPATH time (s)"});
-    std::vector<double> ldag_at_kmax(1), simpath_at_kmax(1);
+    CellResult ldag_at_kmax, simpath_at_kmax;
     for (const uint32_t k : ks) {
-      SelectionInput input;
-      input.graph = &parallel_graph;
-      input.diffusion = DiffusionKind::kLinearThreshold;
-      input.k = k;
-      input.seed = seed;
-      Timer timer;
-      MakeAlgorithm("LDAG")->Select(input);
-      const double ldag_secs = timer.Seconds();
-      timer.Restart();
-      MakeAlgorithm("SIMPATH")->Select(input);
-      const double simpath_secs = timer.Seconds();
-      table.AddRow({TextTable::Int(k), TextTable::Secs(ldag_secs),
-                    TextTable::Secs(simpath_secs)});
+      const CellResult ldag =
+          MeasureCell(*MakeAlgorithm("LDAG"), parallel_graph,
+                      DiffusionKind::kLinearThreshold, k, bench.options());
+      const CellResult simpath =
+          MeasureCell(*MakeAlgorithm("SIMPATH"), parallel_graph,
+                      DiffusionKind::kLinearThreshold, k, bench.options());
+      table.AddRow({TextTable::Int(k), TimeCell(ldag), TimeCell(simpath)});
       if (k == kmax) {
-        ldag_at_kmax[0] = ldag_secs;
-        simpath_at_kmax[0] = simpath_secs;
+        ldag_at_kmax = ldag;
+        simpath_at_kmax = simpath;
       }
     }
     EmitTable(table, *common.csv);
@@ -98,11 +90,10 @@ int main(int argc, char** argv) {
         bench.RunCell("SIMPATH", *dataset, WeightModel::kLtUniform, kmax);
     TextTable table4({"Algorithm", *dataset + " (LT-uniform)",
                       *dataset + "-P (LT-parallel)"});
-    table4.AddRow({"LDAG", TextTable::Secs(ldag_uniform.select_seconds),
-                   TextTable::Secs(ldag_at_kmax[0])});
-    table4.AddRow({"SIMPATH",
-                   TextTable::Secs(simpath_uniform.select_seconds),
-                   TextTable::Secs(simpath_at_kmax[0])});
+    table4.AddRow(
+        {"LDAG", TimeCell(ldag_uniform), TimeCell(ldag_at_kmax)});
+    table4.AddRow(
+        {"SIMPATH", TimeCell(simpath_uniform), TimeCell(simpath_at_kmax)});
     EmitTable(table4, *common.csv);
   }
 

@@ -84,18 +84,13 @@ int main(int argc, char** argv) {
       TextTable table({"k", "chosen " + spec.parameter_name, "spread",
                        "select time (s)", "trials"});
       for (const uint32_t k : ks) {
-        FrameworkOptions options;
-        options.k = k;
-        options.evaluation_simulations =
-            bench.options().evaluation_simulations;
-        options.seed = bench.options().seed;
-        const Graph& graph = bench.GetGraph(profile, model);
-        const FrameworkResult result = RunImFramework(
-            graph, tuned, DiffusionKindFor(model), options);
+        const FrameworkResult result =
+            RunImFramework(tuned, bench.GetGraph(profile, model),
+                           DiffusionKindFor(model), k, bench.options());
         table.AddRow({TextTable::Int(k),
                       ParamName(spec, result.chosen.parameter),
-                      TextTable::Num(result.chosen.spread.mean, 1),
-                      TextTable::Secs(result.chosen.select_seconds),
+                      SpreadCell(result.chosen.cell),
+                      TimeCell(result.chosen.cell),
                       TextTable::Int(static_cast<int64_t>(
                           result.trials.size()))});
         chosen_at_kmax[{spec.name, static_cast<int>(model)}] =
@@ -105,9 +100,9 @@ int main(int argc, char** argv) {
                            "select time (s)"});
           for (const ParameterTrial& trial : result.trials) {
             sweep.AddRow({ParamName(spec, trial.parameter),
-                          TextTable::Num(trial.spread.mean, 1),
-                          TextTable::Num(trial.spread.stddev, 1),
-                          TextTable::Secs(trial.select_seconds)});
+                          SpreadCell(trial.cell),
+                          TextTable::Num(trial.cell.spread.stddev, 1),
+                          TimeCell(trial.cell)});
           }
           std::printf("  sweep %s / %s / k=%u:\n", spec.name.c_str(),
                       WeightModelName(model).c_str(), k);

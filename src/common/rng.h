@@ -73,8 +73,13 @@ class Rng {
   // advancing this generator. Useful for giving each Monte-Carlo simulation
   // or worker its own reproducible stream.
   static Rng ForStream(uint64_t seed, uint64_t stream) {
+    return Rng(StreamSeed(seed, stream));
+  }
+  // The seed ForStream(seed, stream) constructs its generator from, for
+  // code that is handed a raw generator seed.
+  static uint64_t StreamSeed(uint64_t seed, uint64_t stream) {
     uint64_t sm = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
-    return Rng(SplitMix64(sm));
+    return SplitMix64(sm);
   }
 
  private:

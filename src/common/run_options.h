@@ -1,12 +1,12 @@
 // The run-control fields every layer of the system shares.
 //
-// Before this header, SpreadOptions, SamplerOptions, FrameworkOptions and
-// WorkbenchOptions each hand-copied the same four knobs (RNG seed, worker
-// threads, run guard, trace) plus the thread-pool override, with the same
-// defaults and the same documentation, and drivers forwarded them field by
-// field. CommonRunOptions is that shared set defined once; the options
-// structs inherit it, so existing `options.seed = ...` call sites are
-// unchanged while the fields themselves have a single definition.
+// Before this header, the spread, sampler, framework and workbench options
+// each hand-copied the same four knobs (RNG seed, worker threads, run
+// guard, trace) plus the thread-pool override, with the same defaults and
+// the same documentation, and drivers forwarded them field by field.
+// CommonRunOptions is that shared set defined once; the options structs
+// inherit it, so existing `options.seed = ...` call sites are unchanged
+// while the fields themselves have a single definition.
 //
 // Conventions shared by every consumer:
 //   * `seed` keys all randomness off deterministic per-item streams

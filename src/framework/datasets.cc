@@ -112,4 +112,19 @@ Graph MakeDataset(const std::string& name, DatasetScale scale,
   return MakeDataset(*profile, scale, seed);
 }
 
+void AssignSeededWeights(Graph& graph, WeightModel model, double p,
+                         uint64_t seed) {
+  Rng rng(WeightSeed(seed));
+  AssignWeights(graph, model, p, rng);
+}
+
+uint64_t WeightSeed(uint64_t seed) { return Rng::StreamSeed(seed, 0x8e1); }
+
+Graph MakeWeightedDataset(const std::string& name, DatasetScale scale,
+                          WeightModel model, double p, uint64_t seed) {
+  Graph graph = MakeDataset(name, scale, seed);
+  AssignSeededWeights(graph, model, p, seed);
+  return graph;
+}
+
 }  // namespace imbench

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/weights.h"
 
 namespace imbench {
 
@@ -50,6 +51,17 @@ Graph MakeDataset(const DatasetProfile& profile, DatasetScale scale,
                   uint64_t seed = 7);
 Graph MakeDataset(const std::string& name, DatasetScale scale,
                   uint64_t seed = 7);  // aborts on unknown name
+
+// The one weighting rule (`p` applies to kIcConstant only): every driver
+// weights with it, so each sees one graph for the same inputs. Random
+// weights draw from Rng(WeightSeed(seed)), which dataset_gen also hands the
+// .imgrf writer.
+void AssignSeededWeights(Graph& graph, WeightModel model, double p,
+                         uint64_t seed);
+uint64_t WeightSeed(uint64_t seed);
+// MakeDataset, then AssignSeededWeights with the same seed.
+Graph MakeWeightedDataset(const std::string& name, DatasetScale scale,
+                          WeightModel model, double p, uint64_t seed);
 
 }  // namespace imbench
 

@@ -1,8 +1,8 @@
-// Experiment runner used by the figure/table harnesses: caches weighted
-// dataset graphs, runs (algorithm, dataset, model, k) cells under enforced
-// time / memory / cancellation budgets, and measures time / peak memory /
-// spread uniformly. With a journal configured, finished cells are persisted
-// and replayed across process restarts (crash-safe resumable grids).
+// The paper's decoupled measurement (Sec. 5.1), made once: MeasureCell is
+// the only code that selects seeds under a run guard and a meter and then
+// scores them with one MC pass. The Workbench runs the harnesses' cells
+// through it, caching weighted graphs and, with a journal configured,
+// persisting finished cells for crash-safe resumable grids.
 #ifndef IMBENCH_FRAMEWORK_EXPERIMENT_H_
 #define IMBENCH_FRAMEWORK_EXPERIMENT_H_
 
@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "algorithms/algorithm.h"
+#include "common/run_options.h"
 #include "diffusion/spread.h"
 #include "framework/datasets.h"
 #include "framework/registry.h"
 #include "framework/trace.h"
+#include "graph/graph_view.h"
 #include "graph/weights.h"
 
 namespace imbench {
@@ -51,35 +53,48 @@ struct CellResult {
 
 const char* CellStatusName(CellResult::Status status);
 
-// Shared configuration for a harness run. The common run controls come
-// from CommonRunOptions (harness seed default is 7, not 1); the `guard`
-// and `trace` pointers inherited from the base are *not* consumed here —
-// the workbench builds one RunGuard per cell from the budget fields below
-// and owns its Trace when trace_out_path is set.
-struct WorkbenchOptions : CommonRunOptions {
-  WorkbenchOptions() { seed = 7; }
-
-  DatasetScale scale = DatasetScale::kBench;
+// The controls of one measured cell. The inherited `guard` is not
+// consumed: MeasureCell arms its own from the budget fields below.
+struct CellOptions : CommonRunOptions {
   // r for final spread evaluation. The paper uses 10K; harness defaults
   // lower it so every binary finishes quickly (override with --mc).
   uint32_t evaluation_simulations = 1000;
-  // Enforced per-cell selection deadline: the run guard stops selection
-  // cooperatively once it is exceeded and the cell is reported DNF with its
-  // partial seeds. The paper's cutoff is 40 hours; harnesses use seconds.
+  // Enforced selection deadline, 0 = unlimited. On expiry the cell is DNF
+  // with its partial seeds. The paper's cutoff is 40 hours.
   double time_budget_seconds = 120.0;
-  // Per-cell heap growth cap in bytes (0 = unlimited). Tripping it reports
-  // the cell as Crashed, mirroring the paper's 256 GB limit.
+  // Selection heap growth cap in bytes (0 = unlimited). Tripping it
+  // reports the cell as Crashed, mirroring the paper's 256 GB limit.
   uint64_t memory_budget_bytes = 0;
   // External cancel flag (e.g. SigintCancelFlag()). When it goes true the
-  // in-flight cell drains and is reported kCancelled.
+  // in-flight selection drains and the cell is reported kCancelled.
   const std::atomic<bool>* cancel = nullptr;
+};
+
+// The MC seed of every cell's evaluation pass.
+inline uint64_t EvaluationSeed(uint64_t seed) {
+  return seed ^ 0x5f12ead0c0ffeeULL;
+}
+
+// Selects k seeds with `algorithm` on `graph` (weights matching `kind`)
+// under a RunMeter and a RunGuard, then, unless cancelled, evaluates them
+// on EvaluationSeed(options.seed) under an "evaluate" span. It opens no
+// enclosing span. Without options.trace it selects under a Trace of its
+// own, so `counters` is filled either way.
+CellResult MeasureCell(ImAlgorithm& algorithm, const GraphView& graph,
+                       DiffusionKind kind, uint32_t k,
+                       const CellOptions& options);
+
+// A harness run's configuration (seed default 7, not 1). The workbench
+// sets `pool` and `trace` to the ones it owns.
+struct WorkbenchOptions : CellOptions {
+  WorkbenchOptions() { seed = 7; }
+
+  DatasetScale scale = DatasetScale::kBench;
   // Path of the results journal; empty disables journaling.
   std::string journal_path;
   // When non-empty the workbench owns a Trace, wraps every cell in a
   // "cell" span (selection phases nested inside, plus an "evaluate" span
   // for the MC pass), and writes the per-phase JSON here on destruction.
-  // Without it each cell selects under a Trace of its own, so
-  // CellResult::counters is filled either way.
   std::string trace_out_path;
 };
 
@@ -88,17 +103,16 @@ class Workbench {
   explicit Workbench(const WorkbenchOptions& options);
   ~Workbench();
 
+  // Every cell's controls, the workbench's pool and trace included.
   const WorkbenchOptions& options() const { return options_; }
 
   // True once the external cancel flag has been raised; grid drivers use
   // this to stop launching new cells.
   bool cancelled() const;
 
-  // The workbench-owned trace (null unless trace_out_path was set).
-  Trace* trace() { return trace_.get(); }
-
-  // The weighted graph for (dataset, model); built and cached on demand.
-  // `ic_probability` applies to WeightModel::kIcConstant only.
+  // The weighted graph for (dataset, model): MakeWeightedDataset at the
+  // workbench's scale and seed, built once and cached. `ic_probability`
+  // applies to WeightModel::kIcConstant only.
   const Graph& GetGraph(const std::string& dataset, WeightModel model,
                         double ic_probability = 0.1);
 
@@ -108,8 +122,8 @@ class Workbench {
                       WeightModel model, uint32_t k, double parameter,
                       double ic_probability = 0.1) const;
 
-  // Runs one cell. `parameter` NaN selects the Table 2 optimum for the
-  // model (falling back to the author default).
+  // Runs one cell through MeasureCell. `parameter` NaN selects the Table 2
+  // optimum for the model (falling back to the author default).
   CellResult RunCell(const std::string& algorithm, const std::string& dataset,
                      WeightModel model, uint32_t k,
                      double parameter = kDefaultParameter,
@@ -129,6 +143,7 @@ class Workbench {
   std::map<std::string, Graph> graphs_;  // key: dataset "/" model
   std::unique_ptr<ResultJournal> journal_;
   std::unique_ptr<Trace> trace_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace imbench

@@ -16,46 +16,36 @@
 
 #include <vector>
 
-#include "diffusion/spread.h"
+#include "framework/experiment.h"
 #include "framework/registry.h"
-#include "graph/graph.h"
+#include "graph/graph_view.h"
 
 namespace imbench {
 
-// Shared run controls (seed, threads, guard, trace, pool) come from
-// CommonRunOptions and flow into both selection and evaluation. The trace
-// sees one "trial" span per spectrum point containing the algorithm's own
-// phase spans plus an "evaluate" span around the MC spread computation.
-struct FrameworkOptions : CommonRunOptions {
-  uint32_t k = 50;
-  // r for the spread-computation phase (10K in the paper, Sec. 5.1).
-  uint32_t evaluation_simulations = kReferenceSimulations;
-  // Convergence slack in standard deviations (1.0 per Sec. 5.1.1).
-  double tolerance_stddevs = 1.0;
-};
-
-// One (parameter, seeds, spread) evaluation along the spectrum.
+// One point of the spectrum: the parameter and its measured cell.
 struct ParameterTrial {
   double parameter = kDefaultParameter;
-  std::vector<NodeId> seeds;
-  SpreadEstimate spread;
-  double select_seconds = 0;
+  CellResult cell;
 };
 
 struct FrameworkResult {
   // The converged choice: the cheapest parameter whose spread is within
-  // tolerance of the most accurate setting.
+  // one standard deviation of the most accurate setting.
   ParameterTrial chosen;
   // Every trial performed, in spectrum order (for Figs. 14-16).
   std::vector<ParameterTrial> trials;
 };
 
 // Runs Alg. 3 for `spec` on `graph` (weights must already be assigned and
-// match `kind`). For techniques without an external parameter this is a
-// single select + evaluate.
-FrameworkResult RunImFramework(const Graph& graph, const AlgorithmSpec& spec,
-                               DiffusionKind kind,
-                               const FrameworkOptions& options);
+// match `kind`), measuring each trial with MeasureCell under `options`.
+// The trace sees one "trial" span per spectrum point holding the
+// technique's phase spans and the "evaluate" span. A trial that does not
+// finish (DNF, Crashed, Cancelled) ends the walk as a quality drop does;
+// the anchor trial is returned whatever its status. For techniques without
+// an external parameter this is a single trial.
+FrameworkResult RunImFramework(const AlgorithmSpec& spec,
+                               const GraphView& graph, DiffusionKind kind,
+                               uint32_t k, const CellOptions& options);
 
 }  // namespace imbench
 

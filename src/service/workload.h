@@ -12,8 +12,11 @@
 // mutations taking source,target,weight triples (one call per line, so a
 // line is one epoch transition). A node id is decimal digits below
 // 2^32 - 1 and a weight must be finite; any other triple makes the line
-// malformed. This is the format `im_run --serve
-// --workload=FILE` replays; tests/service_test.cc drives the same parser.
+// malformed. Node ids are the graph's dense ids (0..n-1): for an
+// `im_run --graph=FILE` edge list that is the order of first appearance in
+// the file, not the file's own ids, and nothing translates between them.
+// This is the format `im_run --serve --workload=FILE` replays;
+// tests/service_test.cc drives the same parser.
 #ifndef IMBENCH_SERVICE_WORKLOAD_H_
 #define IMBENCH_SERVICE_WORKLOAD_H_
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "framework/datasets.h"
 #include "framework/fault.h"
 #include "framework/sealed_file.h"
 #include "framework/trace.h"
@@ -271,6 +272,30 @@ TEST(GraphFileStreamWriterTest, GeneratorStreamMatchesEdgeListPipeline) {
             SealedStatus::kOk)
       << error;
   ExpectSameGraph(graph, compact);
+  std::remove(whole.c_str());
+  std::remove(streamed.c_str());
+}
+
+// dataset_gen hands the streaming writer WeightSeed(S): the TV weights
+// baked into the file are the ones AssignSeededWeights draws for the same
+// graph at seed S, the rule im_run and every harness cell weight with.
+TEST(GraphFileStreamWriterTest, SeededTvWeightsMatchTheOneWeightingRule) {
+  const NodeId n = 400;
+  const std::vector<Arc> arcs = AwkwardArcs(n);
+  Graph graph = Graph::FromArcs(n, arcs);
+  AssignSeededWeights(graph, WeightModel::kTrivalency, 0.1, 7);
+  const std::string whole = TempPath("seeded_whole.imgrf");
+  const std::string streamed = TempPath("seeded_streamed.imgrf");
+  std::string error;
+  ASSERT_TRUE(WriteGraphFile(graph, WeightModel::kTrivalency, whole, &error))
+      << error;
+  GraphFileStreamWriter::Options options;
+  options.model = WeightModel::kTrivalency;
+  options.weight_rng_seed = WeightSeed(7);
+  GraphFileStreamWriter writer(streamed, n, options);
+  for (const Arc& arc : arcs) writer.AddArc(arc.source, arc.target);
+  ASSERT_TRUE(writer.Finish(&error)) << error;
+  EXPECT_EQ(Slurp(streamed), Slurp(whole));
   std::remove(whole.c_str());
   std::remove(streamed.c_str());
 }

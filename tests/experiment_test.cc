@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/imrank.h"
+#include "framework/im_framework.h"
+#include "framework/registry.h"
 #include "framework/run_guard.h"
 
 namespace imbench {
@@ -83,15 +85,27 @@ TEST(WorkbenchTest, UnsupportedModelReportsNa) {
 
 TEST(WorkbenchTest, TimeBudgetMarksDnf) {
   WorkbenchOptions options = TinyOptions();
-  options.time_budget_seconds = 0.0;  // everything overruns
+  options.time_budget_seconds = 1e-9;  // everything overruns
   Workbench bench(options);
   const CellResult result =
       bench.RunCell("IRIE", "nethept", WeightModel::kWc, 3);
   EXPECT_EQ(result.status, CellResult::Status::kDnf);
   EXPECT_EQ(result.stop_reason, StopReason::kDeadline);
   // The guard stops selection cooperatively, so whatever seeds were picked
-  // before the trip are reported — possibly none at budget zero.
+  // before the trip are reported — possibly none at so small a budget.
   EXPECT_LE(result.seeds.size(), 3u);
+}
+
+TEST(WorkbenchTest, ZeroTimeBudgetMeansUnlimited) {
+  // --budget=0 is "no deadline" in every driver, as in im_run.
+  WorkbenchOptions options = TinyOptions();
+  options.time_budget_seconds = 0.0;
+  Workbench bench(options);
+  const CellResult result =
+      bench.RunCell("CELF", "nethept", WeightModel::kWc, 3);
+  EXPECT_EQ(result.status, CellResult::Status::kOk);
+  EXPECT_EQ(result.stop_reason, StopReason::kNone);
+  EXPECT_EQ(result.seeds.size(), 3u);
 }
 
 TEST(WorkbenchTest, SlowAlgorithmReturnsPartialSeedsOnDeadline) {
@@ -285,6 +299,49 @@ TEST(WorkbenchTest, CountersPopulated) {
     EXPECT_EQ(again.counters, result.counters);
   }
   std::remove(path.c_str());
+}
+
+// The three drivers of a cell measure it one way: a workbench cell, a
+// parameter-free Alg. 3 trial and a direct MeasureCell on the same graph,
+// seed and controls select the same seeds with the same work and score
+// them with the same MC pass.
+TEST(MeasureCellTest, WorkbenchFrameworkAndDirectCallAgree) {
+  Workbench bench(TinyOptions());
+  const CellResult cell =
+      bench.RunCell("IRIE", "nethept", WeightModel::kWc, 5);
+  ASSERT_TRUE(cell.ok());
+
+  const Graph& graph = bench.GetGraph("nethept", WeightModel::kWc);
+  const DiffusionKind kind = DiffusionKind::kIndependentCascade;
+  const AlgorithmSpec* spec = FindAlgorithm("IRIE");
+  ASSERT_NE(spec, nullptr);
+  ASSERT_FALSE(spec->HasParameter());
+  const FrameworkResult framework =
+      RunImFramework(*spec, graph, kind, 5, bench.options());
+  ASSERT_EQ(framework.trials.size(), 1u);
+  const CellResult& trial = framework.chosen.cell;
+
+  std::unique_ptr<ImAlgorithm> irie = spec->make(kDefaultParameter);
+  const CellResult direct =
+      MeasureCell(*irie, graph, kind, 5, bench.options());
+
+  for (const CellResult* other : {&trial, &direct}) {
+    EXPECT_EQ(other->status, cell.status);
+    EXPECT_EQ(other->seeds, cell.seeds);
+    EXPECT_EQ(other->counters, cell.counters);
+    EXPECT_EQ(other->spread.mean, cell.spread.mean);
+    EXPECT_EQ(other->spread.stddev, cell.spread.stddev);
+    EXPECT_EQ(other->spread.simulations, cell.spread.simulations);
+  }
+  // The one evaluation pass: EvaluationSeed of the run seed.
+  SpreadOptions eval;
+  eval.simulations = bench.options().evaluation_simulations;
+  eval.seed = EvaluationSeed(bench.options().seed);
+  const SpreadEstimate expected =
+      EstimateSpread(graph, kind, cell.seeds, eval);
+  EXPECT_EQ(cell.spread.mean, expected.mean);
+  EXPECT_EQ(cell.spread.stddev, expected.stddev);
+  EXPECT_EQ(cell.spread.simulations, expected.simulations);
 }
 
 TEST(WorkbenchTest, StatusNames) {

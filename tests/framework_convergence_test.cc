@@ -38,6 +38,31 @@ class ThresholdedFake : public ImAlgorithm {
   double threshold_;
 };
 
+// Selects the good seeds at every parameter, but below `threshold` its
+// run reports a tripped deadline, as a technique that ran out of budget
+// does.
+class DeadlineFake : public ImAlgorithm {
+ public:
+  DeadlineFake(double parameter, double threshold)
+      : parameter_(parameter), threshold_(threshold) {}
+
+  std::string name() const override { return "DeadlineFake"; }
+  bool Supports(DiffusionKind) const override { return true; }
+
+  SelectionResult Select(const SelectionInput& input) override {
+    SelectionResult result;
+    const std::vector<NodeId> good = {0, 4, 1, 5, 2, 6, 3};
+    result.seeds.assign(good.begin(), good.begin() + input.k);
+    if (parameter_ < threshold_) result.stop_reason = StopReason::kDeadline;
+    return result;
+  }
+
+ private:
+  double parameter_;
+  double threshold_;
+};
+
+template <typename Fake>
 AlgorithmSpec FakeSpec(double threshold) {
   AlgorithmSpec spec;
   spec.name = "Fake";
@@ -45,14 +70,17 @@ AlgorithmSpec FakeSpec(double threshold) {
   spec.parameter_name = "quality";
   spec.parameter_spectrum = {100, 80, 60, 40, 20};
   spec.make = [threshold](double parameter) {
-    return std::make_unique<ThresholdedFake>(parameter, threshold);
+    return std::make_unique<Fake>(parameter, threshold);
   };
   return spec;
 }
 
-FrameworkOptions Options(uint32_t k) {
-  FrameworkOptions options;
-  options.k = k;
+AlgorithmSpec FakeSpec(double threshold) {
+  return FakeSpec<ThresholdedFake>(threshold);
+}
+
+CellOptions Options() {
+  CellOptions options;
   options.evaluation_simulations = 200;
   options.seed = 3;
   return options;
@@ -64,20 +92,20 @@ TEST(FrameworkConvergenceTest, StopsAtLastGoodParameter) {
   // observe the drop at 40, and return 60.
   const AlgorithmSpec spec = FakeSpec(60);
   const FrameworkResult result = RunImFramework(
-      g, spec, DiffusionKind::kIndependentCascade, Options(2));
+      spec, g, DiffusionKind::kIndependentCascade, 2, Options());
   EXPECT_DOUBLE_EQ(result.chosen.parameter, 60);
   // Trials: 100, 80, 60, 40 (the failing probe) — and no more.
   ASSERT_EQ(result.trials.size(), 4u);
   EXPECT_DOUBLE_EQ(result.trials.back().parameter, 40);
-  EXPECT_EQ(result.chosen.seeds[0], 0u);
-  EXPECT_EQ(result.chosen.seeds[1], 4u);
+  EXPECT_EQ(result.chosen.cell.seeds[0], 0u);
+  EXPECT_EQ(result.chosen.cell.seeds[1], 4u);
 }
 
 TEST(FrameworkConvergenceTest, WalksWholeSpectrumWhenQualityIsFlat) {
   Graph g = testutil::TwoStars(1.0);
   const AlgorithmSpec spec = FakeSpec(0);  // never degrades
   const FrameworkResult result = RunImFramework(
-      g, spec, DiffusionKind::kIndependentCascade, Options(2));
+      spec, g, DiffusionKind::kIndependentCascade, 2, Options());
   EXPECT_DOUBLE_EQ(result.chosen.parameter, 20);  // cheapest setting wins
   EXPECT_EQ(result.trials.size(), spec.parameter_spectrum.size());
 }
@@ -86,38 +114,39 @@ TEST(FrameworkConvergenceTest, DegenerateAtFirstParameterKeepsAnchor) {
   Graph g = testutil::TwoStars(1.0);
   const AlgorithmSpec spec = FakeSpec(1000);  // every setting is "bad"
   const FrameworkResult result = RunImFramework(
-      g, spec, DiffusionKind::kIndependentCascade, Options(2));
+      spec, g, DiffusionKind::kIndependentCascade, 2, Options());
   // All trials produce the same bad seeds, so quality is flat and the
   // framework legitimately relaxes to the cheapest value.
   EXPECT_DOUBLE_EQ(result.chosen.parameter, 20);
 }
 
-TEST(FrameworkConvergenceTest, ToleranceWidensAcceptance) {
-  // With an enormous tolerance, even the collapse at 40 "converges". The
-  // graph must be stochastic: on a deterministic graph sd* is zero and the
-  // tolerance multiplier has nothing to scale.
-  Graph g = testutil::TwoStars(0.6);
-  const AlgorithmSpec spec = FakeSpec(60);
-  FrameworkOptions options = Options(2);
-  options.tolerance_stddevs = 1e9;
+TEST(FrameworkConvergenceTest, UnfinishedTrialEndsTheWalk) {
+  Graph g = testutil::TwoStars(1.0);
+  // Quality never drops, but runs below 60 report a tripped deadline: the
+  // walk stops at 40, the first unfinished trial, and returns 60, the last
+  // finished one.
+  const AlgorithmSpec spec = FakeSpec<DeadlineFake>(60);
   const FrameworkResult result = RunImFramework(
-      g, spec, DiffusionKind::kIndependentCascade, options);
-  EXPECT_DOUBLE_EQ(result.chosen.parameter, 20);
+      spec, g, DiffusionKind::kIndependentCascade, 2, Options());
+  EXPECT_DOUBLE_EQ(result.chosen.parameter, 60);
+  EXPECT_TRUE(result.chosen.cell.ok());
+  ASSERT_EQ(result.trials.size(), 4u);
+  EXPECT_DOUBLE_EQ(result.trials.back().parameter, 40);
+  EXPECT_EQ(result.trials.back().cell.status, CellResult::Status::kDnf);
+  EXPECT_EQ(result.trials.back().cell.stop_reason, StopReason::kDeadline);
 }
 
-TEST(FrameworkConvergenceTest, ZeroToleranceStopsAtFirstDip) {
-  // Zero tolerance on a stochastic graph: any dip ends the walk, so the
-  // chosen parameter is never *after* the first sub-μ* trial.
-  Graph g = testutil::TwoStars(0.6);
-  const AlgorithmSpec spec = FakeSpec(60);
-  FrameworkOptions options = Options(2);
-  options.tolerance_stddevs = 0.0;
+TEST(FrameworkConvergenceTest, UnfinishedAnchorIsReturned) {
+  Graph g = testutil::TwoStars(1.0);
+  // Every run reports a tripped deadline: there is no finished anchor to
+  // compare against, so the walk ends at the anchor, which is returned.
+  const AlgorithmSpec spec = FakeSpec<DeadlineFake>(1000);
   const FrameworkResult result = RunImFramework(
-      g, spec, DiffusionKind::kIndependentCascade, options);
-  const double mu_star = result.trials.front().spread.mean;
-  for (size_t i = 1; i + 1 < result.trials.size(); ++i) {
-    EXPECT_GE(result.trials[i].spread.mean, mu_star);
-  }
+      spec, g, DiffusionKind::kIndependentCascade, 2, Options());
+  ASSERT_EQ(result.trials.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.chosen.parameter, 100);
+  EXPECT_EQ(result.chosen.cell.status, CellResult::Status::kDnf);
+  EXPECT_EQ(result.chosen.cell.seeds.size(), 2u);
 }
 
 }  // namespace

@@ -184,10 +184,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     writer_options.ic_p = *ic_p;
-    // Same keying im_run uses for AssignWeights, so an .imgrf written with
-    // --seed=S carries byte-identical weights to an in-memory run of the
-    // same graph under --seed=S.
-    writer_options.weight_rng_seed = static_cast<uint64_t>(*seed) ^ 0x8e1;
+    // The one weighting rule (AssignSeededWeights), so an .imgrf written
+    // with --seed=S carries byte-identical weights to an in-memory run of
+    // the same graph under --seed=S.
+    writer_options.weight_rng_seed = WeightSeed(static_cast<uint64_t>(*seed));
   }
 
   if (*stream) {

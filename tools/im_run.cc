@@ -1,7 +1,8 @@
 // im_run: the benchmarking platform's command-line driver. Runs any
 // registered technique on a catalog profile or a SNAP edge-list file under
 // any weight model, and reports seeds, MC-evaluated spread, time, memory
-// and counters.
+// and counters, measured by MeasureCell as every harness cell is. --graph
+// seeds print in the file's node ids.
 //
 //   ./im_run --algorithm=IMM --dataset=youtube --model=WC --k=50
 //   ./im_run --algorithm=LDAG --graph=soc-Epinions1.txt --model=LT --k=100
@@ -27,11 +28,10 @@
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "diffusion/spread.h"
 #include "framework/datasets.h"
 #include "framework/exact_opt.h"
+#include "framework/experiment.h"
 #include "framework/fault.h"
-#include "framework/memory.h"
 #include "framework/registry.h"
 #include "framework/run_guard.h"
 #include "framework/trace.h"
@@ -173,6 +173,7 @@ int main(int argc, char** argv) {
   Graph graph;
   CompactGraph compact;
   bool use_compact = false;
+  std::vector<uint64_t> original_ids;  // --graph: file id per dense node
   {
     Span setup_span(&trace, "setup");
     if (!graph_file->empty()) {
@@ -211,7 +212,7 @@ int main(int argc, char** argv) {
       // Weights are baked into the file; nothing else to set up.
     } else if (!graph_path->empty()) {
       EdgeListError error;
-      const auto loaded = LoadEdgeList(*graph_path, nullptr, &error);
+      const auto loaded = LoadEdgeList(*graph_path, &original_ids, &error);
       if (!loaded.has_value()) {
         std::fprintf(stderr, "failed to load edge list: %s\n",
                      error.Format(*graph_path).c_str());
@@ -220,12 +221,11 @@ int main(int argc, char** argv) {
       GraphOptions options;
       options.make_bidirectional = *bidirectional;
       graph = Graph::FromArcs(loaded->num_nodes, loaded->arcs, options);
+      AssignSeededWeights(graph, model, *ic_p, static_cast<uint64_t>(*seed));
     } else {
-      graph = MakeDataset(*dataset, ParseDatasetScale(*scale),
-                          static_cast<uint64_t>(*seed));
+      graph = MakeWeightedDataset(*dataset, ParseDatasetScale(*scale), model,
+                                  *ic_p, static_cast<uint64_t>(*seed));
     }
-    Rng wrng(static_cast<uint64_t>(*seed) ^ 0x8e1);
-    AssignWeights(graph, model, *ic_p, wrng);
   }
 
   if (*serve) {
@@ -365,53 +365,29 @@ int main(int argc, char** argv) {
   if (std::isnan(param)) param = spec->OptimalParameterFor(model);
   std::unique_ptr<ImAlgorithm> instance = spec->make(param);
 
-  SelectionInput input;
-  if (use_compact) {
-    input.compact = &compact;
-  } else {
-    input.graph = &graph;
-  }
-  input.diffusion = kind;
-  input.k = static_cast<uint32_t>(*k);
-  input.seed = static_cast<uint64_t>(*seed);
-  input.threads = num_threads;
-  input.pool = pool.get();
-  input.trace = &trace;
-
+  CellOptions cell_options;
+  cell_options.seed = static_cast<uint64_t>(*seed);
+  cell_options.threads = num_threads;
+  cell_options.pool = pool.get();
+  cell_options.trace = &trace;
+  cell_options.evaluation_simulations = static_cast<uint32_t>(*mc);
+  cell_options.time_budget_seconds = *budget;
+  cell_options.memory_budget_bytes =
+      static_cast<uint64_t>(*mem_budget * 1024.0 * 1024.0);
   // Budgets: first Ctrl-C drains the run and reports partial seeds.
   InstallSigintCancel();
-  RunBudget run_budget;
-  if (*budget > 0) run_budget.deadline_seconds = *budget;
-  run_budget.max_heap_bytes =
-      static_cast<uint64_t>(*mem_budget * 1024.0 * 1024.0);
-  run_budget.cancel = SigintCancelFlag();
+  cell_options.cancel = SigintCancelFlag();
 
-  const uint64_t heap_before = CurrentHeapBytes();
-  ResetPeakHeapBytes();
+  const uint32_t seed_count = static_cast<uint32_t>(*k);
+  const GraphView view = use_compact ? GraphView(compact) : GraphView(graph);
   Timer timer;
-  RunGuard guard(run_budget);
-  input.guard = &guard;
-  const SelectionResult result = instance->Select(input);
-  const double select_secs = timer.Seconds();
-  const uint64_t peak = PeakHeapBytes() - heap_before;
-  const TraceCounterArray selected = trace.totals();
-  const auto count = [&selected](TraceCounter counter) {
+  const CellResult cell =
+      MeasureCell(*instance, view, kind, seed_count, cell_options);
+  const double eval_secs = timer.Seconds() - cell.select_seconds;
+  const auto count = [&cell](TraceCounter counter) {
     return static_cast<unsigned long long>(
-        selected[static_cast<int>(counter)]);
+        cell.counters[static_cast<int>(counter)]);
   };
-
-  const GraphView view = input.View();
-  timer.Restart();
-  SpreadOptions eval;
-  eval.simulations = static_cast<uint32_t>(*mc);
-  eval.seed = static_cast<uint64_t>(*seed);
-  eval.threads = num_threads;
-  eval.pool = pool.get();
-  eval.trace = &trace;
-  Span evaluate_span(&trace, "evaluate");
-  const SpreadEstimate sigma = EstimateSpread(view, kind, result.seeds, eval);
-  evaluate_span.Close();
-  const double eval_secs = timer.Seconds();
 
   std::printf("graph: %u nodes, %llu arcs%s; model %s; algorithm %s",
               view.num_nodes(),
@@ -422,21 +398,26 @@ int main(int argc, char** argv) {
     std::printf(" (%s = %g)", spec->parameter_name.c_str(), param);
   }
   std::printf("\nseeds:");
-  for (const NodeId s : result.seeds) std::printf(" %u", s);
+  for (const NodeId s : cell.seeds) {
+    std::printf(" %llu", static_cast<unsigned long long>(
+                             original_ids.empty() ? s : original_ids[s]));
+  }
+  // A cancelled run is not evaluated: its line reads 0 sims.
   std::printf(
       "\nspread: %.1f +/- %.2f (%.2f%% of network, %u sims, %.2fs)\n",
-      sigma.mean, sigma.StdError(), 100.0 * sigma.mean / view.num_nodes(),
-      sigma.simulations, eval_secs);
-  if (result.internal_spread_estimate > 0) {
+      cell.spread.mean, cell.spread.StdError(),
+      100.0 * cell.spread.mean / view.num_nodes(), cell.spread.simulations,
+      eval_secs);
+  if (cell.internal_estimate > 0) {
     std::printf("algorithm's internal estimate: %.1f\n",
-                result.internal_spread_estimate);
+                cell.internal_estimate);
   }
-  std::printf("selection: %.3fs, peak working memory %.2f MB", select_secs,
-              peak / 1e6);
-  if (!result.complete()) {
+  std::printf("selection: %.3fs, peak working memory %.2f MB",
+              cell.select_seconds, cell.peak_heap_bytes / 1e6);
+  if (cell.stop_reason != StopReason::kNone) {
     std::printf(" (stopped early: %s; %zu of %u seeds)",
-                StopReasonName(result.stop_reason), result.seeds.size(),
-                input.k);
+                StopReasonName(cell.stop_reason), cell.seeds.size(),
+                seed_count);
   }
   std::printf("\n");
   if (use_compact) {
@@ -462,13 +443,13 @@ int main(int argc, char** argv) {
           "bounded live-edge closure table)\n");
     } else {
       const ExactOptResult optimum =
-          BranchAndBoundOptimum(graph, kind, input.k, exact);
+          BranchAndBoundOptimum(graph, kind, seed_count, exact);
       if (optimum.status == ExactOptStatus::kStopped) {
         std::printf("exact-opt: stopped (%s) before finding an incumbent\n",
                     StopReasonName(optimum.stop));
       } else {
         const ExactSpreadOracle oracle(graph, kind, exact);
-        const double achieved = oracle.Spread(result.seeds);
+        const double achieved = oracle.Spread(cell.seeds);
         std::printf(
             "exact-opt: %s %.4f (achieved %.4f, ratio %.4f; %llu "
             "nodes expanded, %llu pruned, %llu closure classes)\n",
