@@ -29,6 +29,14 @@ constexpr uint64_t kFlushEntries = uint64_t{1} << 12;
 // before it is sampled, half a ring after its offsets were.
 constexpr uint32_t kStage2Distance = RrSampler::kLookahead / 2;
 
+// The greedy's coverage walk reads a pick's slice in order and, for each
+// set id in it, that set's offsets and then its members: two dependent
+// misses per set. The offsets of the set this many slice entries ahead are
+// prefetched, and the members of the set kCoverMembersLookahead ahead,
+// whose offsets arrived meanwhile.
+constexpr uint64_t kCoverOffsetsLookahead = 16;
+constexpr uint64_t kCoverMembersLookahead = 8;
+
 // A contiguous range [begin, end) of an array whose elements move `shift`
 // positions.
 struct RunMove {
@@ -410,6 +418,14 @@ void RrCollection::TruncateTo(size_t n) {
   if (n >= size()) return;
   set_offsets_.resize(n + 1);
   members_.resize(set_offsets_.back());
+  // A prefix longer than n counted dropped sets. The kept slots stay in
+  // use order, ahead of the freed ones (unused slots' kNoLimit exceeds n).
+  for (PrefixDegreeSlot& slot : prefix_degrees_) {
+    if (slot.limit > n) slot = PrefixDegreeSlot();
+  }
+  std::stable_partition(
+      prefix_degrees_.begin(), prefix_degrees_.end(),
+      [](const PrefixDegreeSlot& slot) { return slot.limit != kNoLimit; });
   if (indexed_sets_ <= n) return;
   // Slices ascend, so the dropped ids are a tail of each slice. One front-
   // to-back pass moves each slice's kept prefix down over the space the
@@ -449,6 +465,20 @@ void RrCollection::ReplaceSets(std::span<const uint32_t> set_ids,
   const std::vector<IndexEdit> edits = IndexEdits(set_ids, members, sizes);
   SpliceSets(set_ids, members, sizes);
   PatchInvertedIndex(edits);
+  // A cached prefix degree moves with the index: an edited set below the
+  // slot's limit gains or loses its node. Slot limits never exceed the
+  // indexed prefix, so the edits cover every set a slot counts.
+  for (PrefixDegreeSlot& slot : prefix_degrees_) {
+    if (slot.limit == kNoLimit) continue;
+    for (const IndexEdit& edit : edits) {
+      if (edit.set >= slot.limit) continue;
+      if (edit.insert) {
+        ++slot.degree[edit.node];
+      } else {
+        --slot.degree[edit.node];
+      }
+    }
+  }
 }
 
 std::vector<RrCollection::IndexEdit> RrCollection::IndexEdits(
@@ -614,9 +644,13 @@ std::vector<uint32_t> RrCollection::SetsContainingAny(
 }
 
 uint64_t RrCollection::MemoryBytes() const {
+  uint64_t prefix_degree_bytes = 0;
+  for (const PrefixDegreeSlot& slot : prefix_degrees_) {
+    prefix_degree_bytes += slot.degree.capacity() * sizeof(uint32_t);
+  }
   return members_.MemoryBytes() + set_offsets_.MemoryBytes() +
          inv_offsets_.capacity() * sizeof(uint64_t) + inv_sets_.MemoryBytes() +
-         sizeof(*this);
+         prefix_degree_bytes + sizeof(*this);
 }
 
 void RrCollection::EnsureInvertedIndex() const {
@@ -682,18 +716,29 @@ std::vector<NodeId> RrCollection::GreedyMaxCover(
   return GreedyMaxCoverPrefix(k, size(), covered_fraction);
 }
 
-uint32_t RrCollection::PrefixDegree(NodeId v, size_t limit) const {
-  // Each node's inverted-index slice lists set ids in increasing order, so
-  // the ids below `limit` form a prefix of the slice. An empty prefix must
-  // short-circuit: `limit - 1` would wrap to UINT32_MAX and report the
-  // whole-corpus degree, making a limit-0 cover pick by corpus degree
-  // instead of degrading to the pad order.
-  if (limit == 0) return 0;
-  const auto begin = inv_sets_.begin() + inv_offsets_[v];
-  const auto end = inv_sets_.begin() + inv_offsets_[v + 1];
-  if (limit >= size()) return static_cast<uint32_t>(end - begin);
-  return static_cast<uint32_t>(
-      std::upper_bound(begin, end, static_cast<uint32_t>(limit - 1)) - begin);
+const std::vector<uint32_t>& RrCollection::PrefixDegrees(size_t limit) const {
+  // Move the slot holding `limit` to the front, or, on a miss, the last
+  // slot: an unused one or the least recently used.
+  auto slot = std::find_if(
+      prefix_degrees_.begin(), prefix_degrees_.end(),
+      [limit](const PrefixDegreeSlot& s) { return s.limit == limit; });
+  if (slot == prefix_degrees_.end()) --slot;
+  std::rotate(prefix_degrees_.begin(), slot, slot + 1);
+  PrefixDegreeSlot& front = prefix_degrees_.front();
+  if (front.limit != limit) {
+    // Each node's slice length, minus its entries in the sets past the
+    // prefix: one forward pass, no search in any slice.
+    front.limit = limit;
+    front.degree.resize(num_nodes_);
+    for (NodeId v = 0; v < num_nodes_; ++v) {
+      front.degree[v] =
+          static_cast<uint32_t>(inv_offsets_[v + 1] - inv_offsets_[v]);
+    }
+    for (uint64_t i = set_offsets_[limit]; i < members_.size(); ++i) {
+      --front.degree[members_[i]];
+    }
+  }
+  return front.degree;
 }
 
 std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
@@ -708,12 +753,17 @@ std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
   // monotonically, so total moves are bounded by total degree decrements).
   // Selection takes the largest node id in the highest non-empty bucket.
   // Every inner loop walks a contiguous span of one of the two arenas.
-  std::vector<uint32_t> degree(num_nodes_, 0);
-  uint32_t max_degree = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    degree[v] = PrefixDegree(v, limit);
-    max_degree = std::max(max_degree, degree[v]);
+  std::vector<uint32_t> degree;
+  if (limit < size()) {
+    degree = PrefixDegrees(limit);
+  } else {
+    degree.resize(num_nodes_);
+    for (NodeId v = 0; v < num_nodes_; ++v) {
+      degree[v] = static_cast<uint32_t>(inv_offsets_[v + 1] - inv_offsets_[v]);
+    }
   }
+  uint32_t max_degree = 0;
+  for (const uint32_t d : degree) max_degree = std::max(max_degree, d);
   std::vector<std::vector<NodeId>> buckets(max_degree + 1);
   for (NodeId v = 0; v < num_nodes_; ++v) {
     if (degree[v] > 0) buckets[degree[v]].push_back(v);
@@ -762,7 +812,16 @@ std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
     }
     chosen[best] = 1;
     seeds.push_back(best);
-    for (uint64_t j = inv_offsets_[best]; j < inv_offsets_[best + 1]; ++j) {
+    const uint64_t slice_end = inv_offsets_[best + 1];
+    for (uint64_t j = inv_offsets_[best]; j < slice_end; ++j) {
+      if (j + kCoverOffsetsLookahead < slice_end) {
+        __builtin_prefetch(set_offsets_.data() +
+                           inv_sets_[j + kCoverOffsetsLookahead]);
+      }
+      if (j + kCoverMembersLookahead < slice_end) {
+        __builtin_prefetch(members_.data() +
+                           set_offsets_[inv_sets_[j + kCoverMembersLookahead]]);
+      }
       const uint32_t set_id = inv_sets_[j];
       if (set_id >= limit) break;  // slice is ascending; rest is past limit
       uint64_t& word = covered[set_id >> 6];

@@ -243,11 +243,25 @@ std::unique_ptr<RrSampler> MakeRrEngine(const GraphView& graph,
 // rounds each append a tail and cover the whole corpus). TruncateTo trims
 // each slice's tail and ReplaceSets patches the slices of the nodes that
 // entered or left a replaced set, both in place, so the index is built
-// from 0 only once per collection (fresh or FromArenas). Because the cache
-// is filled lazily, concurrent const access is NOT safe while the index is
-// stale; the engines only touch a collection from the coordinating thread.
+// from 0 only once per collection (fresh or FromArenas).
+//
+// Beside the index sits a second cache: the per-node degree over a prefix
+// of the corpus, one array per prefix limit below size() that a cover has
+// asked for (the query service covers the first θ sets of a corpus grown
+// past θ). It holds at most kPrefixDegreeSlots limits and evicts the least
+// recently used one. Each array stays exact: appends never touch a prefix,
+// ReplaceSets applies its index edits to it, TruncateTo drops the limits
+// above the new size, and a fresh or FromArenas collection starts empty.
+//
+// Because both caches are filled lazily, concurrent const access is NOT
+// safe; the engines only touch a collection from the coordinating thread.
 class RrCollection {
  public:
+  // Prefix limits whose node degrees stay cached. A constant, not an
+  // option: a serving mix asks for a handful of distinct θ, and each slot
+  // costs 4 bytes per node.
+  static constexpr size_t kPrefixDegreeSlots = 4;
+
   explicit RrCollection(NodeId num_nodes);
 
   // Copies one sampled set into the arena. Convenience wrapper over
@@ -336,9 +350,11 @@ class RrCollection {
 
   // Exact bytes held by the corpus: the page-rounded mapping lengths of the
   // member, offset and index-set arenas, the index's per-node offsets (zero
-  // until first built) and the object header. These are the bytes the
-  // corpus adds to CurrentHeapBytes(). This is the Fig. 8 memory metric for
-  // the RR-sketch family.
+  // until first built), the cached prefix degrees (4 bytes per node per
+  // filled slot) and the object header. These are the bytes the corpus
+  // adds to CurrentHeapBytes(). This is the Fig. 8 memory metric for the
+  // RR-sketch family; one-shot covers read the whole corpus, which fills
+  // no prefix slot.
   uint64_t MemoryBytes() const;
 
   // Greedy max cover: picks k nodes maximizing the number of covered sets.
@@ -356,7 +372,10 @@ class RrCollection {
   // over a warm corpus that has grown past the query's own θ: covering
   // exactly the prefix a cold corpus would contain keeps served seeds
   // byte-identical to a cold rebuild. limit >= size() degrades to the
-  // plain overload.
+  // plain overload. A limit below size() reads its node degrees from the
+  // prefix-degree cache; a miss fills a slot with each slice's length
+  // minus one forward pass over the sets in [limit, size()). A repeat
+  // prefix cover thus costs O(n + covered entries), like a full one.
   std::vector<NodeId> GreedyMaxCoverPrefix(
       uint32_t k, size_t limit, double* covered_fraction = nullptr) const;
 
@@ -390,8 +409,18 @@ class RrCollection {
   // on.
   void PatchInvertedIndex(std::span<const IndexEdit> edits);
 
-  // Number of sets with id < limit containing v (prefix of v's slice).
-  uint32_t PrefixDegree(NodeId v, size_t limit) const;
+  // Node degrees over the sets [0, limit), limit < size(), from the
+  // prefix-degree cache; fills the least recently used slot on a miss.
+  // Needs the index built over every set.
+  const std::vector<uint32_t>& PrefixDegrees(size_t limit) const;
+
+  // One prefix-degree cache slot. An unused slot has limit kNoLimit, which
+  // no cover asks for (covers ask for limits below size()).
+  static constexpr size_t kNoLimit = static_cast<size_t>(-1);
+  struct PrefixDegreeSlot {
+    size_t limit = kNoLimit;
+    std::vector<uint32_t> degree;  // num_nodes_ entries once filled
+  };
 
   NodeId num_nodes_;
   MappedArena<NodeId> members_;        // all sets, back to back
@@ -401,6 +430,10 @@ class RrCollection {
   mutable std::vector<uint64_t> inv_offsets_;  // num_nodes_+1 once built
   mutable MappedArena<uint32_t> inv_sets_;
   mutable size_t indexed_sets_ = 0;
+  // Prefix-degree cache, most recently used slot first. Every filled
+  // slot's limit is <= indexed_sets_, so the index edits of ReplaceSets
+  // cover every set a slot counts.
+  mutable std::array<PrefixDegreeSlot, kPrefixDegreeSlots> prefix_degrees_;
 };
 
 }  // namespace imbench

@@ -153,12 +153,16 @@ std::string Workbench::CellKey(const std::string& algorithm,
                                const std::string& dataset, WeightModel model,
                                uint32_t k, double parameter,
                                double ic_probability) const {
-  char suffix[160];
+  // The budgets belong to the key: a DNF or Crashed cell journaled under
+  // a small budget must not replay under a larger one.
+  char suffix[224];
   std::snprintf(suffix, sizeof(suffix),
-                "/k=%u/param=%.9g/p=%.9g/scale=%d/seed=%llu/mc=%u", k,
-                parameter, ic_probability, static_cast<int>(options_.scale),
+                "/k=%u/param=%.9g/p=%.9g/scale=%d/seed=%llu/mc=%u/budget=%.9g"
+                "/mem=%llu",
+                k, parameter, ic_probability, static_cast<int>(options_.scale),
                 static_cast<unsigned long long>(options_.seed),
-                options_.evaluation_simulations);
+                options_.evaluation_simulations, options_.time_budget_seconds,
+                static_cast<unsigned long long>(options_.memory_budget_bytes));
   return algorithm + "/" + dataset + "/" + WeightModelName(model) + suffix;
 }
 

@@ -18,6 +18,13 @@
 // prefix of the first θ sets (GreedyMaxCoverPrefix), so a corpus grown
 // past a query's θ never changes that query's answer.
 //
+// Cost of a warm query: O(n + covered entries), whether it covers the
+// whole corpus or a prefix. The corpus caches the node degrees of the last
+// few prefix limits (RrCollection::kPrefixDegreeSlots) and repair patches
+// them with the index, so a repeat k reads them instead of counting its
+// prefix again; only the first query at a new θ pays one forward pass over
+// the sets past its prefix.
+//
 // Each query runs under its own RunGuard built from ImQuery::budget. A
 // trip during top-up serves best-effort seeds from the partial prefix; a
 // trip during repair discards the warm corpus (repair is all-or-nothing —

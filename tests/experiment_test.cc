@@ -155,6 +155,41 @@ TEST(WorkbenchTest, CellKeyEncodesAllInputs) {
   EXPECT_NE(base, bench.CellKey("TIM+", "nethept", WeightModel::kWc, 5, 0.1));
   EXPECT_NE(base,
             bench.CellKey("IMM", "nethept", WeightModel::kLtUniform, 5, 0.1));
+  WorkbenchOptions budget = TinyOptions();
+  budget.time_budget_seconds = 0;
+  EXPECT_NE(base, Workbench(budget).CellKey("IMM", "nethept",
+                                            WeightModel::kWc, 5, 0.1));
+  WorkbenchOptions memory = TinyOptions();
+  memory.memory_budget_bytes = 1 << 20;
+  EXPECT_NE(base, Workbench(memory).CellKey("IMM", "nethept",
+                                            WeightModel::kWc, 5, 0.1));
+}
+
+TEST(WorkbenchTest, JournaledDnfCellRerunsUnderALargerBudget) {
+  // A cell that ran out of a 0.5 ms budget is journaled as DNF; the same
+  // grid rerun with --budget=0 (unlimited) must run it again and finish.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/workbench_budget_journal.tsv";
+  std::remove(path.c_str());
+  {
+    WorkbenchOptions options = TinyOptions();
+    options.journal_path = path;
+    options.time_budget_seconds = 0.0005;
+    Workbench bench(options);
+    ASSERT_EQ(bench.RunCell("CELF", "nethept", WeightModel::kWc, 3).status,
+              CellResult::Status::kDnf);
+  }
+  {
+    WorkbenchOptions options = TinyOptions();
+    options.journal_path = path;
+    options.time_budget_seconds = 0;
+    Workbench bench(options);
+    const CellResult rerun =
+        bench.RunCell("CELF", "nethept", WeightModel::kWc, 3);
+    EXPECT_EQ(rerun.status, CellResult::Status::kOk);
+    EXPECT_EQ(rerun.seeds.size(), 3u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(WorkbenchTest, JournalReplaySkipsFinishedCells) {

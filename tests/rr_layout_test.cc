@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -255,10 +256,21 @@ TEST(RrLayoutTest, PrefixLimitedCoverEdgeCasesMatchAcrossEngines) {
   }
 }
 
+// The prefix limits ExpectIndexMatchesFreshCopy covers, in order. Below a
+// corpus of a few hundred sets they are more distinct limits than the
+// prefix-degree cache has slots. The first two are the last two asked, so
+// on an unchanged size they hit the slots the previous check left (patched
+// by any ReplaceSets since); the rest miss and evict.
+std::vector<size_t> CoverLimits(size_t size) {
+  const size_t last = size == 0 ? 0 : size - 1;
+  return {size / 2, 250, 0, 1, 4095, 4096, last, size / 2, 250, size};
+}
+
 // The inverted index is extended in place over each appended tail and
-// edited in place by TruncateTo / ReplaceSets. After every step of an uneven
-// mutation history, every index reader must agree with a fresh
-// FromArenas copy of the same arenas, whose index is one build from 0.
+// edited in place by TruncateTo / ReplaceSets, and so are the cached prefix
+// degrees. After every step of an uneven mutation history, every index
+// reader must agree with a fresh FromArenas copy of the same arenas, whose
+// index is one build from 0 and whose prefix degrees are filled anew.
 void ExpectIndexMatchesFreshCopy(const RrCollection& grown, NodeId n,
                                  const char* step) {
   SCOPED_TRACE(step);
@@ -276,8 +288,7 @@ void ExpectIndexMatchesFreshCopy(const RrCollection& grown, NodeId n,
   EXPECT_EQ(grown.GreedyMaxCover(10, &grown_fraction),
             fresh.GreedyMaxCover(10, &fresh_fraction));
   EXPECT_EQ(grown_fraction, fresh_fraction);
-  for (const size_t limit : {size_t{0}, size_t{1}, size_t{4095},
-                             size_t{4096}, grown.size()}) {
+  for (const size_t limit : CoverLimits(grown.size())) {
     grown_fraction = -1;
     fresh_fraction = -2;
     EXPECT_EQ(grown.GreedyMaxCoverPrefix(10, limit, &grown_fraction),
@@ -412,6 +423,9 @@ class SpliceHarness {
   // build.
   void Oracle(const char* step) {
     ExpectIndexMatchesFreshCopy(c_, n_, step);
+    for (const size_t limit : CoverLimits(sets_.size())) {
+      if (limit < sets_.size()) prefix_limits_.insert(limit);
+    }
     index_built_ = true;
     indexed_ = sets_.size();
     index_mapped_ = std::max(index_mapped_,
@@ -436,9 +450,13 @@ class SpliceHarness {
                                Pages(c_.TotalEntries() * sizeof(NodeId)));
     const uint64_t index_offsets =
         index_built_ ? (uint64_t{n_} + 1) * sizeof(uint64_t) : 0;
+    // No step truncates, so every slot a prefix cover filled stays filled.
+    const uint64_t prefix_degrees =
+        std::min(prefix_limits_.size(), RrCollection::kPrefixDegreeSlots) *
+        uint64_t{n_} * sizeof(uint32_t);
     EXPECT_EQ(c_.MemoryBytes(), members_mapped_ + offsets_mapped_ +
                                     index_offsets + index_mapped_ +
-                                    sizeof(RrCollection));
+                                    prefix_degrees + sizeof(RrCollection));
   }
 
   NodeId n_;
@@ -449,6 +467,7 @@ class SpliceHarness {
   bool index_built_ = false;
   size_t indexed_ = 0;
   uint64_t index_mapped_ = 0;
+  std::set<size_t> prefix_limits_;  // distinct limits below size covered
 };
 
 // `count` sets of stream `seed`, from index `first` on.
@@ -676,6 +695,42 @@ TEST(RrLayoutTest, IndexGrowsToExactEntryCount) {
         << "after " << c.size() << " sets";
   }
   ASSERT_EQ(next, sets.size());
+}
+
+TEST(RrLayoutTest, PrefixDegreeSlotsAreCountedExactly) {
+  // Each prefix limit below size() a cover asks for fills one slot of n
+  // degrees, up to kPrefixDegreeSlots; an evicting miss reuses a slot, a
+  // full cover fills none, and TruncateTo frees the slots over a longer
+  // prefix. MemoryBytes() tracks every step exactly, and it is what the
+  // corpus holds on the heap.
+  const Graph g = WcGraph();
+  const NodeId n = g.num_nodes();
+  RrCollection c(n);
+  FillFromSampler(g, 21, 600, c);
+  c.GreedyMaxCover(5);  // builds the index; a full cover fills no slot
+  const uint64_t base = c.MemoryBytes();
+  const uint64_t slot = uint64_t{n} * sizeof(uint32_t);
+  size_t filled = 0;
+  for (const size_t limit : {100, 200, 300, 400, 500, 100, 600}) {
+    const uint64_t heap_before = CurrentHeapBytes();
+    const uint64_t bytes_before = c.MemoryBytes();
+    c.GreedyMaxCoverPrefix(5, limit);
+    if (limit < c.size()) {
+      filled = std::min(filled + 1, RrCollection::kPrefixDegreeSlots);
+    }
+    EXPECT_EQ(c.MemoryBytes(), base + filled * slot) << "limit " << limit;
+    EXPECT_EQ(CurrentHeapBytes() - heap_before,
+              c.MemoryBytes() - bytes_before)
+        << "limit " << limit;
+  }
+  ASSERT_EQ(filled, RrCollection::kPrefixDegreeSlots);
+  // Cached now: 100, 500, 400, 300. Truncating to 400 keeps the limits up
+  // to 400 (their prefixes are intact) and frees the one over 500; the
+  // arenas keep their mappings.
+  c.TruncateTo(400);
+  EXPECT_EQ(c.MemoryBytes(), base + 3 * slot);
+  // The kept slots still agree with a fresh build.
+  ExpectIndexMatchesFreshCopy(c, n, "after TruncateTo");
 }
 
 TEST(RrLayoutTest, ReserveDoesNotChangeObservableState) {

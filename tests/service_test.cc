@@ -124,6 +124,58 @@ TEST(ServiceTest, MutationSequenceMatchesColdRebuild) {
   }
 }
 
+// Three k values served in turn across an add, an update and another add.
+// θ falls as k grows, so after the first query each k covers a prefix of
+// the warm corpus; the repair after each mutation must patch the cached
+// prefix degrees of all three, which the repeats then read.
+TEST(ServiceTest, AlternatingPrefixCoversAcrossMutationsMatchColdRebuild) {
+  const DiffusionKind kind = DiffusionKind::kIndependentCascade;
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
+
+    EpochGraphStore store(ServiceTestGraph(kind));
+    ServiceOptions options;
+    options.kind = kind;
+    options.epsilon = 4.0;
+    options.seed = kSeed;
+    options.threads = threads;
+    options.pool = pool.get();
+    ImService service(store, options);
+
+    // After a mutation the first query repairs the corpus.
+    auto serve_all = [&](const char* step, bool repairs) {
+      SCOPED_TRACE(step);
+      for (const uint32_t k : {3u, 6u, 9u}) {
+        ImQuery query;
+        query.k = k;
+        const ImQueryResult result = service.Query(query);
+        EXPECT_TRUE(result.complete());
+        EXPECT_EQ(result.sets_sampled, 0u) << "k=" << k;
+        EXPECT_EQ(result.sets_repaired > 0, repairs && k == 3) << "k=" << k;
+        EXPECT_EQ(result.seeds, ColdSeeds(*store.Current().graph, kind, k,
+                                          options.epsilon))
+            << "k=" << k;
+      }
+    };
+
+    ImQuery first;
+    first.k = 3;
+    ASSERT_TRUE(service.Query(first).complete());
+    ASSERT_LT(ImService::RequiredSets(store.Current().graph->num_nodes(), 9,
+                                      options.epsilon),
+              service.corpus().size());
+    serve_all("warm", false);
+    store.AddEdges({{MissingArc(*store.Current().graph, 0.4)}});
+    serve_all("after an add", true);
+    store.UpdateWeights({{ExistingArc(*store.Current().graph, 0.05)}});
+    serve_all("after an update", true);
+    store.AddEdges({{MissingArc(*store.Current().graph, 0.3)}});
+    serve_all("after a second add", true);
+  }
+}
+
 // The warm corpus is the cold corpus: after repair, the arena prefix a
 // query covers is set-for-set identical to a from-scratch corpus on the
 // current snapshot.
