@@ -31,8 +31,9 @@ class SnapshotOracle {
   SnapshotOracle(const Graph& graph, uint32_t snapshots)
       : num_nodes_(graph.num_nodes()), visited_(graph.num_nodes(), 0) {
     Rng rng(7);
+    AdjScratch scratch;
     for (uint32_t i = 0; i < snapshots; ++i) {
-      snapshots_.push_back(SampleSnapshot(graph, rng));
+      snapshots_.push_back(SampleSnapshot(graph, rng, scratch));
       covered_.emplace_back(graph.num_nodes(), 0);
     }
   }

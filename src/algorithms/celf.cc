@@ -8,7 +8,7 @@
 namespace imbench {
 
 SelectionResult Celf::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   // One live Rng across all lazy re-evaluations.
   StreamingScratch scratch(graph.num_nodes(), input.seed);

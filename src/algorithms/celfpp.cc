@@ -26,7 +26,7 @@ struct Entry {
 }  // namespace
 
 SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   // One live stream through the scalar cascade serves every estimate.
   StreamingScratch scratch(graph.num_nodes(), input.seed);

@@ -10,7 +10,7 @@
 namespace imbench {
 
 SelectionResult EasyIm::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const NodeId n = graph.num_nodes();
   // One live Rng for the candidate-validation simulations.
@@ -23,6 +23,7 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
 
   // ℓ sweeps of Γ_t(v) = Σ_{u ∈ Out(v)} W(v,u) · (1 + Γ_{t-1}(u)),
   // skipping seeds (their influence is already banked).
+  AdjScratch adj_scratch;
   auto recompute_scores = [&]() {
     std::fill(prev.begin(), prev.end(), 0.0);
     for (uint32_t t = 0;
@@ -33,12 +34,11 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
           continue;
         }
         double sum = 0;
-        const auto targets = graph.OutTargets(v);
-        const auto weights = graph.OutWeights(v);
-        for (size_t i = 0; i < targets.size(); ++i) {
-          const NodeId u = targets[i];
+        const AdjView out = graph.Out(v, adj_scratch);
+        for (size_t i = 0; i < out.nodes.size(); ++i) {
+          const NodeId u = out.nodes[i];
           if (is_seed[u]) continue;
-          sum += weights[i] * (1.0 + prev[u]);
+          sum += out.weights[i] * (1.0 + prev[u]);
         }
         score[v] = sum;
       }
@@ -121,6 +121,8 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
     is_seed[best] = 1;
     result.seeds.push_back(best);
   }
+  TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+           adj_scratch.blocks_decoded);
   result.stop_reason = GuardReason(input.guard);
   result.internal_spread_estimate = current_spread;
   return result;

@@ -7,7 +7,7 @@
 namespace imbench {
 
 SelectionResult Greedy::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   // One live Rng across the whole greedy scan, reusing the
   // cascade scratch (the classic Kempe et al. estimator).

@@ -13,17 +13,16 @@ namespace {
 // One LFA sweep: walking ranks from last to first, each node sends
 // W(u, v) of its remaining mass to every strictly higher-ranked in-neighbor
 // u (capped so a node never allocates more than it holds).
-void LfaSweep(const Graph& graph, const std::vector<NodeId>& order,
-              const std::vector<uint32_t>& position,
-              std::vector<double>& mass) {
+void LfaSweep(const GraphView& graph, const std::vector<NodeId>& order,
+              const std::vector<uint32_t>& position, std::vector<double>& mass,
+              AdjScratch& scratch) {
   for (size_t i = order.size(); i-- > 1;) {
     const NodeId v = order[i];
-    const auto sources = graph.InSources(v);
-    const auto weights = graph.InWeights(v);
-    for (size_t j = 0; j < sources.size(); ++j) {
-      const NodeId u = sources[j];
+    const AdjView in = graph.In(v, scratch);
+    for (size_t j = 0; j < in.nodes.size(); ++j) {
+      const NodeId u = in.nodes[j];
       if (position[u] >= i) continue;  // only higher-ranked absorb mass
-      const double delta = weights[j] * mass[v];
+      const double delta = in.weights[j] * mass[v];
       mass[u] += delta;
       mass[v] -= delta;
       if (mass[v] <= 0) {
@@ -37,15 +36,16 @@ void LfaSweep(const Graph& graph, const std::vector<NodeId>& order,
 }  // namespace
 
 SelectionResult ImRank::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const NodeId n = graph.num_nodes();
+  AdjScratch scratch;
 
   // Initial ranking: weighted out-degree (the degree-discount-style cheap
   // ordering the IMRank paper starts from).
   std::vector<double> score(n, 0.0);
   for (NodeId v = 0; v < n; ++v) {
-    for (const double w : graph.OutWeights(v)) score[v] += w;
+    for (const double w : graph.Out(v, scratch).weights) score[v] += w;
   }
   std::vector<NodeId> order = RankByScore(score);
   std::vector<uint32_t> position(n);
@@ -64,7 +64,7 @@ SelectionResult ImRank::Select(const SelectionInput& input) {
     for (uint32_t sweep = 0; sweep < std::max<uint32_t>(1, options_.l);
          ++sweep) {
       if (GuardShouldStop(input.guard)) break;
-      LfaSweep(graph, order, position, mass);
+      LfaSweep(graph, order, position, mass, scratch);
     }
     order = RankByScore(mass);
     for (uint32_t i = 0; i < n; ++i) position[order[i]] = i;
@@ -81,6 +81,8 @@ SelectionResult ImRank::Select(const SelectionInput& input) {
   }
 
   score_span.Close();
+  TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+           scratch.blocks_decoded);
 
   SelectionResult result;
   {

@@ -32,6 +32,8 @@ struct LocalDag {
 
 // Epoch-stamped whole-graph scratch shared across all BuildLocalDag calls,
 // so each construction costs O(|D| log |D| + touched edges), not O(n).
+// The compact backend decodes an admitted node's out-list and in-list into
+// one scratch each.
 struct DagScratch {
   explicit DagScratch(NodeId n)
       : best(n, 0.0), best_stamp(n, 0), admitted_stamp(n, 0), local(n, 0) {}
@@ -41,6 +43,8 @@ struct DagScratch {
   std::vector<uint32_t> admitted_stamp;
   std::vector<uint32_t> local;       // local index once admitted
   uint32_t epoch = 0;
+  AdjScratch out;
+  AdjScratch in;
 };
 
 // Find-LDAG: max-probability Dijkstra from `sink` over in-edges. A node
@@ -48,7 +52,7 @@ struct DagScratch {
 // added from each newly admitted node to already-admitted targets, which
 // guarantees acyclicity (edges always point toward earlier-admitted,
 // higher-probability nodes).
-LocalDag BuildLocalDag(const Graph& graph, NodeId sink, double theta,
+LocalDag BuildLocalDag(const GraphView& graph, NodeId sink, double theta,
                        DagScratch& scratch) {
   LocalDag dag;
   dag.sink = sink;
@@ -77,21 +81,19 @@ LocalDag BuildLocalDag(const Graph& graph, NodeId sink, double theta,
     scratch.admitted_stamp[u] = epoch;
     admission_order.push_back(u);
     // Edges from u to already-admitted out-neighbors.
-    const auto targets = graph.OutTargets(u);
-    const auto weights = graph.OutWeights(u);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      if (targets[i] != u && admitted(targets[i])) {
-        edges.emplace_back(u, targets[i]);
-        edge_weights.push_back(weights[i]);
+    const AdjView out = graph.Out(u, scratch.out);
+    for (size_t i = 0; i < out.nodes.size(); ++i) {
+      if (out.nodes[i] != u && admitted(out.nodes[i])) {
+        edges.emplace_back(u, out.nodes[i]);
+        edge_weights.push_back(out.weights[i]);
       }
     }
     // Relax in-neighbors.
-    const auto sources = graph.InSources(u);
-    const auto in_weights = graph.InWeights(u);
-    for (size_t i = 0; i < sources.size(); ++i) {
-      const NodeId x = sources[i];
+    const AdjView in = graph.In(u, scratch.in);
+    for (size_t i = 0; i < in.nodes.size(); ++i) {
+      const NodeId x = in.nodes[i];
       if (admitted(x)) continue;
-      const double candidate = prob * in_weights[i];
+      const double candidate = prob * in.weights[i];
       const double current =
           scratch.best_stamp[x] == epoch ? scratch.best[x] : 0.0;
       if (candidate >= theta && candidate > current) {
@@ -179,7 +181,7 @@ void Solve(LocalDag& dag, const std::vector<uint8_t>& is_seed) {
 }  // namespace
 
 SelectionResult Ldag::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const NodeId n = graph.num_nodes();
   // θ > 1 would exclude even the sink itself; path probabilities never
@@ -205,6 +207,8 @@ SelectionResult Ldag::Select(const SelectionInput& input) {
       }
       dags.push_back(std::move(dag));
     }
+    TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+             scratch.out.blocks_decoded + scratch.in.blocks_decoded);
   }
 
   std::vector<uint8_t> is_seed(n, 0);

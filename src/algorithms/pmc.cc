@@ -59,7 +59,7 @@ ContractedSnapshot Contract(NodeId num_nodes, const Snapshot& snap) {
 }  // namespace
 
 SelectionResult Pmc::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const uint32_t R = options_.snapshots;
   Rng rng = Rng::ForStream(input.seed, 0);
@@ -68,13 +68,16 @@ SelectionResult Pmc::Select(const SelectionInput& input) {
   snapshots.reserve(R);
   {
     Span sample_span(input.trace, "sample");
+    AdjScratch scratch;
     for (uint32_t i = 0; i < R; ++i) {
       TraceAdd(input.trace, TraceCounter::kGuardPolls);
       if (GuardShouldStop(input.guard)) break;
-      const Snapshot snap = SampleSnapshot(graph, rng);
+      const Snapshot snap = SampleSnapshot(graph, rng, scratch);
       snapshots.push_back(Contract(graph.num_nodes(), snap));
       TraceAdd(input.trace, TraceCounter::kSnapshots);
     }
+    TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+             scratch.blocks_decoded);
   }
   // Average over the snapshots actually sampled; a truncated run keeps the
   // estimates unbiased, just noisier.

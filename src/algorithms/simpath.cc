@@ -1,6 +1,7 @@
 #include "algorithms/simpath.h"
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "common/check.h"
@@ -13,9 +14,14 @@ namespace {
 // set of "tracked" candidate nodes: the products of all enumerated paths
 // passing through tracked node c accumulate into minus[slot(c)], which is
 // what the look-ahead optimization needs to form σ^{V−c}(S) in one pass.
+//
+// A frame takes its node's out-adjacency once, when it is pushed: spans
+// straight into the heap CSR, or a decode into the scratch of the frame's
+// depth on the compact backend. A depth's scratch is reused only after its
+// frame is popped, so every frame on the stack keeps valid spans.
 class PathEnumerator {
  public:
-  PathEnumerator(const Graph& graph, double eta, RunGuard* guard)
+  PathEnumerator(const GraphView& graph, double eta, RunGuard* guard)
       : graph_(graph),
         eta_(eta),
         guard_(guard),
@@ -37,6 +43,14 @@ class PathEnumerator {
   void ClearCandidates() { SetCandidates({}); }
   double minus(size_t slot) const { return minus_[slot]; }
 
+  uint64_t blocks_decoded() const {
+    uint64_t total = 0;
+    for (const AdjScratch& scratch : depth_scratch_) {
+      total += scratch.blocks_decoded;
+    }
+    return total;
+  }
+
   // Spread contribution of `root` in the subgraph excluding banned nodes:
   // 1 + Σ over simple paths from root (product >= η) of the product.
   double Enumerate(NodeId root) {
@@ -44,7 +58,7 @@ class PathEnumerator {
     double total = 1.0;
     frames_.clear();
     active_slots_.clear();
-    frames_.push_back(Frame{root, 0, 1.0, false});
+    Push(root, 1.0, false);
     on_path_[root] = 1;
     while (!frames_.empty()) {
       if (GuardShouldStop(guard_)) {
@@ -56,11 +70,9 @@ class PathEnumerator {
         break;
       }
       Frame& frame = frames_.back();
-      const auto targets = graph_.OutTargets(frame.node);
-      const auto weights = graph_.OutWeights(frame.node);
-      if (frame.cursor < targets.size()) {
-        const NodeId w = targets[frame.cursor];
-        const double p = frame.product * weights[frame.cursor];
+      if (frame.cursor < frame.out.nodes.size()) {
+        const NodeId w = frame.out.nodes[frame.cursor];
+        const double p = frame.product * frame.out.weights[frame.cursor];
         ++frame.cursor;
         if (on_path_[w] || banned_[w] || p < eta_) continue;
         total += p;
@@ -72,7 +84,7 @@ class PathEnumerator {
         on_path_[w] = 1;
         const bool pushed_slot = w_slot >= 0;
         if (pushed_slot) active_slots_.push_back(w_slot);
-        frames_.push_back(Frame{w, 0, p, pushed_slot});
+        Push(w, p, pushed_slot);
       } else {
         on_path_[frame.node] = 0;
         if (frame.pushed_slot) active_slots_.pop_back();
@@ -85,12 +97,20 @@ class PathEnumerator {
  private:
   struct Frame {
     NodeId node;
+    AdjView out;
     size_t cursor;
     double product;
     bool pushed_slot;
   };
 
-  const Graph& graph_;
+  void Push(NodeId node, double product, bool pushed_slot) {
+    const size_t depth = frames_.size();
+    if (depth == depth_scratch_.size()) depth_scratch_.emplace_back();
+    frames_.push_back(Frame{node, graph_.Out(node, depth_scratch_[depth]), 0,
+                            product, pushed_slot});
+  }
+
+  GraphView graph_;
   double eta_;
   RunGuard* guard_;
   std::vector<uint8_t> on_path_;
@@ -99,6 +119,9 @@ class PathEnumerator {
   std::vector<double> minus_;
   std::vector<NodeId> tracked_;
   std::vector<Frame> frames_;
+  // Element addresses stay put as it grows, so the spans of frames on the
+  // stack never dangle.
+  std::deque<AdjScratch> depth_scratch_;
   std::vector<int32_t> active_slots_;
 };
 
@@ -116,7 +139,7 @@ struct CelfEntry {
 }  // namespace
 
 SelectionResult Simpath::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const NodeId n = graph.num_nodes();
   PathEnumerator enumerator(graph, options_.eta, input.guard);
@@ -208,6 +231,8 @@ SelectionResult Simpath::Select(const SelectionInput& input) {
     }
   }
 
+  TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+           enumerator.blocks_decoded());
   SelectionResult result;
   result.seeds = std::move(seeds);
   result.internal_spread_estimate = sigma_s;

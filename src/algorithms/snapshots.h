@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "graph/graph.h"
+#include "graph/graph_view.h"
 
 namespace imbench {
 
@@ -22,8 +22,9 @@ struct Snapshot {
   }
 };
 
-// Coin-flips every edge of `graph` once.
-Snapshot SampleSnapshot(const Graph& graph, Rng& rng);
+// Coin-flips every edge of `graph` once, in forward edge order, decoding
+// each out-list into `scratch` on the compact backend.
+Snapshot SampleSnapshot(const GraphView& graph, Rng& rng, AdjScratch& scratch);
 
 }  // namespace imbench
 

@@ -10,7 +10,7 @@
 namespace imbench {
 
 SelectionResult StaticGreedy::Select(const SelectionInput& input) {
-  const Graph& graph = *input.graph;
+  const GraphView graph = input.View();
   IMBENCH_CHECK(input.k <= graph.num_nodes());
   const uint32_t R = options_.snapshots;
   Rng rng = Rng::ForStream(input.seed, 0);
@@ -19,12 +19,15 @@ SelectionResult StaticGreedy::Select(const SelectionInput& input) {
   snapshots.reserve(R);
   {
     Span sample_span(input.trace, "sample");
+    AdjScratch scratch;
     for (uint32_t i = 0; i < R; ++i) {
       TraceAdd(input.trace, TraceCounter::kGuardPolls);
       if (GuardShouldStop(input.guard)) break;
-      snapshots.push_back(SampleSnapshot(graph, rng));
+      snapshots.push_back(SampleSnapshot(graph, rng, scratch));
       TraceAdd(input.trace, TraceCounter::kSnapshots);
     }
+    TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+             scratch.blocks_decoded);
   }
   // Work with however many snapshots were actually sampled; averaging by
   // the real count keeps the estimates unbiased on a truncated run.

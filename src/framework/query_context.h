@@ -13,20 +13,16 @@
 namespace imbench {
 
 struct QueryContext : CommonRunOptions {
+  // The graph on exactly one backend: the heap CSR, or an opened .imgrf
+  // mapping (im_run --graph-file). Every technique reads it only through
+  // View(), so each runs on either backend and selects the same seeds.
   const Graph* graph = nullptr;
-  // Out-of-core backend (an opened .imgrf mapping): set instead of `graph`
-  // by im_run --graph-file. Only algorithms whose AlgorithmSpec declares
-  // supports_compact run against it; they traverse through View() and
-  // never touch `graph` directly. Exactly one of graph/compact is set.
   const CompactGraph* compact = nullptr;
   DiffusionKind diffusion = DiffusionKind::kIndependentCascade;
 
   // The backend-neutral traversal handle (graph/graph_view.h).
   GraphView View() const {
     return graph != nullptr ? GraphView(*graph) : GraphView(*compact);
-  }
-  NodeId NumNodes() const {
-    return graph != nullptr ? graph->num_nodes() : compact->num_nodes();
   }
 };
 

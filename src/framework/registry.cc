@@ -65,7 +65,6 @@ std::vector<AlgorithmSpec> BuildRegistry() {
     AlgorithmSpec s;
     s.name = "TIM+";
     s.supports_ic = s.supports_lt = true;
-    s.supports_compact = true;
     s.parameter_name = "epsilon";
     s.parameter_spectrum = {0.05, 0.1, 0.15, 0.2, 0.3, 0.35, 0.5, 0.7, 0.9};
     s.optimal_ic = 0.05;
@@ -82,7 +81,6 @@ std::vector<AlgorithmSpec> BuildRegistry() {
     AlgorithmSpec s;
     s.name = "IMM";
     s.supports_ic = s.supports_lt = true;
-    s.supports_compact = true;
     s.parameter_name = "epsilon";
     s.parameter_spectrum = {0.05, 0.1, 0.15, 0.2, 0.3, 0.35, 0.5, 0.7, 0.9};
     s.optimal_ic = 0.05;
@@ -211,7 +209,6 @@ std::vector<AlgorithmSpec> BuildRegistry() {
     AlgorithmSpec s;
     s.name = "RIS";
     s.supports_ic = s.supports_lt = true;
-    s.supports_compact = true;
     s.in_benchmark = false;  // subsumed by TIM+ and IMM (Sec. 4)
     s.parameter_name = "Budget x(m+n)";
     s.parameter_spectrum = {128, 64, 32, 16, 8};
@@ -226,7 +223,6 @@ std::vector<AlgorithmSpec> BuildRegistry() {
     AlgorithmSpec s;
     s.name = "Degree";
     s.supports_ic = s.supports_lt = true;
-    s.supports_compact = true;
     s.in_benchmark = false;
     s.make = [](double) { return std::make_unique<DegreeHeuristic>(); };
     specs.push_back(std::move(s));
@@ -235,7 +231,6 @@ std::vector<AlgorithmSpec> BuildRegistry() {
     AlgorithmSpec s;
     s.name = "DegreeDiscount";
     s.supports_ic = true;
-    s.supports_compact = true;
     s.in_benchmark = false;
     s.make = [](double) {
       return std::make_unique<DegreeDiscount>(DegreeDiscountOptions{});
@@ -246,7 +241,6 @@ std::vector<AlgorithmSpec> BuildRegistry() {
     AlgorithmSpec s;
     s.name = "PageRank";
     s.supports_ic = s.supports_lt = true;
-    s.supports_compact = true;
     s.in_benchmark = false;
     s.make = [](double) {
       return std::make_unique<PageRankHeuristic>(PageRankOptions{});

@@ -26,11 +26,6 @@ struct AlgorithmSpec {
   std::string name;
   bool supports_ic = false;  // IC-family weight models (IC, WC, TV)
   bool supports_lt = false;  // LT-family weight models
-  // True when Select() traverses exclusively through QueryContext::View()
-  // and therefore runs against an out-of-core CompactGraph (im_run
-  // --graph-file). The RR-set family and the degree heuristics qualify;
-  // the snapshot/MC-greedy techniques want the heap CSR.
-  bool supports_compact = false;
   // True for the eleven techniques of the study (Fig. 3); false for the
   // extra baselines (GREEDY, Degree, DegreeDiscount, PageRank).
   bool in_benchmark = true;

@@ -260,7 +260,6 @@ bool GraphFileStreamWriter::AddArc(NodeId u, NodeId v) {
   im.arc_buf.push_back(v);
   ++im.raw_degree[u];
   ++im.raw_arcs;
-  ++arcs_added_;
   if (im.options.make_bidirectional) {
     im.arc_buf.push_back(v);
     im.arc_buf.push_back(u);
@@ -543,6 +542,7 @@ bool GraphFileStreamWriter::Finish(std::string* error) {
     in_blocks_tmp.Destroy();
     if (!ok) return false;
   }
+  num_edges_ = num_edges;
   return true;
 }
 

@@ -182,12 +182,14 @@ class GraphFileStreamWriter {
   // destination is removed so no torn file survives).
   bool Finish(std::string* error);
 
-  uint64_t arcs_added() const { return arcs_added_; }
+  // Arcs the finished file holds (after symmetrizing, dropping self-loops
+  // and merging parallel arcs); 0 until Finish() succeeds.
+  uint64_t num_edges() const { return num_edges_; }
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  uint64_t arcs_added_ = 0;
+  uint64_t num_edges_ = 0;
 };
 
 }  // namespace imbench

@@ -27,12 +27,13 @@ SelectionInput IcInput(const Graph& graph, uint32_t k, Trace* trace) {
 TEST(SnapshotTest, SampleRespectsProbabilities) {
   Graph g = testutil::PathGraph(3, 1.0);
   Rng rng(1);
-  const Snapshot snap = SampleSnapshot(g, rng);
+  AdjScratch scratch;
+  const Snapshot snap = SampleSnapshot(g, rng, scratch);
   EXPECT_EQ(snap.targets.size(), 2u);  // p = 1 keeps every edge
   EXPECT_EQ(snap.offsets.size(), 4u);
 
   Graph zero = testutil::PathGraph(3, 0.0);
-  const Snapshot empty = SampleSnapshot(zero, rng);
+  const Snapshot empty = SampleSnapshot(zero, rng, scratch);
   EXPECT_TRUE(empty.targets.empty());
 }
 
@@ -41,9 +42,10 @@ TEST(SnapshotTest, EdgeRetentionRate) {
   AssignConstantWeights(g, 0.3);
   uint64_t kept = 0;
   const int rounds = 50;
+  AdjScratch scratch;
   for (int i = 0; i < rounds; ++i) {
     Rng rng = Rng::ForStream(2, i);
-    kept += SampleSnapshot(g, rng).targets.size();
+    kept += SampleSnapshot(g, rng, scratch).targets.size();
   }
   const double rate = static_cast<double>(kept) /
                       (static_cast<double>(g.num_edges()) * rounds);

@@ -8,10 +8,10 @@
 //   ./im_run --algorithm=LDAG --graph=soc-Epinions1.txt --model=LT --k=100
 //   ./im_run --algorithm=IMM --graph-file=ba100m.imgrf --model=WC --k=50
 //
-// --graph-file runs the RR-set techniques out-of-core: the `.imgrf` is
-// mmap'd (CompactGraph) instead of loaded into a heap CSR, weights come
-// baked from the file, and --mem-budget then caps only the sampling
-// working set. With --keep-going a refused file (torn, truncated, foreign)
+// --graph-file runs any technique out-of-core: the `.imgrf` is mmap'd
+// (CompactGraph) instead of loaded into a heap CSR, weights come baked
+// from the file, and --mem-budget then caps only the technique's working
+// set. With --keep-going a refused file (torn, truncated, foreign)
 // degrades to the ordinary --graph/--dataset load instead of aborting.
 //
 // With --serve the binary becomes the always-on query engine instead: it
@@ -350,15 +350,10 @@ int main(int argc, char** argv) {
                  spec->name.c_str(), DiffusionKindName(kind));
     return 1;
   }
-  if (use_compact && !spec->supports_compact) {
-    std::fprintf(stderr,
-                 "%s traverses the heap CSR directly and cannot run on "
-                 "--graph-file; techniques supporting it:",
-                 spec->name.c_str());
-    for (const AlgorithmSpec& s : AlgorithmRegistry()) {
-      if (s.supports_compact) std::fprintf(stderr, " %s", s.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
+  const GraphView view = use_compact ? GraphView(compact) : GraphView(graph);
+  if (*k < 1 || *k > view.num_nodes()) {
+    std::fprintf(stderr, "--k=%lld is outside [1, %u], the graph's nodes\n",
+                 static_cast<long long>(*k), view.num_nodes());
     return 1;
   }
   double param = *parameter;
@@ -379,7 +374,6 @@ int main(int argc, char** argv) {
   cell_options.cancel = SigintCancelFlag();
 
   const uint32_t seed_count = static_cast<uint32_t>(*k);
-  const GraphView view = use_compact ? GraphView(compact) : GraphView(graph);
   Timer timer;
   const CellResult cell =
       MeasureCell(*instance, view, kind, seed_count, cell_options);
