@@ -6,7 +6,8 @@
 //
 // Both layouts must produce byte-identical corpora, greedy seeds and
 // covered fractions for the same input; tests/rr_layout_test.cc holds the
-// differential checks and bench/rr_corpus_smoke.cc the timing comparison.
+// differential checks and micro_selection's BM_FloorRrCorpus* rows the
+// timing and footprint comparison CI gates.
 #ifndef IMBENCH_BENCH_LEGACY_RR_CORPUS_H_
 #define IMBENCH_BENCH_LEGACY_RR_CORPUS_H_
 

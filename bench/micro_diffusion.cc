@@ -2,20 +2,25 @@
 // RR-set generation throughput, including the ablation called out in
 // DESIGN.md (epoch-stamped scratch vs a fresh context per simulation), and
 // the CELF-shaped probe of the live-stream estimator against the fused one
-// (EXPERIMENTS.md, Fig. 9).
+// (EXPERIMENTS.md, Fig. 9), and the fused-vs-scalar floor rows CI gates.
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "bench/micro_floor.h"
+#include "common/timer.h"
 #include "diffusion/cascade.h"
 #include "diffusion/fused_cascade.h"
 #include "diffusion/rr_sets.h"
 #include "diffusion/spread.h"
 #include "diffusion/streaming.h"
 #include "framework/datasets.h"
+#include "graph/generators.h"
 #include "graph/weights.h"
 
 namespace imbench {
@@ -267,6 +272,82 @@ void BM_GreedyMaxCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyMaxCover);
+
+// Floor rows: one 1024-simulation estimate of the top-10 out-degree seeds
+// on BA-100K x 3 under WC, scalar against fused on one lane; CI requires
+// scalar >= 4x fused. BarabasiAlbert emits arcs new -> old, which under WC
+// kills every forward cascade (each arc targets a hub whose in-degree
+// makes its weight negligible). Flipping the arcs lets hubs broadcast to
+// their attachers, as in a follower graph, so the cascades are
+// supercritical and the rows time the frontier loops, not per-estimate
+// setup. The nethept rows above are too small for that: fused reads only
+// ~1.3x scalar per simulation there.
+constexpr uint32_t kFloorMcSimulations = 1024;
+constexpr uint64_t kFloorMcSeed = 8;
+
+struct McFloorFixture {
+  Graph graph;
+  std::vector<NodeId> seeds;
+
+  McFloorFixture() {
+    Rng rng(7);
+    EdgeList list = BarabasiAlbert(100000, 3, rng);
+    for (Arc& arc : list.arcs) std::swap(arc.source, arc.target);
+    graph = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+    AssignWeightedCascade(graph);
+    seeds.resize(graph.num_nodes());
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) seeds[v] = v;
+    std::partial_sort(seeds.begin(), seeds.begin() + 10, seeds.end(),
+                      [&](NodeId a, NodeId b) {
+                        if (graph.OutDegree(a) != graph.OutDegree(b)) {
+                          return graph.OutDegree(a) > graph.OutDegree(b);
+                        }
+                        return a < b;
+                      });
+    seeds.resize(10);
+  }
+};
+
+McFloorFixture& McFloor() {
+  static McFloorFixture& fixture = *new McFloorFixture();
+  return fixture;
+}
+
+// Simulation i runs one CascadeContext cascade on Rng::ForStream(seed, i).
+void BM_FloorMcScalar(benchmark::State& state) {
+  const McFloorFixture& fixture = McFloor();
+  for (auto _ : state) {
+    Timer timer;
+    CascadeContext context(fixture.graph.num_nodes());
+    std::vector<NodeId> samples;
+    samples.reserve(kFloorMcSimulations);
+    for (uint32_t i = 0; i < kFloorMcSimulations; ++i) {
+      Rng rng = Rng::ForStream(kFloorMcSeed, i);
+      samples.push_back(context.Simulate(fixture.graph,
+                                         DiffusionKind::kIndependentCascade,
+                                         fixture.seeds, rng));
+    }
+    benchmark::DoNotOptimize(SpreadEstimate::FromSamples(samples).mean);
+    state.SetIterationTime(timer.Seconds());
+  }
+}
+BENCHMARK(BM_FloorMcScalar)->Apply(FloorRow)->Repetitions(3);
+
+void BM_FloorMcFused(benchmark::State& state) {
+  const McFloorFixture& fixture = McFloor();
+  SpreadOptions options;
+  options.simulations = kFloorMcSimulations;
+  options.seed = kFloorMcSeed;
+  for (auto _ : state) {
+    Timer timer;
+    benchmark::DoNotOptimize(
+        EstimateSpread(fixture.graph, DiffusionKind::kIndependentCascade,
+                       fixture.seeds, options)
+            .mean);
+    state.SetIterationTime(timer.Seconds());
+  }
+}
+BENCHMARK(BM_FloorMcFused)->Apply(FloorRow)->Repetitions(3);
 
 }  // namespace
 }  // namespace imbench

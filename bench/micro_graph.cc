@@ -1,13 +1,17 @@
 // Micro benchmarks for the graph substrate: generators, CSR construction,
 // weight assignment, SCC decomposition, and the compact (mmap'd `.imgrf`)
 // backend: compressed-decode throughput against the raw CSR scan, plus
-// cold-vs-warm page-in ablations (DropPages between iterations).
+// cold-vs-warm page-in ablations (DropPages between iterations), and the
+// compression and RR-sampling floor rows CI gates.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
 
+#include "bench/micro_floor.h"
+#include "common/timer.h"
+#include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
 #include "graph/compact_graph.h"
 #include "graph/generators.h"
@@ -180,6 +184,61 @@ void BM_CompactSweepColdPages(benchmark::State& state) {
                           static_cast<int64_t>(Fixture().compact.MappedBytes()));
 }
 BENCHMARK(BM_CompactSweepColdPages);
+
+// Floor rows: 20K RR sets sampled on BA-120K x 16 under WC, on the heap CSR
+// and on its mapped `.imgrf` image. Average degree ~16 makes the per-edge
+// lanes dominate both footprints, so graph_bytes (heap CSR bytes against
+// mapped file bytes) measures the format, not per-node offsets. CI
+// requires heap graph_bytes >= 2x compact and compact time <= 1.3x heap.
+constexpr uint32_t kFloorRrSets = 20000;
+
+struct RrFloorFixture {
+  Graph graph;
+  CompactGraph compact;
+  std::string path = "/tmp/micro_graph_floor.imgrf";
+
+  RrFloorFixture() {
+    Rng rng(7);
+    EdgeList list = BarabasiAlbert(120000, 16, rng);
+    graph = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+    AssignWeightedCascade(graph);
+    std::string error;
+    if (!WriteGraphFile(graph, WeightModel::kWc, path, &error) ||
+        CompactGraph::Open(path, &compact, &error) != SealedStatus::kOk) {
+      std::fprintf(stderr, "micro_graph: floor fixture failed: %s\n",
+                   error.c_str());
+      std::abort();
+    }
+  }
+  ~RrFloorFixture() { std::remove(path.c_str()); }
+};
+
+RrFloorFixture& RrFloor() {
+  static RrFloorFixture fixture;
+  return fixture;
+}
+
+void RunRrFloor(benchmark::State& state, const GraphView& view,
+                uint64_t graph_bytes) {
+  for (auto _ : state) {
+    RrSampler sampler(view, SamplerOptions{});
+    RrCollection corpus(view.num_nodes());
+    Timer timer;
+    sampler.Generate(/*seed=*/42, kFloorRrSets, corpus, nullptr);
+    state.SetIterationTime(timer.Seconds());
+  }
+  state.counters["graph_bytes"] = static_cast<double>(graph_bytes);
+}
+
+void BM_FloorRrSampleHeap(benchmark::State& state) {
+  RunRrFloor(state, RrFloor().graph, RrFloor().graph.MemoryBytes());
+}
+BENCHMARK(BM_FloorRrSampleHeap)->Apply(FloorRow)->Repetitions(5);
+
+void BM_FloorRrSampleCompact(benchmark::State& state) {
+  RunRrFloor(state, RrFloor().compact, RrFloor().compact.MappedBytes());
+}
+BENCHMARK(BM_FloorRrSampleCompact)->Apply(FloorRow)->Repetitions(5);
 
 }  // namespace
 }  // namespace imbench

@@ -1,15 +1,19 @@
 // Ablation micro benchmarks for the seed-selection infrastructure:
 //   * lazy (CELF) greedy vs exhaustive greedy over the same snapshot
 //     oracle — quantifies the submodularity pruning;
-//   * RR greedy max-cover on the flat arenas vs the legacy layout.
+//   * RR greedy max-cover on the flat arenas vs the legacy layout, and the
+//     build+cover floor rows CI gates.
 
 #include <benchmark/benchmark.h>
 
 #include "algorithms/lazy_queue.h"
 #include "algorithms/snapshots.h"
 #include "bench/legacy_rr_corpus.h"
+#include "bench/micro_floor.h"
+#include "common/timer.h"
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
+#include "graph/generators.h"
 #include "graph/weights.h"
 
 namespace imbench {
@@ -213,6 +217,67 @@ void BM_CorpusBuildLegacyLayout(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorpusBuildLegacyLayout)->Unit(benchmark::kMillisecond);
+
+// Floor rows: 500K RR sets drawn by RrSampler::GenerateStream on BA-100K x 5
+// under WC, ingested and then covered once at k = 50. Each row times the
+// build and the first cover, so the flat layout pays its deferred
+// inverted-index build and the legacy layout its eager one. CI requires
+// legacy >= 1.2x flat and fewer corpus_bytes (after the cover, index
+// included) for flat.
+constexpr uint64_t kFloorRrSets = 500000;
+constexpr uint32_t kFloorRrSeeds = 50;
+constexpr uint64_t kFloorRrSeed = 8;
+
+const Graph& RrFloorGraph() {
+  static Graph& graph = *new Graph([] {
+    Rng rng(7);
+    EdgeList list = BarabasiAlbert(100000, 5, rng);
+    Graph g = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+    AssignWeightedCascade(g);
+    return g;
+  }());
+  return graph;
+}
+
+void BM_FloorRrCorpusFlat(benchmark::State& state) {
+  const Graph& graph = RrFloorGraph();
+  for (auto _ : state) {
+    RrCollection corpus(graph.num_nodes());
+    RrSampler sampler(graph, DiffusionKind::kIndependentCascade);
+    std::vector<NodeId> scratch;
+    Timer timer;
+    for (uint64_t i = 0; i < kFloorRrSets; ++i) {
+      sampler.GenerateStream(kFloorRrSeed, i, scratch);
+      corpus.AppendSet(scratch);
+    }
+    benchmark::DoNotOptimize(corpus.GreedyMaxCover(kFloorRrSeeds));
+    state.SetIterationTime(timer.Seconds());
+    state.counters["corpus_bytes"] =
+        static_cast<double>(corpus.MemoryBytes());
+  }
+}
+BENCHMARK(BM_FloorRrCorpusFlat)->Apply(FloorRow)->Repetitions(3);
+
+// The legacy ingestion moves a fresh vector in per set.
+void BM_FloorRrCorpusLegacy(benchmark::State& state) {
+  const Graph& graph = RrFloorGraph();
+  for (auto _ : state) {
+    LegacyRrCorpus corpus(graph.num_nodes());
+    RrSampler sampler(graph, DiffusionKind::kIndependentCascade);
+    std::vector<NodeId> set;
+    Timer timer;
+    for (uint64_t i = 0; i < kFloorRrSets; ++i) {
+      sampler.GenerateStream(kFloorRrSeed, i, set);
+      corpus.Add(std::move(set));
+      set = std::vector<NodeId>();
+    }
+    benchmark::DoNotOptimize(corpus.GreedyMaxCover(kFloorRrSeeds));
+    state.SetIterationTime(timer.Seconds());
+    state.counters["corpus_bytes"] =
+        static_cast<double>(corpus.MemoryBytes());
+  }
+}
+BENCHMARK(BM_FloorRrCorpusLegacy)->Apply(FloorRow)->Repetitions(3);
 
 }  // namespace
 }  // namespace imbench

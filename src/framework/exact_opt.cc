@@ -25,6 +25,13 @@ constexpr uint64_t kEvalBlockClasses = 2048;
 // only risks expanding (never pruning) a borderline subtree.
 constexpr double kBoundSlack = 1e-9;
 
+// Cap on deduplicated closure-table bytes; exceeding it trips the build
+// with StopReason::kMemory instead of exhausting the heap.
+constexpr uint64_t kMaxTableBytes = uint64_t{1} << 28;
+
+// Geometric gap-halving passes before the final exact (gap = 0) pass.
+constexpr uint32_t kDoublingPasses = 6;
+
 struct LiveEdge {
   NodeId source = 0;
   NodeId target = 0;
@@ -145,8 +152,7 @@ ExactSpreadOracle::ExactSpreadOracle(const Graph& graph, DiffusionKind kind,
   }
 }
 
-void ExactSpreadOracle::AddClass(const uint64_t* closure, double probability,
-                                 uint64_t max_table_bytes) {
+void ExactSpreadOracle::AddClass(const uint64_t* closure, double probability) {
   const uint64_t hash = HashClosure(closure, n_);
   std::vector<uint32_t>& bucket = buckets_[hash];
   for (const uint32_t id : bucket) {
@@ -156,7 +162,7 @@ void ExactSpreadOracle::AddClass(const uint64_t* closure, double probability,
       return;
     }
   }
-  if ((closures_.size() + n_) * sizeof(uint64_t) > max_table_bytes) {
+  if ((closures_.size() + n_) * sizeof(uint64_t) > kMaxTableBytes) {
     stop_ = StopReason::kMemory;
     return;
   }
@@ -198,7 +204,7 @@ void ExactSpreadOracle::EnumerateIc(const Graph& graph,
     }
     if (prob <= 0) continue;
     ComputeClosure(n_, live, closure.data());
-    AddClass(closure.data(), prob, options.max_table_bytes);
+    AddClass(closure.data(), prob);
     if (stop_ != StopReason::kNone) return;
   }
 }
@@ -234,7 +240,7 @@ void ExactSpreadOracle::EnumerateLt(const Graph& graph,
         }
       }
       ComputeClosure(n_, live, closure.data());
-      AddClass(closure.data(), prob, options.max_table_bytes);
+      AddClass(closure.data(), prob);
       if (stop_ != StopReason::kNone) return;
     }
     NodeId v = 0;
@@ -509,7 +515,7 @@ ExactOptResult BranchAndBoundOptimum(const Graph& graph, DiffusionKind kind,
   // optimum, then a final gap-0 pass proves (lex-min) optimality.
   std::vector<double> gaps;
   const double initial_gap = result.root_upper_bound - searcher.incumbent_value;
-  for (uint32_t t = 1; t <= options.doubling_passes; ++t) {
+  for (uint32_t t = 1; t <= kDoublingPasses; ++t) {
     const double g = initial_gap / static_cast<double>(uint64_t{1} << t);
     if (g <= kBoundSlack) break;
     gaps.push_back(g);

@@ -56,11 +56,6 @@ struct ExactOptOptions : CommonRunOptions {
   // 2^(random IC edges), or the product of per-node (indeg + 1) choices
   // under LT. Feasibility is CHECKed — probe with ExactOracleFeasible().
   uint64_t max_instantiations = uint64_t{1} << 22;
-  // Cap on deduplicated closure-table bytes; exceeding it trips the build
-  // with StopReason::kMemory instead of exhausting the heap.
-  uint64_t max_table_bytes = uint64_t{1} << 28;
-  // Geometric gap-halving passes before the final exact (gap = 0) pass.
-  uint32_t doubling_passes = 6;
 };
 
 // Whether the closure table fits the caps (n ≤ 64 and the instantiation
@@ -92,8 +87,9 @@ struct ExactOptResult {
 
 // The precomputed live-edge closure table. Expensive to build (the full
 // instantiation enumeration), cheap to query; build once per (graph, kind)
-// and share across searches. The build polls options.guard and the table
-// byte cap; on a trip ok() is false and evaluations must not be used.
+// and share across searches. The build polls options.guard and a 256 MiB
+// table byte cap (StopReason::kMemory); on a trip ok() is false and
+// evaluations must not be used.
 class ExactSpreadOracle {
  public:
   ExactSpreadOracle(const Graph& graph, DiffusionKind kind,
@@ -116,8 +112,7 @@ class ExactSpreadOracle {
   void EnumerateIc(const Graph& graph, const ExactOptOptions& options);
   void EnumerateLt(const Graph& graph, const ExactOptOptions& options);
   // Folds the scratch closure (one mask per node) into the dedup table.
-  void AddClass(const uint64_t* closure, double probability,
-                uint64_t max_table_bytes);
+  void AddClass(const uint64_t* closure, double probability);
 
   NodeId n_ = 0;
   Fanout fanout_;

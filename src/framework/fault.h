@@ -57,8 +57,8 @@ inline constexpr std::string_view kWorkloadIo = "workload_io";
 // Checkpoint writes tear (half the payload reaches disk) / reads fail.
 inline constexpr std::string_view kCheckpointWrite = "checkpoint_write";
 inline constexpr std::string_view kCheckpointRead = "checkpoint_read";
-// .imgrf open path: the header read / the mmap fails. im_run --keep-going
-// degrades to edge-list/dataset loading when either fires.
+// .imgrf open path: the header read / the mmap fails. Either refuses the
+// open with kIoError, and im_run exits 1.
 inline constexpr std::string_view kGraphFileRead = "graph_file_read";
 inline constexpr std::string_view kGraphFileMap = "graph_file_map";
 }  // namespace faultsite

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -175,11 +174,8 @@ SealedStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
   return SealedStatus::kOk;
 }
 
-void CompactGraph::DecodeOut(NodeId u, AdjScratch& scratch,
-                             bool decode_weights) const {
-  const uint64_t base = out_edge_offsets_[u];
-  const uint32_t degree =
-      static_cast<uint32_t>(out_edge_offsets_[u + 1] - base);
+void CompactGraph::DecodeOut(NodeId u, AdjScratch& scratch) const {
+  const uint32_t degree = OutDegree(u);
   scratch.nodes.resize(degree);
   const uint8_t* p = out_blocks_ + out_byte_offsets_[u];
   uint64_t prev = 0;
@@ -188,13 +184,6 @@ void CompactGraph::DecodeOut(NodeId u, AdjScratch& scratch,
     p = DecodeVarint(p, &delta);
     prev = (i % kBlockSize == 0) ? delta : prev + delta;
     scratch.nodes[i] = static_cast<NodeId>(prev);
-  }
-  if (decode_weights) {
-    scratch.weights.resize(degree);
-    if (degree > 0) {
-      std::memcpy(scratch.weights.data(), weights_ + base,
-                  static_cast<size_t>(degree) * sizeof(double));
-    }
   }
   scratch.blocks_decoded += (degree + kBlockSize - 1) / kBlockSize;
 }

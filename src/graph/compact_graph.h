@@ -100,11 +100,10 @@ class CompactGraph {
     __builtin_prefetch(in_blocks_ + in_byte_offsets_[v]);
   }
 
-  // Decodes u's out-targets into scratch.nodes and copies the matching
-  // weights into scratch.weights (index-aligned, like Graph::OutTargets /
-  // OutWeights). With decode_weights=false the weight copy is skipped.
-  void DecodeOut(NodeId u, AdjScratch& scratch,
-                 bool decode_weights = true) const;
+  // Decodes u's out-targets into scratch.nodes (like Graph::OutTargets).
+  // Their weights need no decode: they lie contiguous in weights() from
+  // OutEdgeBase(u).
+  void DecodeOut(NodeId u, AdjScratch& scratch) const;
 
   // Decodes v's in-edges: sources into scratch.nodes and weights into
   // scratch.weights, index-aligned like Graph::InSources / InWeights. For

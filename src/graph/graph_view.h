@@ -48,7 +48,6 @@ class GraphView {
   GraphView(const Graph& graph) : mem_(&graph) {}  // NOLINT
   GraphView(const CompactGraph& graph) : compact_(&graph) {}  // NOLINT
 
-  bool valid() const { return mem_ != nullptr || compact_ != nullptr; }
   bool is_compact() const { return compact_ != nullptr; }
   const Graph* memory_graph() const { return mem_; }
   const CompactGraph* compact_graph() const { return compact_; }
@@ -70,7 +69,9 @@ class GraphView {
   AdjView Out(NodeId u, AdjScratch& scratch) const {
     if (mem_ != nullptr) return {mem_->OutTargets(u), mem_->OutWeights(u)};
     compact_->DecodeOut(u, scratch);
-    return {scratch.nodes, scratch.weights};
+    return {scratch.nodes,
+            compact_->weights().subspan(compact_->OutEdgeBase(u),
+                                        scratch.nodes.size())};
   }
 
   // In-neighbors of v with the matching weights W(·, v), index-aligned.
@@ -89,10 +90,10 @@ class GraphView {
     return mem_ != nullptr ? fn(*mem_) : fn(*compact_);
   }
 
-  // Neighbor-only variants that skip the weight copy/gather.
+  // Neighbor-only variants (InSources skips the in-weight gather).
   std::span<const NodeId> OutTargets(NodeId u, AdjScratch& scratch) const {
     if (mem_ != nullptr) return mem_->OutTargets(u);
-    compact_->DecodeOut(u, scratch, /*decode_weights=*/false);
+    compact_->DecodeOut(u, scratch);
     return scratch.nodes;
   }
   std::span<const NodeId> InSources(NodeId v, AdjScratch& scratch) const {

@@ -46,12 +46,9 @@ struct CheckpointMeta {
   uint64_t graph_fingerprint = 0;  // GraphFingerprint() of the snapshot
 };
 
-// perfbench/perfbench.cc still spells the checkpoint's own status names;
-// they name the one sealed-file status.
+// perfbench/perfbench.cc still spells the checkpoint's own status name;
+// it names the one sealed-file status.
 using CheckpointStatus = SealedStatus;
-inline const char* CheckpointStatusName(SealedStatus status) {
-  return SealedStatusName(status);
-}
 
 // Writes `corpus` + `meta` to `path`. Returns false on IO failure (or an
 // injected checkpoint_write fault, which tears the file on purpose),

@@ -4,21 +4,17 @@
 // (RetryTransient, kTransientRetries), a cold rebuild — is a deterministic
 // rebuild of the same per-index RR streams, so faults may cost time but
 // never change answers.
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "algorithms/tim_plus.h"
 #include "common/thread_pool.h"
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
 #include "framework/fault.h"
 #include "framework/trace.h"
-#include "graph/compact_graph.h"
-#include "graph/graph_file.h"
 #include "graph/weights.h"
 #include "service/epoch_graph_store.h"
 #include "service/im_service.h"
@@ -472,69 +468,6 @@ TEST(ChaosTest, GuardTripDuringRepairDiscardsAllOrNothing) {
     ref_store.AddEdges({{MissingArc(ChaosTestGraph(kind), 0.4)}});
     EXPECT_EQ(recovered.seeds, reference.Query(query).seeds);
   }
-}
-
-// im_run's `--keep-going` contract for the out-of-core backend: when the
-// `.imgrf` cannot be opened — injected I/O fault or a torn file on disk —
-// the run degrades to edge-list loading instead of dying, and the degraded
-// run selects the exact seeds the healthy compact-backend run selects
-// (both backends replay identical per-index RR streams).
-TEST(ChaosTest, GraphFileFaultDegradesToEdgeListLoadingWithSameSeeds) {
-  FaultInjector::Global().Disarm();
-  Graph base = ChaosTestGraph(DiffusionKind::kIndependentCascade);
-  const std::string path = ::testing::TempDir() + "/chaos_degrade.imgrf";
-  std::string error;
-  ASSERT_TRUE(WriteGraphFile(base, WeightModel::kWc, path, &error)) << error;
-
-  auto seeds_on = [](const Graph* graph, const CompactGraph* compact) {
-    TimPlus algorithm({});
-    SelectionInput input;
-    input.graph = graph;
-    input.compact = compact;
-    input.diffusion = DiffusionKind::kIndependentCascade;
-    input.k = 5;
-    input.seed = kSeed;
-    return algorithm.Select(input).seeds;
-  };
-
-  // Healthy run on the compact backend: the baseline answer.
-  CompactGraph compact;
-  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), SealedStatus::kOk)
-      << error;
-  const std::vector<NodeId> baseline = seeds_on(nullptr, &compact);
-  ASSERT_EQ(baseline.size(), 5u);
-
-  // Injected mmap fault: the open is refused, so a keep-going run falls
-  // back to the edge-list-loaded in-memory graph — same answer.
-  {
-    ScopedFaultPlan scoped(OneRule(faultsite::kGraphFileMap, /*hit=*/1,
-                                   /*fires=*/1));
-    CompactGraph faulted;
-    EXPECT_EQ(CompactGraph::Open(path, &faulted, &error),
-              SealedStatus::kIoError);
-    EXPECT_EQ(seeds_on(&base, nullptr), baseline);
-  }
-
-  // Torn file on disk (no injector): refused before any query runs, and
-  // the same degradation path again serves the identical answer.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const size_t size = static_cast<size_t>(std::ftell(f));
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<char> bytes(size);
-    ASSERT_EQ(std::fread(bytes.data(), 1, size, f), size);
-    std::fclose(f);
-    f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, size / 2, f), size / 2);
-    std::fclose(f);
-    CompactGraph torn;
-    EXPECT_NE(CompactGraph::Open(path, &torn, &error), SealedStatus::kOk);
-    EXPECT_EQ(seeds_on(&base, nullptr), baseline);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

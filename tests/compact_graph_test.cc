@@ -81,14 +81,15 @@ void ExpectSameGraph(const Graph& graph, const CompactGraph& compact) {
     ASSERT_EQ(compact.InDegree(u), graph.InDegree(u)) << "node " << u;
     ASSERT_EQ(compact.OutEdgeBase(u), graph.OutEdgeBase(u)) << "node " << u;
 
-    compact.DecodeOut(u, scratch);
+    const AdjView out = GraphView(compact).Out(u, scratch);
     const auto out_targets = graph.OutTargets(u);
     const auto out_weights = graph.OutWeights(u);
-    ASSERT_EQ(scratch.nodes.size(), out_targets.size()) << "node " << u;
+    ASSERT_EQ(out.nodes.size(), out_targets.size()) << "node " << u;
+    ASSERT_EQ(out.weights.size(), out_targets.size()) << "node " << u;
     for (size_t i = 0; i < out_targets.size(); ++i) {
-      ASSERT_EQ(scratch.nodes[i], out_targets[i]) << "node " << u;
+      ASSERT_EQ(out.nodes[i], out_targets[i]) << "node " << u;
       // Bit-exact: the weights lane is a raw copy of the double patterns.
-      ASSERT_EQ(scratch.weights[i], out_weights[i]) << "node " << u;
+      ASSERT_EQ(out.weights[i], out_weights[i]) << "node " << u;
     }
 
     // decode_edge_ids exercises the gather lane even for models whose

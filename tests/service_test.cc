@@ -7,6 +7,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
 #include "framework/trace.h"
+#include "graph/generators.h"
 #include "graph/weights.h"
 #include "service/epoch_graph_store.h"
 #include "service/workload.h"
@@ -256,6 +258,40 @@ TEST(ServiceTest, SingleEdgeMutationRepairsStrictSubset) {
   EXPECT_EQ(trace.Total(TraceCounter::kRrSetsRepaired), warm.sets_repaired);
   EXPECT_GT(trace.Total(TraceCounter::kRrSetsReused), 0u);
   EXPECT_EQ(trace.Total(TraceCounter::kCorpusEpochs), 1u);
+}
+
+// The expensive end of repair: 32 new arcs into the hubs of a BA graph
+// (the low node ids, which sit in the most RR sets) still regenerate under
+// half of the sets the query covers, and the repaired warm corpus serves
+// the seeds a cold service serves on the mutated snapshot.
+TEST(ServiceTest, HubInEdgeMutationRepairsUnderHalfTheCorpus) {
+  Rng rng(7);
+  EdgeList list = BarabasiAlbert(20000, 5, rng);
+  Graph graph = Graph::FromArcs(list.num_nodes, std::move(list.arcs));
+  AssignWeightedCascade(graph);
+  const NodeId n = graph.num_nodes();
+  EpochGraphStore store(std::move(graph));
+  ServiceOptions options;
+  options.epsilon = 4.0;
+  options.seed = 8;
+  ImService service(store, options);
+
+  ImQuery query;
+  query.k = 20;
+  ASSERT_GT(service.Query(query).sets_sampled, 0u);
+  std::vector<WeightedArc> arcs;
+  for (NodeId i = 0; i < 32; ++i) arcs.push_back({n - 1 - i, i, 0.05});
+  store.AddEdges(arcs);
+  const ImQueryResult repaired = service.Query(query);
+  EXPECT_EQ(repaired.degraded, DegradeMode::kNone);
+  EXPECT_EQ(repaired.sets_sampled, 0u);
+  EXPECT_GT(repaired.sets_repaired, 0u);
+  EXPECT_LT(static_cast<double>(repaired.sets_repaired),
+            0.5 * static_cast<double>(repaired.sets_used));
+
+  EpochGraphStore cold_store(store.Current().graph->Clone());
+  ImService cold(cold_store, options);
+  EXPECT_EQ(repaired.seeds, cold.Query(query).seeds);
 }
 
 // A query whose budget is already spent must not corrupt the corpus: the

@@ -147,10 +147,8 @@ int main(int argc, char** argv) {
   double* beta = flags.AddDouble("beta", 0.1, "ws: rewiring probability");
   double* exponent = flags.AddDouble("exponent", 2.5, "chunglu: power-law");
   int64_t* seed = flags.AddInt("seed", 7, "RNG seed");
-  std::string* out = flags.AddString("out", "graph.txt", "output path");
-  std::string* format = flags.AddString(
-      "format", "auto",
-      "edgelist|imgrf|auto (auto: .imgrf suffix selects the graph file)");
+  std::string* out = flags.AddString(
+      "out", "graph.txt", "output path (an .imgrf suffix writes a graph file)");
   std::string* model_name = flags.AddString(
       "model", "WC",
       "imgrf: weight model baked into the file (IC|WC|TV|LT|LT-P; "
@@ -163,18 +161,7 @@ int main(int argc, char** argv) {
   bool* stats = flags.AddBool("stats", true, "print summary statistics");
   flags.Parse(argc, argv);
 
-  bool write_imgrf;
-  if (*format == "imgrf") {
-    write_imgrf = true;
-  } else if (*format == "edgelist") {
-    write_imgrf = false;
-  } else if (*format == "auto") {
-    write_imgrf = HasSuffix(*out, ".imgrf");
-  } else {
-    std::fprintf(stderr, "unknown --format '%s' (edgelist|imgrf|auto)\n",
-                 format->c_str());
-    return 2;
-  }
+  const bool write_imgrf = HasSuffix(*out, ".imgrf");
 
   GraphFileStreamWriter::Options writer_options;
   if (write_imgrf) {

@@ -11,8 +11,8 @@
 // --graph-file runs any technique out-of-core: the `.imgrf` is mmap'd
 // (CompactGraph) instead of loaded into a heap CSR, weights come baked
 // from the file, and --mem-budget then caps only the technique's working
-// set. With --keep-going a refused file (torn, truncated, foreign)
-// degrades to the ordinary --graph/--dataset load instead of aborting.
+// set. A refused file (torn, truncated, foreign) exits 1 with its
+// SealedStatus before anything is selected.
 //
 // With --serve the binary becomes the always-on query engine instead: it
 // opens the graph in an EpochGraphStore, stands up an ImService and
@@ -114,10 +114,9 @@ int main(int argc, char** argv) {
       "eps", 0.5, "service default sampling accuracy for --serve queries");
   bool* keep_going = flags.AddBool(
       "keep-going", false,
-      "degrade instead of aborting: a refused --graph-file falls back to "
-      "edge-list loading; --serve reports malformed workload lines and "
-      "failed mutations as {\"op\":\"error\"} records and keeps replaying "
-      "(without it the replay halts at the first one and exits 1)");
+      "--serve reports malformed workload lines and failed mutations as "
+      "{\"op\":\"error\"} records and keeps replaying (without it the "
+      "replay halts at the first one and exits 1)");
   std::string* checkpoint_path = flags.AddString(
       "checkpoint", "",
       "--serve: recover the warm RR corpus from this file on start (if it "
@@ -168,47 +167,35 @@ int main(int argc, char** argv) {
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
 
-  // Build the graph: the mmap'd compact backend when --graph-file opens
-  // cleanly, the heap CSR otherwise.
+  // Build the graph: the mmap'd compact backend for --graph-file, the heap
+  // CSR otherwise.
   Graph graph;
   CompactGraph compact;
-  bool use_compact = false;
+  const bool use_compact = !graph_file->empty();
   std::vector<uint64_t> original_ids;  // --graph: file id per dense node
   {
     Span setup_span(&trace, "setup");
-    if (!graph_file->empty()) {
+    if (use_compact) {
       CompactGraph::OpenOptions open_options;
       open_options.trace = &trace;
       std::string error;
       const SealedStatus status =
           CompactGraph::Open(*graph_file, &compact, &error, open_options);
-      if (status == SealedStatus::kOk) {
-        if (compact.weight_model() != model) {
-          std::fprintf(stderr,
-                       "%s carries %s weights baked in; rerun with "
-                       "--model=%s\n",
-                       graph_file->c_str(),
-                       WeightModelName(compact.weight_model()).c_str(),
-                       WeightModelName(compact.weight_model()).c_str());
-          return 1;
-        }
-        use_compact = true;
-      } else if (*keep_going) {
-        std::fprintf(stderr,
-                     "warning: cannot open %s (%s: %s); degrading to "
-                     "edge-list loading\n",
-                     graph_file->c_str(), SealedStatusName(status),
-                     error.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "cannot open %s (%s): %s\n"
-                     "(--keep-going degrades to --graph/--dataset loading)\n",
+      if (status != SealedStatus::kOk) {
+        std::fprintf(stderr, "cannot open %s (%s): %s\n",
                      graph_file->c_str(), SealedStatusName(status),
                      error.c_str());
         return 1;
       }
-    }
-    if (use_compact) {
+      if (compact.weight_model() != model) {
+        std::fprintf(stderr,
+                     "%s carries %s weights baked in; rerun with "
+                     "--model=%s\n",
+                     graph_file->c_str(),
+                     WeightModelName(compact.weight_model()).c_str(),
+                     WeightModelName(compact.weight_model()).c_str());
+        return 1;
+      }
       // Weights are baked into the file; nothing else to set up.
     } else if (!graph_path->empty()) {
       EdgeListError error;
